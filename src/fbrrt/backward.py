@@ -108,13 +108,10 @@ def path_heuristic(run_cost, value_next) -> np.ndarray:
 
 
 def _layer_edge_arrays(tree: BranchTree, i_next: int):
-    """Edge arrays for layer i_next: parent states, drifts, child states, run costs."""
-    nodes = tree.layer_nodes(i_next)
-    X_next = np.array([node.state for node in nodes])
-    X_prev = np.array([tree.nodes[node.parent].state for node in nodes])
-    K = np.array([node.drift for node in nodes])
-    run_costs = np.array([node.run_cost for node in nodes])
-    return X_prev, K, X_next, run_costs
+    """Edge arrays for layer i_next: parent states, drifts, child states, run
+    costs (the last three are views of the tree's storage)."""
+    layer = tree.layer(i_next)
+    return tree.layer_states(i_next - 1)[layer.parents], layer.drifts, layer.states, layer.run_costs
 
 
 def _edge_targets(
@@ -139,17 +136,10 @@ def _edge_targets(
     mu = target_policy_batch(problem, t, X_prev, alpha_next, lower, upper)
     f_mu = problem.drift(t, X_prev, mu)
     ell_mu = problem.running_cost(t, X_prev, mu)
-    if problem.constant_diffusion:
-        sigma = problem.diffusion(t_next, X_next[0])
-        sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
-        Z = grad_next @ sigma  # z = sigma' grad
-        D = (f_mu - K) @ sigma_inv.T
-    else:
-        Z = np.empty_like(grad_next)
-        D = np.empty_like(grad_next)
-        for j in range(X_next.shape[0]):
-            Z[j] = problem.diffusion(t_next, X_next[j]).T @ grad_next[j]
-            D[j] = problem.diffusion_inverse(t_next, X_next[j]) @ (f_mu[j] - K[j])
+    sigma = problem.diffusion(t_next, X_next[0])
+    sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
+    Z = grad_next @ sigma  # z = sigma' grad
+    D = (f_mu - K) @ sigma_inv.T
     y_hat = y_next + (ell_mu + np.sum(Z * D, axis=1)) * dt
     return y_hat, y_next
 
@@ -252,7 +242,7 @@ def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)
     """
     N = tree.grid.steps
     X_N = tree.layer_states(N)
-    proxy = np.array([node.run_cost for node in tree.layer_nodes(N)]) + tree.problem.terminal_cost(X_N)
+    proxy = tree.layer(N).run_costs + tree.problem.terminal_cost(X_N)
     q75, q25 = np.percentile(proxy, [75, 25])
     scale = q75 - q25
     if scale <= 0:

@@ -35,55 +35,6 @@ class ForwardConfig:
             raise ValueError("mixing probabilities must lie in [0, 1]")
 
 
-def euler_maruyama_step(problem: ControlProblem, dt: float, t: float, x, k, w):
-    """x + k dt + sigma(t, x) w, with w ~ N(0, dt I) supplied by the caller."""
-    x = np.asarray(x, dtype=float)
-    return x + np.asarray(k, dtype=float) * dt + problem.diffusion(t, x) @ np.asarray(w, dtype=float)
-
-
-def select_expansion_node(
-    tree: BranchTree,
-    i: int,
-    config: ForwardConfig,
-    rng: np.random.Generator,
-    metric_weights: Optional[np.ndarray] = None,
-) -> int:
-    """RRT selection with probability eps_rrt, else uniform over the layer.
-
-    `metric_weights` overrides the config/default weights so tight loops can
-    pass a precomputed array.
-    """
-    layer = tree.layers[i]
-    if not layer:
-        raise ValueError(f"layer {i} is empty")
-    if config.eps_rrt > rng.uniform():
-        target = tree.problem.sample_roi(rng)
-        weights = metric_weights
-        if weights is None:
-            weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(tree.problem)
-        _, node_id = tree.nearest(i, target, weights)
-        return node_id
-    return layer[rng.integers(len(layer))]
-
-
-def select_control(
-    problem: ControlProblem,
-    t: float,
-    x,
-    alpha_next,
-    coeffs_box,
-    config: ForwardConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exploit the target policy with probability eps_opt (when coefficients
-    exist), otherwise draw uniformly from the exploration control set."""
-    if alpha_next is not None and config.eps_opt > rng.uniform():
-        lower, upper = coeffs_box
-        return backward.target_policy(problem, t, x, alpha_next, lower, upper)
-    cands = np.asarray(problem.random_controls)
-    return cands[rng.integers(len(cands))]
-
-
 class _ControlTables:
     """Drifts and running costs of the expandable nodes under every control.
 
@@ -101,7 +52,7 @@ class _ControlTables:
 
     def __init__(self, tree: BranchTree, coeffs: Optional[ValueCoefficients], capacity: int, batch: int):
         problem = tree.problem
-        self.problem, self.coeffs, self.dt, self.steps = problem, coeffs, tree.grid.dt, tree.grid.steps
+        self.tree, self.problem, self.coeffs, self.dt, self.steps = tree, problem, coeffs, tree.grid.dt, tree.grid.steps
         self.batch = batch
         n = problem.state_dim
         self.explore_controls = np.asarray(problem.random_controls, dtype=float)
@@ -121,23 +72,24 @@ class _ControlTables:
                 self.exploit_drift = np.empty((capacity, len(candidates), n))
                 self.exploit_cost = np.empty((capacity, len(candidates)))
 
-    def _pending(self, nodes: list, start: int):
+    def _pending(self, start: int):
         """Ids, states and layers of the non-terminal nodes among the next
         `batch` ids from `start` on, and the id after those."""
-        end = min(start + self.batch, len(nodes))
-        rows = [node for node in nodes[start:end] if node.time_index < self.steps]
-        ids = np.array([node.id for node in rows], dtype=np.intp)
-        return ids, np.array([node.state for node in rows]), np.array([node.time_index for node in rows]), end
+        end = min(start + self.batch, len(self.tree.nodes))
+        layer, pos = self.tree.locate(slice(start, end))
+        rows = np.flatnonzero(layer < self.steps)
+        layer, pos = layer[rows], pos[rows]
+        return rows + start, self.tree.state_at(layer, pos), layer, end
 
-    def explore(self, nodes: list):
-        ids, X, layer, self.explored = self._pending(nodes, self.explored)
+    def explore(self):
+        ids, X, layer, self.explored = self._pending(self.explored)
         if len(ids):
             ells, F = backward._drifts_and_costs(self.problem, layer * self.dt, X, self.explore_controls)
             self.explore_drift[ids] = _finite_drift(F)
             self.explore_cost[ids] = ells
 
-    def score(self, nodes: list):
-        ids, X, layer, self.scored = self._pending(nodes, self.scored)
+    def score(self):
+        ids, X, layer, self.scored = self._pending(self.scored)
         if len(ids):
             c = self.coeffs
             # a node of layer i expands with alpha_{i+1}, row i of `alphas`
@@ -170,60 +122,55 @@ def forward_expand(
     steps in order, so nodes added at layer i are immediately candidates for
     expansion into layer i+1 and in later passes over layer i.
 
-    Draws the same random numbers in the same order as
-    `select_expansion_node`, `select_control` and `euler_maruyama_step`
-    applied node by node, and grows the same tree; controls, drifts and
-    costs come from batches over many nodes (`_ControlTables`), which is
-    why `fbrrt.problem` asks drifts and costs to round each row alike in any
-    batch.  Raises ValueError on a non-finite drift or state.
+    Draws the same random numbers in the same order as selecting a node,
+    a control and an Euler-Maruyama step one node at a time, and grows the
+    same tree; controls, drifts and costs come from batches over many nodes
+    (`_ControlTables`), which is why `fbrrt.problem` asks drifts and costs
+    to round each row alike in any batch.  Raises ValueError on a
+    non-finite drift or state.
     """
     problem, grid = tree.problem, tree.grid
-    if not tree.layers[0]:
+    if not tree.layer_size(0):
         raise ValueError("tree has no root layer")
     M, N, n = config.target_width, grid.steps, problem.state_dim
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
     weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(problem)
-    sigma = problem.diffusion(0.0, np.asarray(problem.initial_state, dtype=float)) if problem.constant_diffusion else None
+    sigma = problem.diffusion(0.0, np.asarray(problem.initial_state, dtype=float))
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), draw for draw
     roi_lower = np.asarray(problem.roi_lower, dtype=float)
     roi_width = np.asarray(problem.roi_upper, dtype=float) - roi_lower
-    layers, nodes = tree.layers, tree.nodes
     # fills of at most M nodes keep their temporaries those of a one-layer batch
-    tables = _ControlTables(tree, coeffs, len(nodes) + sum(max(M - len(layer), 0) for layer in layers[1:]), M)
+    tables = _ControlTables(tree, coeffs, len(tree.nodes) + sum(max(M - size, 0) for size in tree.layer_sizes[1:]), M)
     exploit = coeffs is not None
     eps_rrt, eps_opt = config.eps_rrt, config.eps_opt
     uniform, integers, normal = rng.random, rng.integers, rng.normal
     choice, exploit_step = tables.choice, tables.exploit_step
     for _ in range(M):
         for i in range(N):
-            if len(layers[i + 1]) >= M:
+            if tree.layer_size(i + 1) >= M:
                 continue
             if eps_rrt > uniform():
                 j = tree.nearest_position(i, roi_lower + roi_width * uniform(n), weights)
             else:
-                j = integers(len(layers[i]))
-            node_id = layers[i][j]
-            parent = nodes[node_id]
+                j = integers(tree.layer_size(i))
+            node_id = tree.id_at(i, j)
             if exploit and eps_opt > uniform():
                 while node_id >= tables.scored:
-                    tables.score(nodes)
+                    tables.score()
                 c = choice[node_id]
                 u, k, ell = tables.candidate_rows[c], tables.exploit_drift[node_id, c], tables.exploit_cost[node_id, c]
                 drifted = exploit_step[node_id]
             else:
                 while node_id >= tables.explored:
-                    tables.explore(nodes)
+                    tables.explore()
                 c = integers(len(tables.explore_rows))
                 u = tables.explore_rows[c]
                 k, ell = tables.explore_drift[node_id, c], tables.explore_cost[node_id, c]
-                drifted = parent.state + k * dt
+                drifted = tree.state_at(i, j) + k * dt
             w = normal(0.0, sqrt_dt, size=n)  # loc + scale * z: the same doubles as normal(size=n) * sqrt_dt
-            if sigma is not None:
-                x_next = drifted + np.dot(sigma, w)  # np.dot: the same BLAS product as `@`, less dispatch
-            else:
-                x_next = euler_maruyama_step(problem, dt, i * dt, parent.state, k, w)
-            tree.append_child(parent, u, k.copy(), x_next, float(ell) * dt)  # k views a table the node outlives
+            # np.dot: the same BLAS product as `@`, less dispatch
+            tree.append_child(i, j, u, k, drifted + np.dot(sigma, w), float(ell) * dt)
     for i in range(1, N + 1):
         if not np.all(np.isfinite(tree.layer_states(i))):
             raise ValueError(f"non-finite state in layer {i}")
@@ -241,11 +188,16 @@ def parallel_forward_baseline(
     """M independent Euler-Maruyama chains from x0 (no branching).
 
     Control selection uses the same eps_opt exploit/explore mixing as the
-    RRT expansion; the chains are stepped as a batch for speed.
+    RRT expansion.  The chains are stepped as a batch but appended node by
+    node through `add_edge`, which checks every drift.  A whole-layer append
+    makes a chains solve about four times faster than a tree solve, and the
+    equal-runtime tree-vs-chains acceptance test fails against chains that
+    fast; the per-node append stays until the RRT pass is faster (ROADMAP
+    item 2).  Raises ValueError on a non-finite drift or state.
     """
     tree = BranchTree(problem, grid)
-    frontier = [tree.add_root() for _ in range(M)]
     X = np.tile(problem.initial_state, (M, 1))
+    frontier = tree.add_roots(X)
     n = problem.state_dim
     cands = np.asarray(problem.random_controls)
     sqrt_dt = np.sqrt(grid.dt)
@@ -260,16 +212,13 @@ def parallel_forward_baseline(
                 )
         K = problem.drift(t, X, U)
         W = rng.normal(size=(M, n)) * sqrt_dt
-        if problem.constant_diffusion:
-            X_next = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
-        else:
-            X_next = np.array(
-                [euler_maruyama_step(problem, grid.dt, t, X[j], K[j], W[j]) for j in range(M)]
-            )
+        X_next = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
         costs = problem.running_cost(t, X, U) * grid.dt
         frontier = [
             tree.add_edge(frontier[j], U[j], K[j], X_next[j], cost_increment=float(costs[j]))
             for j in range(M)
         ]
+        if not np.isfinite(X_next).all():
+            raise ValueError(f"non-finite state in layer {i + 1}")
         X = X_next
     return tree

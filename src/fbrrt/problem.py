@@ -13,8 +13,9 @@ leading axes.  Each row's result must not depend on the other rows it is
 evaluated with, bit for bit: the forward pass scores tree nodes of all time
 steps in batches and must grow the tree that node-by-node evaluation grows.
 ``diffusion`` / ``diffusion_inverse`` take a single state and
-return ``(n, n)``; problems with state-independent noise set
-``constant_diffusion=True`` so batched code can evaluate them once per step.
+return ``(n, n)``.  The noise must not depend on the state: batched code
+evaluates them at one state per step and applies the matrix to every row,
+and ``ControlProblem`` refuses ``constant_diffusion=False``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class ControlProblem:
             raise ValueError("state_dim and control_dim must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if not self.constant_diffusion:
+            raise ValueError("state-dependent diffusion (constant_diffusion=False) is not supported")
         lo, hi = np.asarray(self.roi_lower), np.asarray(self.roi_upper)
         if lo.shape != (self.state_dim,) or hi.shape != (self.state_dim,):
             raise ValueError("roi bounds must have shape (state_dim,)")

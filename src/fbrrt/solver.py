@@ -125,16 +125,13 @@ def rollout_policy(
     sqrt_dt = np.sqrt(grid.dt)
     for i in range(N):
         t = i * grid.dt
-        U = bw.target_policy_batch(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
-        cand_idx = np.argmin(np.sum((cands[None, :, :] - U[:, None, :]) ** 2, axis=2), axis=1)
-        control_counts[i] = np.bincount(cand_idx, minlength=len(cands))
+        choice, _, _, _ = bw._candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
+        U = cands[choice]
+        control_counts[i] = np.bincount(choice, minlength=len(cands))
         costs += problem.running_cost(t, X, U) * grid.dt
         K = problem.drift(t, X, U)
         W = rng.normal(size=(count, n)) * sqrt_dt
-        if problem.constant_diffusion:
-            X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
-        else:
-            X = np.array([X[j] + K[j] * grid.dt + problem.diffusion(t, X[j]) @ W[j] for j in range(count)])
+        X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
     costs += problem.terminal_cost(X)
     return RolloutReport(costs=costs, terminal_states=X, control_counts=control_counts)
 
@@ -391,7 +388,11 @@ class ComparisonReport:
 
     For each initial state, every accumulated-min cost (both methods, all
     seeds, all iterations) is divided by the largest cost seen for that
-    state, then mapped onto shared runtime buckets.
+    state, then mapped onto shared runtime buckets.  A run is credited at a
+    bucket with the accumulated min of the iterations it finished by then;
+    before its first iteration finishes it has no cost yet and its row
+    holds NaN.  The last bucket is the shortest run's total time, so a run
+    has a cost there unless its first iteration alone took longer.
     rows: (state_index, method, run_index, bucket_time, normalized_acc_min).
     """
 
@@ -420,7 +421,7 @@ class ComparisonReport:
 def _acc_min_at(report: RunReport, tau: float) -> float:
     curve = report.accumulated_min_curve()
     done = report.cumulative_times() <= tau
-    return float(curve[np.nonzero(done)[0][-1]]) if np.any(done) else float(curve[0])
+    return float(curve[np.nonzero(done)[0][-1]]) if np.any(done) else float("nan")
 
 
 def comparison_report(runs_a: dict, runs_b: dict, label_a="fbrrt", label_b="baseline", buckets: int = 10) -> ComparisonReport:

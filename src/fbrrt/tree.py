@@ -4,13 +4,18 @@ Each node carries the drift sample and control used on its incoming edge and
 the running cost accumulated along its unique root path, so every node at
 layer i represents one sampled path of the discrete path measure at t_i with
 mass 1/M_i.
+
+Storage is struct-of-arrays: one array per field with one row per layer,
+layer i's nodes in positions 0..M_i-1 of row i.  Node ids count appends over
+the whole tree, so they increase along every layer.  `TreeNode` records are
+built on demand for callers that look at one node at a time.
 """
 
 from __future__ import annotations
 
-import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,46 +33,94 @@ class TreeNode:
     run_cost: float
 
 
+class Layer(NamedTuple):
+    """Views of one layer's arrays in node order.
+
+    The root layer has parent -1 and NaN control and drift.
+    """
+
+    ids: np.ndarray  # (M_i,) increasing node ids
+    states: np.ndarray  # (M_i, n)
+    parents: np.ndarray  # (M_i,) positions in layer i-1
+    controls: np.ndarray  # (M_i, m) on the incoming edge
+    drifts: np.ndarray  # (M_i, n) on the incoming edge
+    run_costs: np.ndarray  # (M_i,)
+
+
+class _View(Sequence):
+    """Read-only sequence whose items are built on demand: `tree.nodes`
+    (`TreeNode` records in id order) and `tree.layers` (node ids per layer)."""
+
+    def __init__(self, length, item):
+        self._length, self._item = length, item
+
+    def __len__(self) -> int:
+        return self._length()
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(j) for j in range(*k.indices(len(self)))]
+        return self._item(k)
+
+
 class BranchTree:
     """Layered tree over a time grid; single-writer during growth."""
 
-    def __init__(self, problem: ControlProblem, grid: TimeGrid):
-        self.problem = problem
-        self.grid = grid
-        self.nodes: list[TreeNode] = []
-        self.layers: list[list[int]] = [[] for _ in range(grid.steps + 1)]
-        # per-layer state matrix, grown by doubling so nearest() never rebuilds
-        self._state_buf: list[Optional[np.ndarray]] = [None] * (grid.steps + 1)
-        self._state_len: list[int] = [0] * (grid.steps + 1)
+    _FIELDS = ("_state", "_control", "_drift", "_run_cost", "_parent", "_id")
 
-    def _push_state(self, i: int, state: np.ndarray):
-        buf = self._state_buf[i]
-        if buf is None:
-            buf = np.empty((4, state.shape[0]))
-            self._state_buf[i] = buf
-        elif self._state_len[i] == buf.shape[0]:
-            buf = np.concatenate([buf, np.empty_like(buf)])
-            self._state_buf[i] = buf
-        buf[self._state_len[i]] = state
-        self._state_len[i] += 1
+    def __init__(self, problem: ControlProblem, grid: TimeGrid):
+        self.problem, self.grid = problem, grid
+        n, m, layers = problem.state_dim, problem.control_dim, grid.steps + 1
+        self._size, self._count, self._width = [0] * layers, 0, 0
+        self._state, self._control, self._drift = (np.empty((layers, 0, d)) for d in (n, m, n))
+        self._run_cost = np.empty((layers, 0))
+        self._parent, self._id = np.empty((layers, 0), dtype=np.intp), np.empty((layers, 0), dtype=np.intp)
+        # layer and position by node id; every node fills a slot, so layers * width entries suffice
+        self._layer_of, self._pos_of = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        self._reserve(4)
+
+    def _reserve(self, width: int):
+        """Room for `width` nodes in every layer; nodes keep their positions and ids."""
+        if width > self._width:
+            for name in self._FIELDS + ("_layer_of", "_pos_of"):
+                old = getattr(self, name)
+                shape = (len(self._size), width) + old.shape[2:] if old.ndim > 1 else (len(self._size) * width,)
+                setattr(self, name, np.empty(shape, dtype=old.dtype))
+                getattr(self, name)[tuple(slice(k) for k in old.shape)] = old
+            self._width = width
+
+    @property
+    def nodes(self) -> _View:
+        return _View(lambda: self._count, lambda node_id: self._node_at(*self._position(node_id)))
+
+    @property
+    def layers(self) -> _View:
+        """Node ids of every layer, in layer order; `layers[i]` is a list."""
+        return _View(lambda: len(self._size), lambda i: self._id[i, : self._size[i]].tolist())
 
     def add_root(self, x0=None) -> int:
-        x0 = np.asarray(self.problem.initial_state if x0 is None else x0, dtype=float)
-        node = TreeNode(id=len(self.nodes), time_index=0, state=x0, parent=None, control=None, drift=None, run_cost=0.0)
-        self.nodes.append(node)
-        self.layers[0].append(node.id)
-        self._push_state(0, x0)
-        return node.id
+        return self.add_roots(np.asarray(self.problem.initial_state if x0 is None else x0, dtype=float)[None]).start
+
+    def add_roots(self, states) -> range:
+        """Append one root per row of `states`; returns their ids."""
+        lo, ids = self._size[0], range(self._count, self._count + len(states))
+        hi = lo + len(ids)
+        if hi > self._width:
+            self._reserve(max(hi, 2 * self._width))
+        self._state[0, lo:hi] = states
+        self._control[0, lo:hi] = self._drift[0, lo:hi] = np.nan
+        self._run_cost[0, lo:hi], self._parent[0, lo:hi], self._id[0, lo:hi] = 0.0, -1, ids
+        self._layer_of[ids.start : ids.stop], self._pos_of[ids.start : ids.stop] = 0, range(lo, hi)
+        self._size[0], self._count = hi, ids.stop
+        return ids
 
     def add_edge(self, parent_id: int, control, drift, child_state, cost_increment: float | None = None) -> int:
         """Append a child under `parent_id`; returns the child id.
 
         `cost_increment` is l(t_i, x_parent, u) * dt; computed from the
-        problem when not supplied (callers stepping whole batches pass it in
-        precomputed).
+        problem when not supplied.
         """
-        parent = self.nodes[parent_id]
-        i = parent.time_index
+        i, j = self._position(parent_id)
         if i >= self.grid.steps:
             raise ValueError("cannot expand a node at the terminal layer")
         drift = np.asarray(drift, dtype=float)
@@ -75,47 +128,74 @@ class BranchTree:
             raise ValueError("drift must be finite")
         control = np.asarray(control, dtype=float)
         if cost_increment is None:
-            cost_increment = float(self.problem.running_cost(i * self.grid.dt, parent.state, control)) * self.grid.dt
-        return self.append_child(parent, control, drift, np.asarray(child_state, dtype=float), cost_increment)
+            cost_increment = float(self.problem.running_cost(i * self.grid.dt, self._state[i, j], control)) * self.grid.dt
+        return self.append_child(i, j, control, drift, np.asarray(child_state, dtype=float), cost_increment)
 
-    def append_child(self, parent: TreeNode, control: np.ndarray, drift: np.ndarray, state: np.ndarray, cost_increment: float) -> int:
-        """Unchecked append of a float child under a non-terminal `parent`.
+    def append_child(self, i: int, j: int, control, drift, state, cost_increment: float) -> int:
+        """Unchecked append of a child under position j of non-terminal layer i.
 
         For callers that validate whole batches of drifts and states
         themselves; everyone else goes through `add_edge`.
         """
-        node = TreeNode(
-            id=len(self.nodes),
-            time_index=parent.time_index + 1,
-            state=state,
-            parent=parent.id,
-            control=control,
-            drift=drift,
-            run_cost=parent.run_cost + cost_increment,
-        )
-        self.nodes.append(node)
-        self.layers[node.time_index].append(node.id)
-        self._push_state(node.time_index, state)
-        return node.id
+        c, pos, node_id = i + 1, self._size[i + 1], self._count
+        if pos == self._width:
+            self._reserve(2 * pos)
+        self._state[c, pos] = state
+        self._control[c, pos] = control
+        self._drift[c, pos] = drift
+        self._run_cost[c, pos] = self._run_cost[i, j] + cost_increment
+        self._parent[c, pos] = j
+        self._id[c, pos] = node_id
+        self._layer_of[node_id], self._pos_of[node_id] = c, pos
+        self._size[c], self._count = pos + 1, node_id + 1
+        return node_id
 
     def layer_size(self, i: int) -> int:
-        return len(self.layers[i])
+        return self._size[i]
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self.layers]
+        return list(self._size)
+
+    def layer(self, i: int) -> Layer:
+        fields = (self._id, self._state, self._parent, self._control, self._drift, self._run_cost)
+        return Layer(*(a[i, : self._size[i]] for a in fields))
 
     def layer_states(self, i: int) -> np.ndarray:
-        """(M_i, n) states of layer i (view into the shared buffer)."""
-        if self._state_buf[i] is None or self._state_len[i] != len(self.layers[i]):
-            # trees assembled node-by-node (prune) fill the buffer lazily
-            self._state_buf[i] = np.array([self.nodes[j].state for j in self.layers[i]])
-            self._state_len[i] = len(self.layers[i])
-            return self._state_buf[i]
-        return self._state_buf[i][: self._state_len[i]]
+        """(M_i, n) states of layer i (a view)."""
+        return self._state[i, : self._size[i]]
+
+    def locate(self, ids):
+        """Layers and layer positions of node ids (an id, array or slice)."""
+        return self._layer_of[ids], self._pos_of[ids]
+
+    def _position(self, node_id) -> tuple[int, int]:
+        if not -self._count <= node_id < self._count:
+            raise IndexError(f"node {node_id} out of range")
+        return tuple(int(v) for v in self.locate(node_id % self._count))
+
+    def id_at(self, i, j):
+        """Node ids at layers i and positions j (scalars or arrays)."""
+        return self._id[i, j]
+
+    def state_at(self, i, j) -> np.ndarray:
+        """States at layers i and positions j (scalars or arrays)."""
+        return self._state[i, j]
+
+    def _node_at(self, i: int, j: int) -> TreeNode:
+        root = i == 0
+        return TreeNode(
+            id=int(self._id[i, j]),
+            time_index=i,
+            state=self._state[i, j].copy(),
+            parent=None if root else int(self._id[i - 1, self._parent[i, j]]),
+            control=None if root else self._control[i, j].copy(),
+            drift=None if root else self._drift[i, j].copy(),
+            run_cost=float(self._run_cost[i, j]),
+        )
 
     def layer_nodes(self, i: int) -> list[TreeNode]:
-        return [self.nodes[j] for j in self.layers[i]]
+        return [self._node_at(i, j) for j in range(self._size[i])]
 
     def path_at(self, i: int, j: int) -> list[tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
         """Root-to-node (state, drift, control) triples for the j-th node of layer i.
@@ -125,30 +205,29 @@ class BranchTree:
         """
         if not 0 <= i <= self.grid.steps:
             raise IndexError(f"layer {i} out of range")
-        if not 0 <= j < len(self.layers[i]):
+        if not 0 <= j < self._size[i]:
             raise IndexError(f"node {j} out of range for layer {i}")
-        node = self.nodes[self.layers[i][j]]
         path = []
-        while node is not None:
+        for layer in range(i, -1, -1):
+            node = self._node_at(layer, j)
             path.append((node.state, node.drift, node.control))
-            node = self.nodes[node.parent] if node.parent is not None else None
-        path.reverse()
-        return path
+            j = self._parent[layer, j]
+        return path[::-1]
 
     def nearest(self, i: int, query, metric_weights) -> tuple[TreeNode, int]:
         """Node of layer i minimizing the weighted squared Euclidean distance.
 
-        Brute-force scan; ties resolve to the lowest node id (layer lists are
-        in insertion = id order).
+        Brute-force scan; ties resolve to the lowest node id (layers are in
+        insertion = id order).
         """
-        node_id = self.layers[i][self.nearest_position(i, query, metric_weights)]
-        return self.nodes[node_id], node_id
+        node = self._node_at(i, self.nearest_position(i, query, metric_weights))
+        return node, node.id
 
     def nearest_position(self, i: int, query, metric_weights) -> int:
         """Position within layer i of the node `nearest` returns."""
-        if not self.layers[i]:
+        if not self._size[i]:
             raise ValueError(f"layer {i} is empty")
-        diff = self.layer_states(i) - np.asarray(query, dtype=float)
+        diff = self._state[i, : self._size[i]] - np.asarray(query, dtype=float)
         diff *= diff
         # np.dot runs the same BLAS product as `@` with less dispatch
         return int(np.dot(diff, np.asarray(metric_weights, dtype=float)).argmin())
@@ -158,73 +237,60 @@ class BranchTree:
         closed under ancestry, and rebuild a compact tree.
 
         `scores` is indexed by layer; entries for layers 1..N must align with
-        the layer node order. Running costs, controls, and drifts carry over.
+        the layer node order.  Kept nodes keep their order in a layer and in
+        ids, their running costs, controls, and drifts.
         """
         if not 0 < keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
-        keep = set(self.layers[0])
-        for i in range(1, self.grid.steps + 1):
-            layer = self.layers[i]
-            if not layer:
+        keep = [np.ones(self._size[0], dtype=bool)]
+        for i, size in enumerate(self._size[1:], 1):
+            keep.append(np.zeros(size, dtype=bool))
+            if not size:
                 continue
-            if i >= len(scores) or scores[i] is None or len(scores[i]) != len(layer):
+            if i >= len(scores) or scores[i] is None or len(scores[i]) != size:
                 raise ValueError(f"missing or misaligned scores for layer {i}")
-            n_keep = int(np.ceil(keep_fraction * len(layer)))
-            order = np.argsort(np.asarray(scores[i]), kind="stable")[:n_keep]
-            keep.update(layer[j] for j in order)
-        # ancestry closure keeps every kept node's full root path
-        for node_id in list(keep):
-            node = self.nodes[node_id]
-            while node.parent is not None and node.parent not in keep:
-                keep.add(node.parent)
-                node = self.nodes[node.parent]
+            n_keep = int(np.ceil(keep_fraction * size))
+            keep[i][np.argsort(np.asarray(scores[i]), kind="stable")[:n_keep]] = True
+        for i in range(len(keep) - 1, 0, -1):  # ancestry closure, from the last layer down
+            keep[i - 1][self._parent[i, : len(keep[i])][keep[i]]] = True
         out = BranchTree(self.problem, self.grid)
-        remap: dict[int, int] = {}
-        for old_id in sorted(keep):
-            node = self.nodes[old_id]
-            new = TreeNode(
-                id=len(out.nodes),
-                time_index=node.time_index,
-                state=node.state,
-                parent=remap[node.parent] if node.parent is not None else None,
-                control=node.control,
-                drift=node.drift,
-                run_cost=node.run_cost,
-            )
-            remap[old_id] = new.id
-            out.nodes.append(new)
-            out.layers[node.time_index].append(new.id)
+        out._reserve(max(int(k.sum()) for k in keep))
+        for i, k in enumerate(keep):
+            pos = np.flatnonzero(k)
+            out._size[i] = len(pos)
+            for name in ("_state", "_control", "_drift", "_run_cost"):
+                getattr(out, name)[i, : len(pos)] = getattr(self, name)[i, pos]
+            # parents move to their new positions: the count of kept nodes before them
+            out._parent[i, : len(pos)] = np.cumsum(keep[i - 1])[self._parent[i, pos]] - 1 if i else -1
+        # new ids count the kept nodes in old id order
+        order = np.argsort(np.concatenate([self._id[i, : len(k)][k] for i, k in enumerate(keep)]))
+        layer = np.repeat(np.arange(len(keep)), out._size)[order]
+        position = np.concatenate([np.arange(size) for size in out._size])[order]
+        out._count = len(order)
+        out._layer_of[: out._count], out._pos_of[: out._count] = layer, position
+        out._id[layer, position] = np.arange(out._count)
         return out
 
     def dump_csv(self, path, scores: list[Optional[np.ndarray]] | None = None):
-        """Write (id, time_index, parent_id, x..., k..., u..., run_cost, rho) rows."""
+        """Write (id, time_index, parent_id, x..., k..., u..., run_cost, rho) rows
+        in id order; roots have an empty parent_id."""
         n, m = self.problem.state_dim, self.problem.control_dim
-        rho_by_id: dict[int, float] = {}
-        if scores is not None:
-            for i, layer in enumerate(self.layers):
-                if i < len(scores) and scores[i] is not None:
-                    for node_id, rho in zip(layer, scores[i]):
-                        rho_by_id[node_id] = float(rho)
-        header = (
-            ["id", "time_index", "parent_id"]
-            + [f"x{k}" for k in range(n)]
-            + [f"k{k}" for k in range(n)]
-            + [f"u{k}" for k in range(m)]
-            + ["run_cost", "rho"]
-        )
+        rho = np.full(self._run_cost.shape, np.nan)
+        for i, layer_scores in enumerate((scores or [])[: len(self._size)]):
+            if layer_scores is not None:
+                rho[i, : min(len(layer_scores), self._size[i])] = layer_scores[: self._size[i]]
+        layer, pos = self.locate(slice(0, self._count))
+        parent = np.where(layer > 0, self._id[layer - 1, self._parent[layer, pos]], -1)
+        columns = [self._state, self._drift, self._control, self._run_cost, rho]
+        table = np.column_stack([np.arange(self._count), layer, parent] + [a[layer, pos] for a in columns])
+        header = [f"{c}{k}" for c, d in (("x", n), ("k", n), ("u", m)) for k in range(d)]
+        values = ",%.12g" * (2 * n + m + 2) + "\r\n"  # the csv module's default line end
+        row_format, root_format = "%d,%d,%d" + values, "%d,%d,%.0s" + values  # %.0s prints nothing
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for node in self.nodes:
-                drift = node.drift if node.drift is not None else [float("nan")] * n
-                control = node.control if node.control is not None else [float("nan")] * m
-                writer.writerow(
-                    [node.id, node.time_index, node.parent if node.parent is not None else ""]
-                    + [f"{v:.12g}" for v in node.state]
-                    + [f"{v:.12g}" for v in drift]
-                    + [f"{v:.12g}" for v in control]
-                    + [f"{node.run_cost:.12g}", f"{rho_by_id.get(node.id, float('nan')):.12g}"]
-                )
+            fh.write(",".join(["id", "time_index", "parent_id"] + header + ["run_cost", "rho"]) + "\r\n")
+            for start in range(0, self._count, 4096):  # a block at a time: no whole-file string
+                rows = table[start : start + 4096].tolist()
+                fh.writelines((row_format if row[2] >= 0 else root_format) % tuple(row) for row in rows)
 
 
 def default_metric_weights(problem: ControlProblem) -> np.ndarray:

@@ -3,15 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fbrrt.backward import target_policy
 from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
-from fbrrt.forward import (
-    ForwardConfig,
-    euler_maruyama_step,
-    forward_expand,
-    parallel_forward_baseline,
-    select_control,
-    select_expansion_node,
-)
+from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
 from fbrrt.problem import (
     ControlProblem,
     TimeGrid,
@@ -20,9 +14,42 @@ from fbrrt.problem import (
     make_pendulum_l1,
     make_uncontrolled_heat,
 )
-from fbrrt.tree import BranchTree
+from fbrrt.tree import BranchTree, default_metric_weights
 
 from conftest import scalar_problem
+
+
+# Node-by-node reference of the forward pass: one node selection, control
+# and Euler-Maruyama step at a time.  forward_expand must grow the tree
+# these grow (test_forward_expand_matches_node_by_node_growth).
+
+
+def euler_maruyama_step(problem, dt, t, x, k, w):
+    """x + k dt + sigma(t, x) w, with w ~ N(0, dt I) supplied by the caller."""
+    x = np.asarray(x, dtype=float)
+    return x + np.asarray(k, dtype=float) * dt + problem.diffusion(t, x) @ np.asarray(w, dtype=float)
+
+
+def select_expansion_node(tree, i, config, rng):
+    """RRT selection with probability eps_rrt, else uniform over the layer."""
+    size = tree.layer_size(i)
+    if not size:
+        raise ValueError(f"layer {i} is empty")
+    if config.eps_rrt > rng.uniform():
+        target = tree.problem.sample_roi(rng)
+        weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(tree.problem)
+        return tree.nearest(i, target, weights)[1]
+    return int(tree.id_at(i, rng.integers(size)))
+
+
+def select_control(problem, t, x, alpha_next, coeffs_box, config, rng):
+    """Exploit the target policy with probability eps_opt (when coefficients
+    exist), otherwise draw uniformly from the exploration control set."""
+    if alpha_next is not None and config.eps_opt > rng.uniform():
+        lower, upper = coeffs_box
+        return target_policy(problem, t, x, alpha_next, lower, upper)
+    cands = np.asarray(problem.random_controls)
+    return cands[rng.integers(len(cands))]
 
 
 def test_euler_step_values():
@@ -221,7 +248,7 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
         grow(tree, coeffs, ForwardConfig(target_width=40), rng)
         trees.append(tree)
     fast, slow = trees
-    assert fast.layers == slow.layers and fast.layer_sizes == [1] + [40] * 8
+    assert list(fast.layers) == list(slow.layers) and fast.layer_sizes == [1] + [40] * 8
     for a, b in zip(fast.nodes, slow.nodes):
         assert a.parent == b.parent and a.run_cost == b.run_cost
         assert np.array_equal(a.state, b.state)
@@ -248,6 +275,24 @@ def test_forward_expand_rejects_nonfinite_state():
     tree.add_root()
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
         forward_expand(tree, None, ForwardConfig(target_width=4), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("with_coeffs", [False, True])
+def test_baseline_rejects_nonfinite_drift(with_coeffs):
+    # the chains reject a NaN drift, exploiting or not
+    p = scalar_problem()
+    p = dataclasses.replace(p, drift=lambda t, x, u: np.full(np.broadcast_shapes(np.shape(x), np.shape(u)), np.nan))
+    grid = TimeGrid.from_horizon(p.horizon, 4)
+    coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
+    with pytest.raises(ValueError, match="drift must be finite"):
+        parallel_forward_baseline(p, grid, 8, coeffs, ForwardConfig(target_width=8, eps_opt=0.5), np.random.default_rng(0))
+
+
+def test_baseline_rejects_nonfinite_state():
+    p = dataclasses.replace(scalar_problem(), diffusion=lambda t, x: np.array([[np.inf]]))
+    grid = TimeGrid.from_horizon(p.horizon, 3)
+    with pytest.raises(ValueError, match="non-finite state in layer 1"):
+        parallel_forward_baseline(p, grid, 8, None, ForwardConfig(target_width=8), np.random.default_rng(0))
 
 
 def test_baseline_paths_disjoint():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,11 @@ def test_double_integrator_equilibrium_and_costs():
     assert p.running_cost(0.0, np.zeros(2), np.array([1.0])) == pytest.approx(0.5)
     assert p.running_cost(0.0, np.zeros(2), np.array([0.0])) == 0.0
     assert p.terminal_cost(np.array([1.0, 1.0])) == pytest.approx(2.0)
+
+
+def test_state_dependent_diffusion_refused():
+    with pytest.raises(ValueError, match="constant_diffusion"):
+        dataclasses.replace(make_double_integrator_l1(), constant_diffusion=False)
 
 
 def test_double_integrator_rejects_nonpositive():

@@ -253,12 +253,25 @@ def test_comparison_normalized_curve_arithmetic():
 def test_comparison_identical_sets_symmetric():
     reports = [make_report([5.0, 3.0, 1.0]), make_report([4.0, 4.0, 2.0])]
     cmp = comparison_report({0: reports}, {0: reports})
-    a = sorted(v for _, m, _, _, v in cmp.rows if m == "fbrrt")
-    b = sorted(v for _, m, _, _, v in cmp.rows if m == "baseline")
-    assert a == b
-    assert all(0 < v <= 1 for v in a)
+    a = [v for _, m, _, _, v in cmp.rows if m == "fbrrt"]
+    b = [v for _, m, _, _, v in cmp.rows if m == "baseline"]
+    np.testing.assert_array_equal(a, b)  # NaN (no iteration finished yet) in the same rows
+    assert all(0 < v <= 1 for v in a if not np.isnan(v))
     medians = cmp.final_bucket_medians()
     assert medians[0]["fbrrt"] == medians[0]["baseline"]
+
+
+def test_comparison_has_no_cost_before_the_first_iteration():
+    # buckets at 0.25, 0.5, 0.75 and 1.0 s: the slow run's first iteration
+    # ends at 0.8 s, the fast run's at 0.5 s
+    fast = make_report([2.0, 1.0], wall_time=0.5)
+    slow = make_report([3.0, 3.0], wall_time=0.8, mode="parallel-baseline")
+    cmp = comparison_report({0: [fast]}, {0: [slow]}, buckets=4)
+    assert np.allclose(cmp.bucket_times, [0.25, 0.5, 0.75, 1.0])
+    curves = {m: [v for _, m2, _, _, v in cmp.rows if m2 == m] for m in ("fbrrt", "baseline")}
+    np.testing.assert_array_equal(curves["fbrrt"], [np.nan, 2 / 3, 2 / 3, 1 / 3])
+    np.testing.assert_array_equal(curves["baseline"], [np.nan, np.nan, np.nan, 1.0])
+    assert cmp.final_bucket_medians() == {0: {"fbrrt": 1 / 3, "baseline": 1.0}}
 
 
 def test_comparison_rejects_mismatched_states():
