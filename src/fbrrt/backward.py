@@ -38,15 +38,11 @@ class BackwardPassError(RuntimeError):
 
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
-    """(B, C) running costs and (B, C, n) drifts of B states under C controls.
-
-    `t` is one time for every state, or an array with one time per state.
-    """
+    """(B, C) running costs and (B, C, n) drifts of B states at time t under
+    C controls."""
     B, C = X.shape[0], len(controls)
     X_rep = np.repeat(X, C, axis=0)
     U_rep = np.tile(controls, (B, 1))
-    if np.ndim(t):
-        t = np.repeat(t, C)
     ells = np.broadcast_to(problem.running_cost(t, X_rep, U_rep), (B * C,)).reshape(B, C)
     return ells, problem.drift(t, X_rep, U_rep).reshape(B, C, X.shape[1])
 
@@ -54,11 +50,11 @@ def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.nd
 def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
     """Score every control candidate at every state in one vectorized sweep.
 
-    `t` and `alpha_next` hold one time and coefficient vector for every
-    state, or one per state, so states of several time steps can share a
-    sweep.  Returns (choice, cands, ells, F): per-state winning candidate
-    index, the candidate array, and the (B, C[, n]) running costs and drifts
-    evaluated on the state-candidate product.
+    `t` is one time for every state; `alpha_next` is one coefficient vector
+    for every state, or one per state.  Returns (choice, cands, ells, F):
+    per-state winning candidate index, the candidate array, and the
+    (B, C[, n]) running costs and drifts evaluated on the state-candidate
+    product.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     cands = np.asarray(problem.control_candidates)

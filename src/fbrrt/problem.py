@@ -10,8 +10,9 @@ leading axes, i.e. they accept ``x`` of shape ``(..., n)`` and ``u`` of shape
 ``(..., m)`` (or a bare ``(m,)`` candidate) and return ``(..., n)`` /
 ``(...,)``; ``t`` is a float, or an array of per-row times shaped like the
 leading axes.  Each row's result must not depend on the other rows it is
-evaluated with, bit for bit: the forward pass scores tree nodes of all time
-steps in batches and must grow the tree that node-by-node evaluation grows.
+evaluated with, bit for bit: the forward pass grows the tree a layer at a
+time, one batch per time step, and must grow the tree that node-by-node
+evaluation grows.
 ``diffusion`` / ``diffusion_inverse`` take a single state and
 return ``(n, n)``.  The noise must not depend on the state: batched code
 evaluates them at one state per step and applies the matrix to every row,

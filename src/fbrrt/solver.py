@@ -251,7 +251,12 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
             problem, grid, coeffs, problem.initial_state, config.rollout_count, _iteration_rng(config.seed, it, 1)
         )
         acc_min = min(acc_min, rollout.mean_cost)
-        wall = time.perf_counter() - t_start
+        widths = tree.layer_sizes
+        if out_dir is not None:
+            tree.dump_csv(out_dir / f"{it:02d}.tree.csv", scores=artifacts.rho)
+            _dump_rollouts_csv(out_dir / f"{it:02d}.rollouts.csv", rollout)
+        if config.mode == "fbrrt" and it < config.iterations:
+            tree = tree.prune(artifacts.rho, config.keep_fraction)
         stats.append(
             IterationStats(
                 iteration=it,
@@ -262,16 +267,12 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                 ess_min=float(np.min(artifacts.ess)),
                 ess_mean=float(np.mean(artifacts.ess)),
                 residual_total=float(np.sum(artifacts.residual_norms)),
-                layer_widths=tree.layer_sizes,
+                layer_widths=widths,
                 control_counts=rollout.control_counts.tolist(),
-                wall_time=wall,
+                # the whole iteration, CSV writing and prune included
+                wall_time=time.perf_counter() - t_start,
             )
         )
-        if out_dir is not None:
-            tree.dump_csv(out_dir / f"{it:02d}.tree.csv", scores=artifacts.rho)
-            _dump_rollouts_csv(out_dir / f"{it:02d}.rollouts.csv", rollout)
-        if config.mode == "fbrrt" and it < config.iterations:
-            tree = tree.prune(artifacts.rho, config.keep_fraction)
 
     report = RunReport(
         config=config.to_dict(),

@@ -129,18 +129,10 @@ class BranchTree:
         control = np.asarray(control, dtype=float)
         if cost_increment is None:
             cost_increment = float(self.problem.running_cost(i * self.grid.dt, self._state[i, j], control)) * self.grid.dt
-        return self.append_child(i, j, control, drift, np.asarray(child_state, dtype=float), cost_increment)
-
-    def append_child(self, i: int, j: int, control, drift, state, cost_increment: float) -> int:
-        """Unchecked append of a child under position j of non-terminal layer i.
-
-        For callers that validate whole batches of drifts and states
-        themselves; everyone else goes through `add_edge`.
-        """
         c, pos, node_id = i + 1, self._size[i + 1], self._count
         if pos == self._width:
             self._reserve(2 * pos)
-        self._state[c, pos] = state
+        self._state[c, pos] = child_state
         self._control[c, pos] = control
         self._drift[c, pos] = drift
         self._run_cost[c, pos] = self._run_cost[i, j] + cost_increment
@@ -149,6 +141,26 @@ class BranchTree:
         self._layer_of[node_id], self._pos_of[node_id] = c, pos
         self._size[c], self._count = pos + 1, node_id + 1
         return node_id
+
+    def append_layer(self, i: int, parents, controls, drifts, states, cost_increments, ids):
+        """Unchecked append of children under positions `parents` of
+        non-terminal layer i, in order, with node ids `ids`.
+
+        For callers that validate drifts and states themselves and grow
+        several layers at once: the ids of everything appended must in the
+        end number the new nodes consecutively from the old node count.
+        """
+        c, lo = i + 1, self._size[i + 1]
+        hi = lo + len(ids)
+        # room for the new nodes and an id slot up to the largest new id
+        width = max(hi, (int(np.max(ids)) + len(self._size)) // len(self._size))
+        if width > self._width:
+            self._reserve(max(width, 2 * self._width))
+        self._state[c, lo:hi], self._control[c, lo:hi], self._drift[c, lo:hi] = states, controls, drifts
+        self._run_cost[c, lo:hi] = self._run_cost[i, parents] + cost_increments
+        self._parent[c, lo:hi], self._id[c, lo:hi] = parents, ids
+        self._layer_of[ids], self._pos_of[ids] = c, range(lo, hi)
+        self._size[c], self._count = hi, self._count + len(ids)
 
     def layer_size(self, i: int) -> int:
         return self._size[i]
@@ -165,22 +177,10 @@ class BranchTree:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
 
-    def locate(self, ids):
-        """Layers and layer positions of node ids (an id, array or slice)."""
-        return self._layer_of[ids], self._pos_of[ids]
-
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")
-        return tuple(int(v) for v in self.locate(node_id % self._count))
-
-    def id_at(self, i, j):
-        """Node ids at layers i and positions j (scalars or arrays)."""
-        return self._id[i, j]
-
-    def state_at(self, i, j) -> np.ndarray:
-        """States at layers i and positions j (scalars or arrays)."""
-        return self._state[i, j]
+        return int(self._layer_of[node_id % self._count]), int(self._pos_of[node_id % self._count])
 
     def _node_at(self, i: int, j: int) -> TreeNode:
         root = i == 0
@@ -225,12 +225,32 @@ class BranchTree:
 
     def nearest_position(self, i: int, query, metric_weights) -> int:
         """Position within layer i of the node `nearest` returns."""
-        if not self._size[i]:
-            raise ValueError(f"layer {i} is empty")
-        diff = self._state[i, : self._size[i]] - np.asarray(query, dtype=float)
-        diff *= diff
-        # np.dot runs the same BLAS product as `@` with less dispatch
-        return int(np.dot(diff, np.asarray(metric_weights, dtype=float)).argmin())
+        return int(self.nearest_positions(i, np.asarray(query, dtype=float)[None], [self._size[i]], metric_weights)[0])
+
+    def nearest_positions(self, i: int, queries, widths, metric_weights) -> np.ndarray:
+        """For each row of `queries`, the position of the nearest node among
+        the first `widths[q]` nodes of layer i; ties go to the lowest position.
+
+        Distances sum weighted squared differences one dimension at a time,
+        so a node's distance to a query rounds alike in any batch.
+        """
+        widths = np.asarray(widths, dtype=np.intp)
+        if len(widths) and not 0 < widths.min() <= widths.max() <= self._size[i]:
+            raise ValueError(f"layer {i} is empty" if not self._size[i] else f"prefix widths exceed layer {i}")
+        weights = np.asarray(metric_weights, dtype=float)
+        out = np.empty(len(widths), dtype=np.intp)
+        for start in range(0, len(widths), 32):  # (32, width) temporaries
+            q, w = queries[start : start + 32], widths[start : start + 32]
+            X = self._state[i, : w.max()]
+            dist = np.zeros((len(q), len(X)))
+            for k, weight in enumerate(weights):
+                diff = X[:, k] - q[:, k, None]
+                diff *= diff
+                diff *= weight
+                dist += diff
+            dist[np.arange(len(X)) >= w[:, None]] = np.inf
+            out[start : start + 32] = dist.argmin(axis=1)
+        return out
 
     def prune(self, scores: list[Optional[np.ndarray]], keep_fraction: float) -> "BranchTree":
         """Keep the lowest-scored ceil(keep_fraction * M_i) nodes per layer,
@@ -279,7 +299,7 @@ class BranchTree:
         for i, layer_scores in enumerate((scores or [])[: len(self._size)]):
             if layer_scores is not None:
                 rho[i, : min(len(layer_scores), self._size[i])] = layer_scores[: self._size[i]]
-        layer, pos = self.locate(slice(0, self._count))
+        layer, pos = self._layer_of[: self._count], self._pos_of[: self._count]
         parent = np.where(layer > 0, self._id[layer - 1, self._parent[layer, pos]], -1)
         columns = [self._state, self._drift, self._control, self._run_cost, rho]
         table = np.column_stack([np.arange(self._count), layer, parent] + [a[layer, pos] for a in columns])

@@ -39,7 +39,7 @@ def select_expansion_node(tree, i, config, rng):
         target = tree.problem.sample_roi(rng)
         weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(tree.problem)
         return tree.nearest(i, target, weights)[1]
-    return int(tree.id_at(i, rng.integers(size)))
+    return tree.layers[i][rng.integers(size)]
 
 
 def select_control(problem, t, x, alpha_next, coeffs_box, config, rng):
@@ -226,6 +226,15 @@ def small_lq_problem():
     )
 
 
+def assert_same_tree(fast, slow):
+    assert list(fast.layers) == list(slow.layers)
+    for a, b in zip(fast.nodes, slow.nodes):
+        assert a.parent == b.parent and a.run_cost == b.run_cost
+        assert np.array_equal(a.state, b.state)
+        if a.parent is not None:
+            assert np.array_equal(a.control, b.control) and np.array_equal(a.drift, b.drift)
+
+
 @pytest.mark.parametrize(
     "make_problem", [make_double_integrator_l1, make_pendulum_l1, small_lq_problem, make_uncontrolled_heat]
 )
@@ -239,7 +248,7 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
     p = make_problem()
     grid = TimeGrid.from_horizon(p.horizon, 8)
     coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
-    trees = []
+    trees, rng_states = [], []
     for grow in (forward_expand, grow_node_by_node):
         tree = BranchTree(p, grid)
         tree.add_root()
@@ -247,13 +256,26 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
         grow(tree, coeffs, ForwardConfig(target_width=16, eps_rrt=0.5, eps_opt=0.6), rng)
         grow(tree, coeffs, ForwardConfig(target_width=40), rng)
         trees.append(tree)
+        rng_states.append(rng.bit_generator.state)
     fast, slow = trees
     assert list(fast.layers) == list(slow.layers) and fast.layer_sizes == [1] + [40] * 8
-    for a, b in zip(fast.nodes, slow.nodes):
-        assert a.parent == b.parent and a.run_cost == b.run_cost
-        assert np.array_equal(a.state, b.state)
-        if a.parent is not None:
-            assert np.array_equal(a.control, b.control) and np.array_equal(a.drift, b.drift)
+    assert_same_tree(fast, slow)
+    assert rng_states[0] == rng_states[1]
+
+    # regrow pruned trees of unequal widths whose widest layers are already
+    # full: their turns in the schedule must draw nothing
+    trees, rng_states = [], []
+    for tree, grow in ((fast, forward_expand), (slow, grow_node_by_node)):
+        tree = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3)
+        M = max(tree.layer_sizes[1:])
+        assert min(tree.layer_sizes[1:]) < M
+        rng = np.random.default_rng(22)
+        grow(tree, coeffs, ForwardConfig(target_width=M, eps_rrt=0.5, eps_opt=0.6), rng)
+        trees.append(tree)
+        rng_states.append(rng.bit_generator.state)
+    assert trees[0].layer_sizes == [1] + [M] * 8
+    assert_same_tree(*trees)
+    assert rng_states[0] == rng_states[1]
 
 
 @pytest.mark.parametrize("with_coeffs, eps_opt", [(False, 1.0), (True, 1.0), (True, 0.0)])

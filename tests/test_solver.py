@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fbrrt.solver import (
     riccati_oracle,
     rollout_policy,
 )
+from fbrrt.tree import BranchTree
 
 from conftest import scalar_problem
 
@@ -135,6 +137,20 @@ def test_solve_deterministic_json(mode):
     b = fbrrt_solve(cfg).to_json()
     assert a == b
     assert "wall_time" not in a
+
+
+def test_solve_wall_time_covers_prune(monkeypatch):
+    # an iteration's wall time runs until the tree is pruned for the next one
+    prune = BranchTree.prune
+
+    def slow_prune(tree, *args, **kwargs):
+        time.sleep(0.2)
+        return prune(tree, *args, **kwargs)
+
+    monkeypatch.setattr(BranchTree, "prune", slow_prune)
+    cfg = SolverConfig(problem="heat", steps=4, M=8, iterations=2, rollout_count=8, seed=0)
+    report = fbrrt_solve(cfg)
+    assert report.iterations[0].wall_time >= 0.2
 
 
 def test_solve_report_files(tmp_path):

@@ -155,6 +155,40 @@ def test_nearest_matches_brute_force(problem, grid):
         assert got == want
 
 
+def layer_tree(problem, grid, states):
+    tree = make_tree(problem, grid)
+    for s in states:
+        tree.add_edge(0, np.array([0.0]), np.zeros(2), s)
+    return tree
+
+
+def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
+    # each query of a batch sees only a prefix of the layer and must pick
+    # what a scan of the layer grown to that width picks; copies of earlier
+    # states pin the tie-break to the lowest position
+    rng = np.random.default_rng(4)
+    states = rng.uniform(-3, 3, size=(70, 2))
+    states[40:55] = states[rng.integers(40, size=15)]
+    queries = rng.uniform(-3, 3, size=(100, 2))
+    queries[::3] = states[rng.integers(40, 55, size=34)]  # on a copied state
+    widths = np.sort(rng.integers(1, 71, size=100))
+    weights = default_metric_weights(problem)
+    got = layer_tree(problem, grid, states).nearest_positions(1, queries, widths, weights)
+    for q, width, pos in zip(queries, widths, got):
+        assert pos == layer_tree(problem, grid, states[:width]).nearest_position(1, q, weights)
+        on_node = np.flatnonzero((states[:width] == q).all(axis=1))
+        if len(on_node):
+            assert pos == on_node[0]
+
+
+def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
+    tree = layer_tree(problem, grid, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        tree.nearest_positions(1, np.zeros((1, 2)), [4], np.ones(2))
+    with pytest.raises(ValueError):
+        tree.nearest_positions(1, np.zeros((1, 2)), [0], np.ones(2))
+
+
 def test_nearest_empty_layer_raises(problem, grid):
     tree = make_tree(problem, grid)
     with pytest.raises(ValueError):
