@@ -39,22 +39,21 @@ class BackwardPassError(RuntimeError):
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
     """(B, C) running costs and (B, C, n) drifts of B states at time t under
-    C controls."""
+    C controls, from one call each on the grid x (B, 1, n) by u (1, C, m)
+    (see the vectorization convention of `fbrrt.problem`)."""
     B, C = X.shape[0], len(controls)
-    X_rep = np.repeat(X, C, axis=0)
-    U_rep = np.tile(controls, (B, 1))
-    ells = np.broadcast_to(problem.running_cost(t, X_rep, U_rep), (B * C,)).reshape(B, C)
-    return ells, problem.drift(t, X_rep, U_rep).reshape(B, C, X.shape[1])
+    Xg, Ug = X[:, None, :], controls[None, :, :]
+    ells = np.broadcast_to(problem.running_cost(t, Xg, Ug), (B, C))
+    return ells, np.broadcast_to(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
 
 
 def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
     """Score every control candidate at every state in one vectorized sweep.
 
-    `t` is one time for every state; `alpha_next` is one coefficient vector
-    for every state, or one per state.  Returns (choice, cands, ells, F):
-    per-state winning candidate index, the candidate array, and the
-    (B, C[, n]) running costs and drifts evaluated on the state-candidate
-    product.
+    `t` is one time and `alpha_next` one coefficient vector for every
+    state.  Returns (choice, cands, ells, F): per-state winning candidate
+    index, the candidate array, and the (B, C[, n]) running costs and
+    drifts evaluated on the state-candidate grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     cands = np.asarray(problem.control_candidates)
@@ -62,7 +61,11 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, low
         raise ValueError("control candidate set is empty")
     grad = value_grad(X, alpha_next, lower, upper)
     ells, F = _drifts_and_costs(problem, t, X, cands)
-    scores = ells + np.sum(F * grad[:, None, :], axis=2)
+    # one state dimension at a time; for n < 8 this rounds exactly like np.sum
+    dot = F[..., 0] * grad[:, None, 0]
+    for k in range(1, X.shape[1]):
+        dot += F[..., k] * grad[:, None, k]
+    scores = ells + dot
     best = scores.min(axis=1, keepdims=True)
     tie_ell = np.where(scores == best, ells, np.inf)
     choice = np.argmin(tie_ell, axis=1)  # first occurrence = lowest index
@@ -129,9 +132,9 @@ def _edge_targets(
     t_next = (i + 1) * dt
     y_next = value_eval(X_next, alpha_next, lower, upper)
     grad_next = value_grad(X_next, alpha_next, lower, upper)
-    mu = target_policy_batch(problem, t, X_prev, alpha_next, lower, upper)
-    f_mu = problem.drift(t, X_prev, mu)
-    ell_mu = problem.running_cost(t, X_prev, mu)
+    choice, _, ells, F = _candidate_scores(problem, t, X_prev, alpha_next, lower, upper)
+    k = np.arange(len(choice))
+    f_mu, ell_mu = F[k, choice], ells[k, choice]
     sigma = problem.diffusion(t_next, X_next[0])
     sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
     Z = grad_next @ sigma  # z = sigma' grad

@@ -79,11 +79,7 @@ def value_eval(x, alpha, lower, upper):
 
 
 def value_grad(x, alpha, lower, upper) -> np.ndarray:
-    """Gradient of V at x; accepts (n,) or (B, n), returns matching shape.
-
-    `alpha` is one coefficient vector (p,) for every state, or one row per
-    state (B, p).
-    """
+    """Gradient of V at x; accepts (n,) or (B, n), returns matching shape."""
     alpha = np.asarray(alpha, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -91,17 +87,14 @@ def value_grad(x, alpha, lower, upper) -> np.ndarray:
     squeeze = z.ndim == 1
     z = np.atleast_2d(z)
     B, n = z.shape
-    if alpha.shape[-1] != feature_count(n):
-        raise ValueError(f"coefficient dimension {alpha.shape[-1]} != feature dimension {feature_count(n)}")
-    if alpha.ndim == 2 and alpha.shape[0] != B:
-        raise ValueError(f"{alpha.shape[0]} coefficient rows for {B} states")
-    coef = alpha.T  # coef[q] is one number, or a column with one per state
+    if alpha.shape[0] != feature_count(n):
+        raise ValueError(f"coefficient dimension {alpha.shape[0]} != feature dimension {feature_count(n)}")
     scale = 2.0 / (upper - lower)
     grad = np.zeros((B, n))
     for k in range(n):
-        grad[:, k] = (coef[1 + k] + coef[1 + n + k] * 4.0 * z[:, k]) * scale[k]
+        grad[:, k] = (alpha[1 + k] + alpha[1 + n + k] * 4.0 * z[:, k]) * scale[k]
     for c, (j, k) in enumerate(_cross_pairs(n)):
-        a = coef[1 + 2 * n + c]
+        a = alpha[1 + 2 * n + c]
         grad[:, j] += a * z[:, k] * scale[j]
         grad[:, k] += a * z[:, j] * scale[k]
     return grad[0] if squeeze else grad

@@ -8,11 +8,14 @@ for exploration sampling and basis scaling, and the horizon.
 Vectorization convention: ``drift`` and ``running_cost`` broadcast over
 leading axes, i.e. they accept ``x`` of shape ``(..., n)`` and ``u`` of shape
 ``(..., m)`` (or a bare ``(m,)`` candidate) and return ``(..., n)`` /
-``(...,)``; ``t`` is a float, or an array of per-row times shaped like the
-leading axes.  Each row's result must not depend on the other rows it is
-evaluated with, bit for bit: the forward pass grows the tree a layer at a
-time, one batch per time step, and must grow the tree that node-by-node
-evaluation grows.
+``(...,)``; ``t`` is a float.  Policy scoring calls them once on a
+broadcast grid, ``x`` of shape ``(B, 1, n)`` by ``u`` of shape
+``(1, C, m)``; a result that does not depend on ``x`` or ``u`` may keep a
+size-1 axis in its place, and the caller broadcasts it to ``(B, C[, n])``.
+Each (state, control) entry must equal, bit for bit, that pair evaluated
+alone, and no row's result may depend on the other rows it is evaluated
+with: the forward pass grows the tree a layer at a time, one batch per time
+step, and must grow the tree that node-by-node evaluation grows.
 ``diffusion`` / ``diffusion_inverse`` take a single state and
 return ``(n, n)``.  The noise must not depend on the state: batched code
 evaluates them at one state per step and applies the matrix to every row,

@@ -123,13 +123,13 @@ def rollout_policy(
     costs = np.zeros(count)
     control_counts = np.zeros((N, len(cands)), dtype=int)
     sqrt_dt = np.sqrt(grid.dt)
+    rows = np.arange(count)
     for i in range(N):
         t = i * grid.dt
-        choice, _, _, _ = bw._candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
-        U = cands[choice]
+        choice, _, ells, F = bw._candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
         control_counts[i] = np.bincount(choice, minlength=len(cands))
-        costs += problem.running_cost(t, X, U) * grid.dt
-        K = problem.drift(t, X, U)
+        costs += ells[rows, choice] * grid.dt
+        K = F[rows, choice]
         W = rng.normal(size=(count, n)) * sqrt_dt
         X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
     costs += problem.terminal_cost(X)

@@ -1,0 +1,64 @@
+"""Microbenchmarks of the solver's per-call kernels (pytest-benchmark).
+
+The file name does not match ``test_*.py``, so the default test run skips
+it.  Run it with
+
+    PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
+
+Inputs are fixed: B = 256 states drawn from the region of interest (the
+width M of the acceptance trees), coefficients drawn once from a seeded
+generator.
+"""
+
+import numpy as np
+import pytest
+
+from fbrrt.backward import _candidate_scores
+from fbrrt.basis import feature_count, features, value_grad, weighted_least_squares
+from fbrrt.problem import make_double_integrator_l1, make_lq_problem
+
+B = 256
+
+# the LQ problem of the lq-lsearch benchmark workload (21 controls)
+LQ = make_lq_problem(
+    A=[[0.0, 1.0], [0.0, 0.0]],
+    B=[[0.0], [1.0]],
+    Qr=0.1 * np.eye(2),
+    R=np.eye(1),
+    Qf=np.eye(2),
+    noise=0.3,
+    roi_lower=(-1.2, -1.0),
+    roi_upper=(1.2, 1.0),
+)
+DI = make_double_integrator_l1()
+
+
+def _inputs(problem, seed=0):
+    rng = np.random.default_rng(seed)
+    X = problem.sample_roi(rng, size=B)
+    alpha = rng.normal(size=feature_count(problem.state_dim))
+    return X, alpha
+
+
+@pytest.mark.benchmark(group="candidate_scores")
+@pytest.mark.parametrize("problem", [LQ, DI], ids=["lq-C21", "di-C3"])
+def test_candidate_scores(benchmark, problem):
+    X, alpha = _inputs(problem)
+    choice, cands, _, _ = benchmark(_candidate_scores, problem, 0.3, X, alpha, problem.roi_lower, problem.roi_upper)
+    assert choice.shape == (B,) and len(cands) == len(problem.control_candidates)
+
+
+@pytest.mark.benchmark(group="basis")
+def test_value_grad(benchmark):
+    X, alpha = _inputs(DI)
+    assert benchmark(value_grad, X, alpha, DI.roi_lower, DI.roi_upper).shape == (B, 2)
+
+
+@pytest.mark.benchmark(group="basis")
+def test_weighted_least_squares(benchmark):
+    X, alpha = _inputs(DI)
+    phi = features(X, DI.roi_lower, DI.roi_upper)
+    targets = phi @ alpha
+    weights = np.random.default_rng(1).uniform(0.1, 2.0, size=B)
+    fit = benchmark(weighted_least_squares, phi, targets, weights, 1e-8 * B)
+    assert np.allclose(fit, alpha, atol=1e-6)

@@ -1,6 +1,12 @@
 import numpy as np
 
-from fbrrt.problem import ControlProblem
+from fbrrt.problem import (
+    ControlProblem,
+    make_double_integrator_l1,
+    make_lq_problem,
+    make_pendulum_l1,
+    make_uncontrolled_heat,
+)
 
 
 def scalar_problem(fuel_weight=0.5, noise=1.0, roi=(-1.0, 1.0), x0=0.0, horizon=1.0):
@@ -25,3 +31,32 @@ def scalar_problem(fuel_weight=0.5, noise=1.0, roi=(-1.0, 1.0), x0=0.0, horizon=
         roi_upper=np.array([roi[1]]),
         initial_state=np.array([float(x0)]),
     )
+
+
+def policy_problems():
+    """Problems whose target policy the scoring tests check pair by pair.
+
+    The LQ problems have a general (non-diagonal) A and a 3-dimensional
+    state; without a running cost the scalar problem ties every score and
+    every cost wherever the value gradient vanishes.
+    """
+    rng = np.random.default_rng(11)
+    Q3 = rng.normal(size=(3, 3))
+    return {
+        "double_integrator": make_double_integrator_l1(),
+        "pendulum": make_pendulum_l1(),
+        "heat": make_uncontrolled_heat(),
+        "lq_general_A": make_lq_problem(
+            A=[[0.3, 1.0], [-0.7, -0.2]], B=[[0.5], [1.0]], Qr=[[0.2, 0.05], [0.05, 0.1]], R=[[1.0]], Qf=np.eye(2), noise=0.3
+        ),
+        "lq_3d": make_lq_problem(
+            A=rng.normal(size=(3, 3)),
+            B=rng.normal(size=(3, 2)),
+            Qr=Q3 @ Q3.T,
+            R=np.diag([1.0, 0.5]),
+            Qf=np.eye(3),
+            noise=0.4,
+            grid_points=5,
+        ),
+        "scalar_no_fuel": scalar_problem(fuel_weight=0.0),
+    }

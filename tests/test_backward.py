@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from fbrrt.backward import (
     BackwardPassError,
+    _candidate_scores,
+    _edge_targets,
     backward_pass,
     bsde_target,
     default_lambda_grid,
@@ -14,12 +16,12 @@ from fbrrt.backward import (
     target_policy,
     target_policy_batch,
 )
-from fbrrt.basis import feature_count, quadratic_to_coefficients, value_grad
+from fbrrt.basis import feature_count, quadratic_to_coefficients, value_eval, value_grad
 from fbrrt.forward import ForwardConfig, forward_expand
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_uncontrolled_heat
 from fbrrt.tree import BranchTree
 
-from conftest import scalar_problem
+from conftest import policy_problems, scalar_problem
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,41 @@ def test_policy_scale_invariant_without_running_cost():
         assert np.array_equal(u1, u2)
 
 
+def pairwise_scores(problem, t, X, alpha, lower, upper):
+    """Reference for `_candidate_scores`: each (state, control) pair
+    evaluated alone, gradient terms summed by np.sum; ties go to the lowest
+    running cost, then the lowest candidate index."""
+    cands = np.asarray(problem.control_candidates)
+    ells = np.array([[problem.running_cost(t, x, u) for u in cands] for x in X], dtype=float)
+    F = np.array([[problem.drift(t, x, u) for u in cands] for x in X], dtype=float)
+    grad = value_grad(X, alpha, lower, upper)
+    scores = ells + np.sum(F * grad[:, None, :], axis=2)
+    choice = []
+    for s, e in zip(scores, ells):
+        tied = np.flatnonzero(s == s.min())
+        choice.append(tied[np.argmin(e[tied])])
+    return np.array(choice), ells, F
+
+
+def random_alphas(problem, rng):
+    """Random coefficients, plus a constant one whose zero gradient ties scores."""
+    p = feature_count(problem.state_dim)
+    return [rng.normal(size=p), 0.1 * rng.normal(size=p), constant_alpha(problem.state_dim)]
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_candidate_scores_match_pairwise_evaluation(name):
+    p = policy_problems()[name]
+    rng = np.random.default_rng(5)
+    X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
+    for alpha in random_alphas(p, rng):
+        choice, _, ells, F = _candidate_scores(p, 0.3, X, alpha, p.roi_lower, p.roi_upper)
+        ref_choice, ref_ells, ref_F = pairwise_scores(p, 0.3, X, alpha, p.roi_lower, p.roi_upper)
+        assert np.array_equal(ells, ref_ells)
+        assert np.array_equal(F, ref_F)
+        assert np.array_equal(choice, ref_choice)
+
+
 # ---------------------------------------------------------------------------
 # regression targets
 
@@ -128,6 +165,35 @@ def test_bsde_target_correction_arithmetic():
         p, 0.1, 0, np.array([0.0]), np.array([-0.4]), x_next, alpha, p.roi_lower, p.roi_upper
     )
     assert y_hat - y_next == pytest.approx(0.02)
+
+
+def edge_targets_reference(problem, dt, i, X_prev, K, X_next, alpha_next, lower, upper):
+    """Reference for `_edge_targets`: picks mu with the target policy, then
+    evaluates the drift and running cost again at mu."""
+    t, t_next = i * dt, (i + 1) * dt
+    y_next = value_eval(X_next, alpha_next, lower, upper)
+    grad_next = value_grad(X_next, alpha_next, lower, upper)
+    mu = target_policy_batch(problem, t, X_prev, alpha_next, lower, upper)
+    f_mu = problem.drift(t, X_prev, mu)
+    ell_mu = problem.running_cost(t, X_prev, mu)
+    sigma = problem.diffusion(t_next, X_next[0])
+    sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
+    Z = grad_next @ sigma
+    D = (f_mu - K) @ sigma_inv.T
+    return y_next + (ell_mu + np.sum(Z * D, axis=1)) * dt, y_next
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_edge_targets_match_reference(name):
+    p = policy_problems()[name]
+    rng = np.random.default_rng(6)
+    X_prev = p.sample_roi(rng, size=50)
+    K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
+    X_next = p.sample_roi(rng, size=50)
+    for alpha in random_alphas(p, rng):
+        got = _edge_targets(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
+        want = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------

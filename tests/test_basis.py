@@ -88,18 +88,9 @@ def test_value_grad_matches_finite_differences():
         grad = value_grad(x, alpha, lo, hi)
         fd = central_diff(lambda y: value_eval(y, alpha, lo, hi), x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
-
-
-def test_value_grad_per_state_coefficients():
-    # one coefficient row per state gives, bit for bit, each state's own gradient
-    rng = np.random.default_rng(2)
-    lo, hi = np.array([-3.0, -2.0, 0.0]), np.array([4.0, 1.0, 2.0])
-    X = rng.uniform(lo, hi, size=(40, 3))
-    alphas = rng.normal(size=(40, feature_count(3)))
-    rows = np.array([value_grad(x, a, lo, hi) for x, a in zip(X, alphas)])
-    assert np.array_equal(value_grad(X, alphas, lo, hi), rows)
-    with pytest.raises(ValueError, match="coefficient rows"):
-        value_grad(X, alphas[:39], lo, hi)
+    # a batch of states gives, bit for bit, each state's own gradient
+    X = rng.uniform(lo - 1, hi + 1, size=(40, 2))
+    assert np.array_equal(value_grad(X, alpha, lo, hi), np.array([value_grad(x, alpha, lo, hi) for x in X]))
 
 
 def test_value_eval_dimension_mismatch():

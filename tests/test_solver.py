@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from fbrrt.backward import _candidate_scores
 from fbrrt.basis import ValueCoefficients, feature_count
 from fbrrt.cli import apply_overrides, main, parse_config_text
 from fbrrt.problem import ControlProblem, TimeGrid, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import (
     IterationStats,
+    RolloutReport,
     RunReport,
     SolverConfig,
     analytic_heat_value,
@@ -20,7 +22,7 @@ from fbrrt.solver import (
 )
 from fbrrt.tree import BranchTree
 
-from conftest import scalar_problem
+from conftest import policy_problems, scalar_problem
 
 DI = {
     "A": np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -92,6 +94,44 @@ def test_rollout_zero_noise_zero_value_is_uncontrolled():
     assert report.mean_cost == pytest.approx(0.4**2)
     # control histogram: all mass on the u=0 candidate at every step
     assert np.array_equal(report.control_counts[:, 1], np.full(10, 50))
+
+
+def rollout_reference(problem, grid, coeffs, x0, count, rng):
+    """Reference for `rollout_policy`: scores the candidates, then evaluates
+    the drift and running cost again at the chosen controls."""
+    N, n = grid.steps, problem.state_dim
+    cands = np.asarray(problem.control_candidates)
+    X = np.tile(np.asarray(x0, dtype=float), (count, 1))
+    costs = np.zeros(count)
+    control_counts = np.zeros((N, len(cands)), dtype=int)
+    sqrt_dt = np.sqrt(grid.dt)
+    for i in range(N):
+        t = i * grid.dt
+        choice, _, _, _ = _candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
+        U = cands[choice]
+        control_counts[i] = np.bincount(choice, minlength=len(cands))
+        costs += problem.running_cost(t, X, U) * grid.dt
+        K = problem.drift(t, X, U)
+        W = rng.normal(size=(count, n)) * sqrt_dt
+        X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
+    costs += problem.terminal_cost(X)
+    return RolloutReport(costs=costs, terminal_states=X, control_counts=control_counts)
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_rollout_matches_reference(name):
+    p = policy_problems()[name]
+    grid = TimeGrid.from_horizon(p.horizon, 10)
+    coeffs = ValueCoefficients(
+        alphas=np.random.default_rng(8).normal(size=(10, feature_count(p.state_dim))),
+        lower=p.roi_lower,
+        upper=p.roi_upper,
+    )
+    got = rollout_policy(p, grid, coeffs, p.initial_state, 64, np.random.default_rng(9))
+    want = rollout_reference(p, grid, coeffs, p.initial_state, 64, np.random.default_rng(9))
+    assert np.array_equal(got.costs, want.costs)
+    assert np.array_equal(got.terminal_states, want.terminal_states)
+    assert np.array_equal(got.control_counts, want.control_counts)
 
 
 def test_rollout_requires_enough_coefficients():
