@@ -10,11 +10,19 @@ drift actually sampled on the edge; the z'd term compensates for sampling
 off-policy.  Paths are weighted by the softmin of the path-integral
 heuristic rho = run_cost + value estimate, and per-timestep coefficients are
 fit by weighted ridge least squares.
+
+Several temperatures lambda are fit in lockstep: one walk down the tree
+computes what no lambda changes (the edge arrays, the features, the drift
+and cost grid on the parents, the terminal fit) once per layer, and only
+the policy, the targets, the weights and the fit run per lambda.  The
+lambda search then rolls every fitted policy out in one stacked loop on
+shared noise; `rollout_policies` is that loop, and a single policy's
+rollout is the case of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,11 +31,10 @@ from .basis import (
     SingularRegressionError,
     ValueCoefficients,
     features,
-    value_eval,
     value_grad,
     weighted_least_squares,
 )
-from .problem import ControlProblem
+from .problem import ControlProblem, TimeGrid
 from .tree import BranchTree
 
 
@@ -35,6 +42,13 @@ class BackwardPassError(RuntimeError):
     def __init__(self, message: str, layer: int):
         super().__init__(f"{message} (layer {layer})")
         self.layer = layer
+
+
+def _control_candidates(problem: ControlProblem) -> np.ndarray:
+    cands = np.asarray(problem.control_candidates)
+    if len(cands) == 0:
+        raise ValueError("control candidate set is empty")
+    return cands
 
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
@@ -47,6 +61,20 @@ def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.nd
     return ells, np.broadcast_to(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
 
 
+def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per-row index of the lowest score l + f' grad on a state x control
+    grid of running costs `ells` (B, C) and drifts `F` (B, C, n); ties go to
+    the smallest running cost, then the lowest index."""
+    # one state dimension at a time; for n < 8 this rounds exactly like np.sum
+    dot = F[..., 0] * grad[:, None, 0]
+    for k in range(1, F.shape[2]):
+        dot += F[..., k] * grad[:, None, k]
+    scores = ells + dot
+    best = scores.min(axis=1, keepdims=True)
+    tie_ell = np.where(scores == best, ells, np.inf)
+    return np.argmin(tie_ell, axis=1)  # first occurrence = lowest index
+
+
 def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
     """Score every control candidate at every state in one vectorized sweep.
 
@@ -56,20 +84,10 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, low
     drifts evaluated on the state-candidate grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    cands = np.asarray(problem.control_candidates)
-    if len(cands) == 0:
-        raise ValueError("control candidate set is empty")
+    cands = _control_candidates(problem)
     grad = value_grad(X, alpha_next, lower, upper)
     ells, F = _drifts_and_costs(problem, t, X, cands)
-    # one state dimension at a time; for n < 8 this rounds exactly like np.sum
-    dot = F[..., 0] * grad[:, None, 0]
-    for k in range(1, X.shape[1]):
-        dot += F[..., k] * grad[:, None, k]
-    scores = ells + dot
-    best = scores.min(axis=1, keepdims=True)
-    tie_ell = np.where(scores == best, ells, np.inf)
-    choice = np.argmin(tie_ell, axis=1)  # first occurrence = lowest index
-    return choice, cands, ells, F
+    return _best_candidates(ells, F, grad), cands, ells, F
 
 
 def target_policy_batch(problem: ControlProblem, t: float, X: np.ndarray, alpha_next, lower, upper) -> np.ndarray:
@@ -80,10 +98,6 @@ def target_policy_batch(problem: ControlProblem, t: float, X: np.ndarray, alpha_
     """
     choice, cands, _, _ = _candidate_scores(problem, t, X, alpha_next, lower, upper)
     return cands[choice]
-
-
-def target_policy(problem: ControlProblem, t: float, x, alpha_next, lower, upper) -> np.ndarray:
-    return target_policy_batch(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
 
 
 def softmin_weights(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -113,6 +127,31 @@ def _layer_edge_arrays(tree: BranchTree, i_next: int):
     return tree.layer_states(i_next - 1)[layer.parents], layer.drifts, layer.states, layer.run_costs
 
 
+class _EdgeDesign:
+    """What every coefficient vector shares on the edges into layer i+1:
+    the parent states X_prev, sampled drifts K, child states X_next and
+    their features phi_next, the drift and cost grid of every candidate on
+    the parents, and the diffusion at t_{i+1}."""
+
+    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, K, X_next, phi_next, lower, upper):
+        self.dt, self.X_prev, self.K, self.X_next, self.phi_next = dt, X_prev, K, X_next, phi_next
+        self.lower, self.upper = lower, upper
+        self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
+        self.sigma = problem.diffusion((i + 1) * dt, X_next[0])
+        self.sigma_inv = problem.diffusion_inverse((i + 1) * dt, X_next[0])
+
+    def targets(self, alpha_next):
+        """(y_hat_i, y_next) of every edge under alpha_{i+1}."""
+        y_next = self.phi_next @ alpha_next
+        grad_next = value_grad(self.X_next, alpha_next, self.lower, self.upper)
+        choice = _best_candidates(self.ells, self.F, value_grad(self.X_prev, alpha_next, self.lower, self.upper))
+        k = np.arange(len(choice))
+        f_mu, ell_mu = self.F[k, choice], self.ells[k, choice]
+        Z = grad_next @ self.sigma  # z = sigma' grad
+        D = (f_mu - self.K) @ self.sigma_inv.T
+        return y_next + (ell_mu + np.sum(Z * D, axis=1)) * self.dt, y_next
+
+
 def _edge_targets(
     problem: ControlProblem,
     dt: float,
@@ -128,35 +167,8 @@ def _edge_targets(
 
     Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
     """
-    t = i * dt
-    t_next = (i + 1) * dt
-    y_next = value_eval(X_next, alpha_next, lower, upper)
-    grad_next = value_grad(X_next, alpha_next, lower, upper)
-    choice, _, ells, F = _candidate_scores(problem, t, X_prev, alpha_next, lower, upper)
-    k = np.arange(len(choice))
-    f_mu, ell_mu = F[k, choice], ells[k, choice]
-    sigma = problem.diffusion(t_next, X_next[0])
-    sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
-    Z = grad_next @ sigma  # z = sigma' grad
-    D = (f_mu - K) @ sigma_inv.T
-    y_hat = y_next + (ell_mu + np.sum(Z * D, axis=1)) * dt
-    return y_hat, y_next
-
-
-def bsde_target(problem: ControlProblem, dt: float, i: int, x_i, k_i, x_next, alpha_next, lower, upper):
-    """Single-edge regression target; returns (y_hat_i, y_next)."""
-    y_hat, y_next = _edge_targets(
-        problem,
-        dt,
-        i,
-        np.asarray(x_i, dtype=float)[None, :],
-        np.asarray(k_i, dtype=float)[None, :],
-        np.asarray(x_next, dtype=float)[None, :],
-        alpha_next,
-        lower,
-        upper,
-    )
-    return float(y_hat[0]), float(y_next[0])
+    phi_next = features(X_next, lower, upper)
+    return _EdgeDesign(problem, dt, i, X_prev, K, X_next, phi_next, lower, upper).targets(alpha_next)
 
 
 @dataclass
@@ -174,63 +186,114 @@ class BackwardArtifacts:
         return float(np.mean(self.initial_value_samples))
 
 
-def backward_pass(tree: BranchTree, lam: float, ridge: Optional[float] = None) -> BackwardArtifacts:
+def _weighted_fit(layer: int, phi, targets, weights, ridge: float):
+    """(alpha, weighted residual norm, effective sample size) of one fit."""
+    try:
+        alpha = weighted_least_squares(phi, targets, weights, ridge)
+    except (SingularRegressionError, np.linalg.LinAlgError) as exc:
+        raise BackwardPassError(str(exc), layer=layer) from exc
+    resid = targets - phi @ alpha
+    return alpha, float(np.sqrt(np.sum(weights * resid**2))), float(np.sum(weights) ** 2 / np.sum(weights**2))
+
+
+class _LambdaFit:
+    """One lambda's share of a lockstep backward pass."""
+
+    def __init__(self, lam: float, steps: int):
+        self.lam, self.alphas = lam, []  # alpha_N, alpha_{N-1}, ...
+        self.rho, self.theta = [None] * (steps + 1), [None] * (steps + 1)
+        self.residuals, self.ess = np.zeros(steps), np.zeros(steps)
+        self.initial_value_samples: Optional[np.ndarray] = None
+        self.error: Optional[Exception] = None  # what stopped this lambda
+
+    def add(self, layer: int, fit) -> None:
+        alpha, self.residuals[layer - 1], self.ess[layer - 1] = fit
+        self.alphas.append(alpha)
+
+    def result(self, lower, upper):
+        if self.error is not None:
+            return self.error
+        try:
+            coeffs = ValueCoefficients(alphas=np.array(self.alphas[::-1]), lower=lower, upper=upper)
+        except ValueError as exc:
+            return exc
+        return BackwardArtifacts(
+            coefficients=coeffs,
+            lam=self.lam,
+            rho=self.rho,
+            theta=self.theta,
+            residual_norms=self.residuals,
+            ess=self.ess,
+            initial_value_samples=self.initial_value_samples,
+        )
+
+
+def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     """Fit alpha_N..alpha_1 along the tree; pure function of (tree, lam).
 
     The terminal layer is fit with uniform weights (no heuristic exists
     before the first value estimate); interior fits weight paths by the
     softmin of rho at the child layer.
+
+    `lam` is one lambda, and then the result is one BackwardArtifacts (a
+    failed fit raises BackwardPassError), or a sequence of lambdas, fit in
+    lockstep: the result is then a list in the order given, holding per
+    lambda its BackwardArtifacts or the BackwardPassError that stopped it.
+    Each entry equals what a pass with that lambda alone gives.  A
+    ValueError (a bad lambda, non-finite scores or coefficients) raises
+    either way, the first in lambda order.
     """
+    single = np.ndim(lam) == 0
     problem, grid = tree.problem, tree.grid
     N = grid.steps
     lower, upper = problem.roi_lower, problem.roi_upper
-    rho: list = [None] * (N + 1)
-    theta: list = [None] * (N + 1)
     if ridge is None:
         ridge = 1e-8 * tree.layer_size(N)
-    alphas = []
-    residuals = np.zeros(N)
-    ess = np.zeros(N)
-
-    def fit(layer_index, phi, targets, weights):
-        try:
-            alpha = weighted_least_squares(phi, targets, weights, ridge)
-        except (SingularRegressionError, np.linalg.LinAlgError) as exc:
-            raise BackwardPassError(str(exc), layer=layer_index) from exc
-        resid = targets - phi @ alpha
-        return alpha, float(np.sqrt(np.sum(weights * resid**2))), float(np.sum(weights) ** 2 / np.sum(weights**2))
+    fits = [_LambdaFit(float(value), N) for value in np.atleast_1d(lam)]
 
     X_N = tree.layer_states(N)
+    phi_next = features(X_N, lower, upper)
     y_N = problem.terminal_cost(X_N)
-    alpha, residuals[N - 1], ess[N - 1] = fit(N, features(X_N, lower, upper), y_N, np.ones(len(y_N)))
-    alphas.append(alpha)
-    alpha_next = alpha
+    try:
+        terminal = _weighted_fit(N, phi_next, y_N, np.ones(len(y_N)), ridge)
+    except BackwardPassError as exc:
+        for f in fits:
+            f.error = exc
+    else:
+        for f in fits:
+            f.add(N, terminal)
 
-    for i in range(N - 1, 0, -1):
+    # layers N-1..1 fit alpha_i; the root edges (i = 0) give the layer-1
+    # heuristic (for pruning) and the initial-value estimator
+    for i in range(N - 1, -1, -1):
+        live = [f for f in fits if f.error is None]
+        if not live:
+            break
         X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
-        y_hat, y_next = _edge_targets(problem, grid.dt, i, X_prev, K, X_next, alpha_next, lower, upper)
-        rho[i + 1] = path_heuristic(run_costs, y_next)
-        theta[i + 1] = softmin_weights(rho[i + 1], lam)
-        alpha, residuals[i - 1], ess[i - 1] = fit(i, features(X_prev, lower, upper), y_hat, theta[i + 1])
-        alphas.append(alpha)
-        alpha_next = alpha
+        design = _EdgeDesign(problem, grid.dt, i, X_prev, K, X_next, phi_next, lower, upper)
+        if i > 0:
+            phi_next = features(tree.layer_states(i), lower, upper)
+            phi_prev = phi_next[tree.layer(i + 1).parents]
+        shared_alpha = shared = None
+        for f in live:
+            if f.alphas[-1] is not shared_alpha:  # lambdas share alpha_N
+                shared_alpha, shared = f.alphas[-1], design.targets(f.alphas[-1])
+            y_hat, y_next = shared
+            f.rho[i + 1] = path_heuristic(run_costs, y_next)
+            if i == 0:
+                f.initial_value_samples = y_hat
+                continue
+            try:
+                f.theta[i + 1] = softmin_weights(f.rho[i + 1], f.lam)
+                f.add(i, _weighted_fit(i, phi_prev, y_hat, f.theta[i + 1], ridge))
+            except (BackwardPassError, ValueError) as exc:
+                f.error = exc
 
-    coeffs = ValueCoefficients(alphas=np.array(alphas[::-1]), lower=lower, upper=upper)
-
-    # layer-1 heuristic (for pruning) and the initial-value estimator
-    X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, 1)
-    y0_hat, y_1 = _edge_targets(problem, grid.dt, 0, X_prev, K, X_next, coeffs.alpha(1), lower, upper)
-    rho[1] = path_heuristic(run_costs, y_1)
-
-    return BackwardArtifacts(
-        coefficients=coeffs,
-        lam=float(lam),
-        rho=rho,
-        theta=theta,
-        residual_norms=residuals,
-        ess=ess,
-        initial_value_samples=y0_hat,
-    )
+    results = [f.result(lower, upper) for f in fits]
+    raised = [r for r in results if isinstance(r, ValueError) or (single and isinstance(r, Exception))]
+    if raised:
+        raise raised[0]
+    return results[0] if single else results
 
 
 def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)) -> np.ndarray:
@@ -249,6 +312,65 @@ def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)
     return np.asarray(multipliers) * scale
 
 
+@dataclass
+class RolloutReport:
+    costs: np.ndarray  # (count,) realized S = sum l dt + g(x_N)
+    terminal_states: np.ndarray  # (count, n)
+    control_counts: np.ndarray  # (N, C) candidate-index histogram per step
+
+    @property
+    def mean_cost(self) -> float:
+        return float(np.mean(self.costs))
+
+    @property
+    def std_cost(self) -> float:
+        return float(np.std(self.costs))
+
+
+def rollout_policies(
+    problem: ControlProblem,
+    grid: TimeGrid,
+    coefficients: list,
+    x0,
+    count: int,
+    rng: np.random.Generator,
+) -> list:
+    """Simulate `count` chains under each target policy
+    u_i = mu(x_i; alpha_{i+1}) of `coefficients`, all on the same noise.
+
+    The L policies' chains are stacked L x count.  Each step scores every
+    candidate at every state with one drift and cost grid and draws one
+    (count, n) noise block that every policy's chains share, so each report
+    equals the one a rollout of that policy alone gets from the same
+    generator state.
+    """
+    N, n, L = grid.steps, problem.state_dim, len(coefficients)
+    for coeffs in coefficients:
+        if coeffs.steps < N:
+            raise ValueError(f"coefficients cover {coeffs.steps} steps, grid needs {N}")
+    cands = _control_candidates(problem)
+    X = np.tile(np.asarray(x0, dtype=float), (L * count, 1))
+    costs = np.zeros(L * count)
+    control_counts = np.zeros((L, N, len(cands)), dtype=int)
+    sqrt_dt = np.sqrt(grid.dt)
+    rows = np.arange(L * count)
+    blocks = [slice(b * count, (b + 1) * count) for b in range(L)]
+    for i in range(N):
+        t = i * grid.dt
+        ells, F = _drifts_and_costs(problem, t, X, cands)
+        grad = np.concatenate(
+            [value_grad(X[block], c.alpha(i + 1), c.lower, c.upper) for block, c in zip(blocks, coefficients)]
+        )
+        choice = _best_candidates(ells, F, grad)
+        for b, block in enumerate(blocks):
+            control_counts[b, i] = np.bincount(choice[block], minlength=len(cands))
+        costs += ells[rows, choice] * grid.dt
+        W = rng.normal(size=(count, n)) * sqrt_dt
+        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + W @ problem.diffusion(t, X[0]).T).reshape(-1, n)
+    costs += problem.terminal_cost(X)
+    return [RolloutReport(costs[block], X[block], control_counts[b]) for b, block in enumerate(blocks)]
+
+
 def lambda_search(
     tree: BranchTree,
     lambdas,
@@ -256,35 +378,32 @@ def lambda_search(
     seed: int,
     ridge: Optional[float] = None,
 ) -> BackwardArtifacts:
-    """Run backward_pass per lambda; keep the one whose policy rolls out
-    cheapest under a shared evaluation seed.  Ties go to the smaller lambda;
-    candidates whose regression fails are skipped.
+    """Fit every lambda in one lockstep backward_pass, roll the fitted
+    policies out together under a shared evaluation seed, and keep the one
+    with the cheapest mean cost.  Ties go to the smaller lambda; candidates
+    whose regression fails, or whose mean cost is NaN, are skipped.
     """
-    from .solver import rollout_policy  # deferred: solver imports this module
-
     lambdas = sorted(float(l) for l in np.atleast_1d(lambdas))
     if not lambdas:
         raise ValueError("lambda grid is empty")
+    fitted = backward_pass(tree, lambdas, ridge=ridge)
+    failures = [(lam, a) for lam, a in zip(lambdas, fitted) if isinstance(a, BackwardPassError)]
+    survivors = [a for a in fitted if isinstance(a, BackwardArtifacts)]
     best: Optional[BackwardArtifacts] = None
     best_cost = np.inf
-    failures = []
-    for lam in lambdas:
-        try:
-            artifacts = backward_pass(tree, lam, ridge=ridge)
-        except BackwardPassError as exc:
-            failures.append((lam, exc))
-            continue
-        report = rollout_policy(
-            tree.problem,
+    if survivors:
+        problem = tree.problem
+        reports = rollout_policies(
+            problem,
             tree.grid,
-            artifacts.coefficients,
-            tree.problem.initial_state,
+            [a.coefficients for a in survivors],
+            problem.initial_state,
             rollout_count,
             np.random.default_rng(seed),
         )
-        cost = float(np.mean(report.costs))
-        if cost < best_cost:
-            best, best_cost = artifacts, cost
+        for artifacts, report in zip(survivors, reports):
+            if report.mean_cost < best_cost:
+                best, best_cost = artifacts, report.mean_cost
     if best is None:
         raise BackwardPassError(f"every lambda candidate failed: {failures}", layer=-1)
     return best

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import backward as bw
+from .backward import RolloutReport
 from .basis import ValueCoefficients, quadratic_to_coefficients
 from .forward import ForwardConfig, forward_expand, parallel_forward_baseline
 from .problem import (
@@ -32,7 +33,18 @@ from .tree import BranchTree
 
 
 class SolverError(RuntimeError):
-    pass
+    """A solve that stopped.  `iteration`, `phase` ("forward", "backward"
+    or "rollout") and `layer` (from a BackwardPassError, else None) say
+    where; they are None for an error raised outside the iteration loop."""
+
+    def __init__(self, message: str, iteration: Optional[int] = None, phase: Optional[str] = None, layer=None):
+        super().__init__(message)
+        self.iteration, self.phase, self.layer = iteration, phase, layer
+
+    @classmethod
+    def at(cls, iteration: int, phase: str, exc: Exception) -> "SolverError":
+        layer = exc.layer if isinstance(exc, bw.BackwardPassError) else None
+        return cls(f"iteration {iteration}: {exc}", iteration=iteration, phase=phase, layer=layer)
 
 
 PROBLEM_FACTORIES = {
@@ -91,21 +103,6 @@ class SolverConfig:
         return dataclasses.asdict(self)
 
 
-@dataclass
-class RolloutReport:
-    costs: np.ndarray  # (count,) realized S = sum l dt + g(x_N)
-    terminal_states: np.ndarray  # (count, n)
-    control_counts: np.ndarray  # (N, C) candidate-index histogram per step
-
-    @property
-    def mean_cost(self) -> float:
-        return float(np.mean(self.costs))
-
-    @property
-    def std_cost(self) -> float:
-        return float(np.std(self.costs))
-
-
 def rollout_policy(
     problem: ControlProblem,
     grid: TimeGrid,
@@ -115,25 +112,7 @@ def rollout_policy(
     rng: np.random.Generator,
 ) -> RolloutReport:
     """Simulate `count` chains under the target policy u_i = mu(x_i; alpha_{i+1})."""
-    if coeffs.steps < grid.steps:
-        raise ValueError(f"coefficients cover {coeffs.steps} steps, grid needs {grid.steps}")
-    N, n = grid.steps, problem.state_dim
-    cands = np.asarray(problem.control_candidates)
-    X = np.tile(np.asarray(x0, dtype=float), (count, 1))
-    costs = np.zeros(count)
-    control_counts = np.zeros((N, len(cands)), dtype=int)
-    sqrt_dt = np.sqrt(grid.dt)
-    rows = np.arange(count)
-    for i in range(N):
-        t = i * grid.dt
-        choice, _, ells, F = bw._candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
-        control_counts[i] = np.bincount(choice, minlength=len(cands))
-        costs += ells[rows, choice] * grid.dt
-        K = F[rows, choice]
-        W = rng.normal(size=(count, n)) * sqrt_dt
-        X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
-    costs += problem.terminal_cost(X)
-    return RolloutReport(costs=costs, terminal_states=X, control_counts=control_counts)
+    return bw.rollout_policies(problem, grid, [coeffs], x0, count, rng)[0]
 
 
 @dataclass
@@ -233,6 +212,9 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                 forward_expand(tree, coeffs, fwd, forward_rng)
             else:
                 tree = parallel_forward_baseline(problem, grid, config.M, coeffs, fwd, forward_rng)
+        except ValueError as exc:
+            raise SolverError.at(it, "forward", exc) from exc
+        try:
             if config.lambda_search:
                 artifacts = bw.lambda_search(
                     tree,
@@ -245,11 +227,16 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                 lam = config.lam if config.lam is not None else float(bw.default_lambda_grid(tree)[2])
                 artifacts = bw.backward_pass(tree, lam, ridge=config.ridge)
         except (bw.BackwardPassError, ValueError) as exc:
-            raise SolverError(f"iteration {it}: {exc}") from exc
+            raise SolverError.at(it, "backward", exc) from exc
         coeffs = artifacts.coefficients
-        rollout = rollout_policy(
-            problem, grid, coeffs, problem.initial_state, config.rollout_count, _iteration_rng(config.seed, it, 1)
-        )
+        try:
+            rollout = rollout_policy(
+                problem, grid, coeffs, problem.initial_state, config.rollout_count, _iteration_rng(config.seed, it, 1)
+            )
+            if not np.isfinite(rollout.mean_cost):
+                raise ValueError(f"non-finite rollout mean cost {rollout.mean_cost}")
+        except ValueError as exc:
+            raise SolverError.at(it, "rollout", exc) from exc
         acc_min = min(acc_min, rollout.mean_cost)
         widths = tree.layer_sizes
         if out_dir is not None:

@@ -7,15 +7,17 @@ it.  Run it with
 
 Inputs are fixed: B = 256 states drawn from the region of interest (the
 width M of the acceptance trees), coefficients drawn once from a seeded
-generator.
+generator.  A rollout step is a one-step rollout of B chains per policy,
+alone (L=1) and stacked as the lambda search runs it (L=5).
 """
 
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores
-from fbrrt.basis import feature_count, features, value_grad, weighted_least_squares
-from fbrrt.problem import make_double_integrator_l1, make_lq_problem
+from fbrrt.backward import _candidate_scores, rollout_policies
+from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
+from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
+from fbrrt.tree import BranchTree, default_metric_weights
 
 B = 256
 
@@ -62,3 +64,27 @@ def test_weighted_least_squares(benchmark):
     weights = np.random.default_rng(1).uniform(0.1, 2.0, size=B)
     fit = benchmark(weighted_least_squares, phi, targets, weights, 1e-8 * B)
     assert np.allclose(fit, alpha, atol=1e-6)
+
+
+@pytest.mark.benchmark(group="rollout_step")
+@pytest.mark.parametrize("L", [1, 5], ids=["L1", "L5"])
+def test_rollout_step(benchmark, L):
+    rng = np.random.default_rng(0)
+    grid = TimeGrid(dt=0.05, steps=1)
+    coefficients = [
+        ValueCoefficients(alphas=rng.normal(size=(1, feature_count(2))), lower=LQ.roi_lower, upper=LQ.roi_upper)
+        for _ in range(L)
+    ]
+    reports = benchmark(rollout_policies, LQ, grid, coefficients, LQ.initial_state, B, rng)
+    assert len(reports) == L and all(r.costs.shape == (B,) for r in reports)
+
+
+@pytest.mark.benchmark(group="tree")
+def test_nearest_positions(benchmark):
+    X, _ = _inputs(DI)
+    tree = BranchTree(DI, TimeGrid(dt=0.1, steps=1))
+    tree.add_roots(X)
+    queries = DI.sample_roi(np.random.default_rng(1), size=B)
+    widths = np.full(B, B)
+    out = benchmark(tree.nearest_positions, 0, queries, widths, default_metric_weights(DI))
+    assert out.shape == (B,) and out.max() < B

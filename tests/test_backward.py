@@ -4,21 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbrrt.backward import (
+    BackwardArtifacts,
     BackwardPassError,
     _candidate_scores,
     _edge_targets,
+    _layer_edge_arrays,
     backward_pass,
-    bsde_target,
     default_lambda_grid,
     lambda_search,
     path_heuristic,
+    rollout_policies,
     softmin_weights,
-    target_policy,
     target_policy_batch,
 )
-from fbrrt.basis import feature_count, quadratic_to_coefficients, value_eval, value_grad
+from fbrrt.basis import (
+    ValueCoefficients,
+    feature_count,
+    features,
+    quadratic_to_coefficients,
+    value_eval,
+    value_grad,
+    weighted_least_squares,
+)
 from fbrrt.forward import ForwardConfig, forward_expand
-from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_uncontrolled_heat
+from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
+from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
 
 from conftest import policy_problems, scalar_problem
@@ -26,6 +36,11 @@ from conftest import policy_problems, scalar_problem
 
 # ---------------------------------------------------------------------------
 # target policy
+
+
+def target_policy(problem, t, x, alpha_next, lower, upper):
+    """The target policy at one state."""
+    return target_policy_batch(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
 
 
 def constant_alpha(n, c=1.0):
@@ -126,6 +141,13 @@ def test_candidate_scores_match_pairwise_evaluation(name):
 
 # ---------------------------------------------------------------------------
 # regression targets
+
+
+def bsde_target(problem, dt, i, x_i, k_i, x_next, alpha_next, lower, upper):
+    """Regression target of one edge; returns (y_hat_i, y_next)."""
+    rows = (np.asarray(v, dtype=float)[None, :] for v in (x_i, k_i, x_next))
+    y_hat, y_next = _edge_targets(problem, dt, i, *rows, alpha_next, lower, upper)
+    return float(y_hat[0]), float(y_next[0])
 
 
 def test_bsde_target_on_policy_edge():
@@ -372,3 +394,153 @@ def test_lambda_search_empty_grid_rejected():
     tree = grown_tree(p, 4, 16, seed=11)
     with pytest.raises(ValueError):
         lambda_search(tree, [], rollout_count=8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lambda search against one lambda at a time
+
+
+def backward_pass_reference(tree, lam, ridge=None):
+    """Reference for one lambda of `backward_pass`: every layer recomputes
+    its features, targets and drift grid from the tree."""
+    problem, N = tree.problem, tree.grid.steps
+    lower, upper = problem.roi_lower, problem.roi_upper
+    ridge = 1e-8 * tree.layer_size(N) if ridge is None else ridge
+    rho, theta = [None] * (N + 1), [None] * (N + 1)
+    residuals, ess = np.zeros(N), np.zeros(N)
+
+    def fit(layer, phi, targets, weights):
+        try:
+            alpha = weighted_least_squares(phi, targets, weights, ridge)
+        except Exception as exc:
+            raise BackwardPassError(str(exc), layer=layer) from exc
+        resid = targets - phi @ alpha
+        residuals[layer - 1] = np.sqrt(np.sum(weights * resid**2))
+        ess[layer - 1] = np.sum(weights) ** 2 / np.sum(weights**2)
+        return alpha
+
+    X_N = tree.layer_states(N)
+    y_N = problem.terminal_cost(X_N)
+    alphas = [fit(N, features(X_N, lower, upper), y_N, np.ones(len(y_N)))]
+    for i in range(N - 1, 0, -1):
+        X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
+        y_hat, y_next = _edge_targets(problem, tree.grid.dt, i, X_prev, K, X_next, alphas[-1], lower, upper)
+        rho[i + 1] = path_heuristic(run_costs, y_next)
+        theta[i + 1] = softmin_weights(rho[i + 1], lam)
+        alphas.append(fit(i, features(X_prev, lower, upper), y_hat, theta[i + 1]))
+    coeffs = ValueCoefficients(alphas=np.array(alphas[::-1]), lower=lower, upper=upper)
+    X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, 1)
+    y0_hat, y_1 = _edge_targets(problem, tree.grid.dt, 0, X_prev, K, X_next, coeffs.alpha(1), lower, upper)
+    rho[1] = path_heuristic(run_costs, y_1)
+    return BackwardArtifacts(coeffs, float(lam), rho, theta, residuals, ess, y0_hat)
+
+
+def sequential_lambda_search(tree, lambdas, rollout_count, seed, ridge=None):
+    """Reference for `lambda_search`: a whole backward pass and a rollout
+    per lambda, each rollout from a fresh generator on the shared seed."""
+    best, best_cost, failures = None, np.inf, []
+    for lam in sorted(float(l) for l in lambdas):
+        try:
+            artifacts = backward_pass_reference(tree, lam, ridge=ridge)
+        except BackwardPassError as exc:
+            failures.append((lam, exc))
+            continue
+        report = rollout_policy(
+            tree.problem, tree.grid, artifacts.coefficients, tree.problem.initial_state, rollout_count,
+            np.random.default_rng(seed),
+        )
+        cost = float(np.mean(report.costs))
+        if cost < best_cost:
+            best, best_cost = artifacts, cost
+    if best is None:
+        raise BackwardPassError(f"every lambda candidate failed: {failures}", layer=-1)
+    return best
+
+
+def assert_same_artifacts(got, want):
+    assert got.lam == want.lam
+    assert np.array_equal(got.coefficients.alphas, want.coefficients.alphas)
+    for name in ("rho", "theta"):
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert (a is None and b is None) or np.array_equal(a, b)
+    for name in ("residual_norms", "ess", "initial_value_samples"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want) and str(got) == str(want) and got.layer == want.layer
+
+
+LQ_C21 = make_lq_problem(
+    A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], Qr=0.1 * np.eye(2), R=np.eye(1), Qf=np.eye(2), noise=0.3,
+    horizon=1.5, roi_lower=(-1.2, -1.0), roi_upper=(1.2, 1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "problem, steps, M",
+    [(make_double_integrator_l1(), 8, 48), (LQ_C21, 10, 64), (make_uncontrolled_heat(), 6, 32)],
+    ids=["double_integrator", "lq_C21", "heat"],
+)
+def test_lockstep_lambda_search_matches_sequential(problem, steps, M):
+    tree = grown_tree(problem, steps, M, seed=12)
+    # the grid and two lambdas large enough that their policies tie
+    lambdas = [*default_lambda_grid(tree), 1e9, 1e10]
+    for got, lam in zip(backward_pass(tree, lambdas), lambdas, strict=True):
+        assert_same_artifacts(got, backward_pass_reference(tree, lam))
+    assert_same_artifacts(
+        lambda_search(tree, lambdas, rollout_count=32, seed=3),
+        sequential_lambda_search(tree, lambdas, rollout_count=32, seed=3),
+    )
+
+
+def test_lockstep_lambda_search_skips_failed_fits():
+    # without ridge, lambda = 1e-300 puts all weight on one path and its
+    # layer N-1 fit is singular; lambda = 1e6 keeps every path
+    tree = grown_tree(make_double_integrator_l1(), 6, 32, seed=13)
+    collapsed, survivor = backward_pass(tree, [1e-300, 1e6], ridge=0.0)
+    with pytest.raises(BackwardPassError) as want:
+        backward_pass_reference(tree, 1e-300, ridge=0.0)
+    with pytest.raises(BackwardPassError) as alone:
+        backward_pass(tree, 1e-300, ridge=0.0)
+    assert_same_error(collapsed, want.value)
+    assert_same_error(alone.value, want.value)
+    assert collapsed.layer == 5
+    assert_same_artifacts(survivor, backward_pass_reference(tree, 1e6, ridge=0.0))
+    chosen = lambda_search(tree, [1e6, 1e-300], rollout_count=16, seed=4, ridge=0.0)
+    assert chosen.lam == 1e6
+    assert_same_artifacts(chosen, sequential_lambda_search(tree, [1e6, 1e-300], 16, seed=4, ridge=0.0))
+
+
+def test_lockstep_lambda_search_all_failed():
+    tree = grown_tree(make_double_integrator_l1(), 6, 32, seed=13)
+    lambdas = [1e-300, 3e-300]
+    with pytest.raises(BackwardPassError) as want:
+        sequential_lambda_search(tree, lambdas, 16, seed=4, ridge=0.0)
+    with pytest.raises(BackwardPassError, match="every lambda candidate failed") as got:
+        lambda_search(tree, lambdas, rollout_count=16, seed=4, ridge=0.0)
+    assert_same_error(got.value, want.value)
+
+
+def test_backward_pass_raises_a_bad_lambda_in_a_grid():
+    tree = grown_tree(make_double_integrator_l1(), 4, 16, seed=13)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        backward_pass(tree, [1.0, -1.0])
+
+
+def test_rollout_policy_is_one_block_of_a_stacked_rollout():
+    p = LQ_C21
+    grid = TimeGrid.from_horizon(p.horizon, 12)
+    rng = np.random.default_rng(14)
+    coefficients = [
+        ValueCoefficients(alphas=rng.normal(size=(12, feature_count(2))), lower=p.roi_lower, upper=p.roi_upper)
+        for _ in range(3)
+    ]
+    stacked = rollout_policies(p, grid, coefficients, p.initial_state, 40, np.random.default_rng(15))
+    assert len(stacked) == 3
+    for coeffs, got in zip(coefficients, stacked):
+        want = rollout_policy(p, grid, coeffs, p.initial_state, 40, np.random.default_rng(15))
+        assert np.array_equal(got.costs, want.costs)
+        assert np.array_equal(got.terminal_states, want.terminal_states)
+        assert np.array_equal(got.control_counts, want.control_counts)
+        assert got.mean_cost == want.mean_cost

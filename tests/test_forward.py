@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fbrrt.backward import target_policy
+from fbrrt.backward import target_policy_batch
 from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
 from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
 from fbrrt.problem import (
@@ -47,7 +47,7 @@ def select_control(problem, t, x, alpha_next, coeffs_box, config, rng):
     exist), otherwise draw uniformly from the exploration control set."""
     if alpha_next is not None and config.eps_opt > rng.uniform():
         lower, upper = coeffs_box
-        return target_policy(problem, t, x, alpha_next, lower, upper)
+        return target_policy_batch(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
     cands = np.asarray(problem.random_controls)
     return cands[rng.integers(len(cands))]
 

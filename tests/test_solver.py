@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores
+from fbrrt.backward import BackwardPassError, _candidate_scores
 from fbrrt.basis import ValueCoefficients, feature_count
 from fbrrt.cli import apply_overrides, main, parse_config_text
 from fbrrt.problem import ControlProblem, TimeGrid, make_lq_problem, make_uncontrolled_heat
@@ -13,6 +14,7 @@ from fbrrt.solver import (
     RolloutReport,
     RunReport,
     SolverConfig,
+    SolverError,
     analytic_heat_value,
     comparison_report,
     fbrrt_solve,
@@ -20,6 +22,7 @@ from fbrrt.solver import (
     riccati_oracle,
     rollout_policy,
 )
+import fbrrt.solver
 from fbrrt.tree import BranchTree
 
 from conftest import policy_problems, scalar_problem
@@ -191,6 +194,43 @@ def test_solve_wall_time_covers_prune(monkeypatch):
     cfg = SolverConfig(problem="heat", steps=4, M=8, iterations=2, rollout_count=8, seed=0)
     report = fbrrt_solve(cfg)
     assert report.iterations[0].wall_time >= 0.2
+
+
+TINY = dict(problem="heat", steps=3, M=4, iterations=2, rollout_count=4, seed=0)
+
+
+def test_solve_error_names_the_forward_phase():
+    p = dataclasses.replace(make_uncontrolled_heat(), diffusion=lambda t, x: np.array([[np.inf]]))
+    with pytest.raises(SolverError, match=r"^iteration 1: non-finite state in layer 1") as err:
+        fbrrt_solve(SolverConfig(**TINY), problem=p)
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "forward", None)
+
+
+@pytest.mark.parametrize("lambda_search, layer", [(False, 3), (True, -1)])
+def test_solve_error_names_the_backward_phase_and_layer(lambda_search, layer):
+    # two states cannot determine three coefficients without ridge
+    cfg = SolverConfig(**{**TINY, "M": 2}, ridge=0.0, lambda_search=lambda_search)
+    with pytest.raises(SolverError, match=r"^iteration 1: ") as err:
+        fbrrt_solve(cfg)
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "backward", layer)
+    assert isinstance(err.value.__cause__, BackwardPassError)
+
+
+def test_solve_error_names_the_rollout_phase(monkeypatch):
+    # a NaN rollout cost must not pass into the accumulated minimum
+    rollout = fbrrt.solver.rollout_policy
+
+    def nan_on_second_iteration(*args):
+        calls.append(rollout(*args))
+        if len(calls) == 2:
+            calls[-1].costs[0] = np.nan
+        return calls[-1]
+
+    calls = []
+    monkeypatch.setattr(fbrrt.solver, "rollout_policy", nan_on_second_iteration)
+    with pytest.raises(SolverError, match=r"^iteration 2: non-finite rollout mean cost nan") as err:
+        fbrrt_solve(SolverConfig(**TINY))
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (2, "rollout", None)
 
 
 def test_solve_report_files(tmp_path):
