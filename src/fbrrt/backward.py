@@ -13,8 +13,9 @@ fit by weighted ridge least squares.
 
 Several temperatures lambda are fit in lockstep: one walk down the tree
 computes what no lambda changes (the edge arrays, the features, the drift
-and cost grid on the parents, the terminal fit) once per layer, and only
-the policy, the targets, the weights and the fit run per lambda.  The
+and cost grid on the parents, the terminal fit) once per layer, and the
+policy and targets of every lambda in one pass over an (L, p) stack of
+their coefficients; only the weights and the fit run per lambda.  The
 lambda search then rolls every fitted policy out in one stacked loop on
 shared noise; `rollout_policies` is that loop, and a single policy's
 rollout is the case of one.
@@ -64,15 +65,16 @@ def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.nd
 def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Per-row index of the lowest score l + f' grad on a state x control
     grid of running costs `ells` (B, C) and drifts `F` (B, C, n); ties go to
-    the smallest running cost, then the lowest index."""
+    the smallest running cost, then the lowest index.  `grad` is (B, n), or
+    an (L, B, n) stack of gradients scored on the same grid, giving (L, B)."""
     # one state dimension at a time; for n < 8 this rounds exactly like np.sum
-    dot = F[..., 0] * grad[:, None, 0]
+    dot = F[..., 0] * grad[..., None, 0]
     for k in range(1, F.shape[2]):
-        dot += F[..., k] * grad[:, None, k]
+        dot += F[..., k] * grad[..., None, k]
     scores = ells + dot
-    best = scores.min(axis=1, keepdims=True)
+    best = scores.min(axis=-1, keepdims=True)
     tie_ell = np.where(scores == best, ells, np.inf)
-    return np.argmin(tie_ell, axis=1)  # first occurrence = lowest index
+    return np.argmin(tie_ell, axis=-1)  # first occurrence = lowest index
 
 
 def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
@@ -140,16 +142,20 @@ class _EdgeDesign:
         self.sigma = problem.diffusion((i + 1) * dt, X_next[0])
         self.sigma_inv = problem.diffusion_inverse((i + 1) * dt, X_next[0])
 
-    def targets(self, alpha_next):
-        """(y_hat_i, y_next) of every edge under alpha_{i+1}."""
-        y_next = self.phi_next @ alpha_next
-        grad_next = value_grad(self.X_next, alpha_next, self.lower, self.upper)
-        choice = _best_candidates(self.ells, self.F, value_grad(self.X_prev, alpha_next, self.lower, self.upper))
-        k = np.arange(len(choice))
+    def targets(self, alphas):
+        """(y_hat_i, y_next), each (L, B), of every edge under each row
+        alpha_{i+1} of the (L, p) stack `alphas`; row l equals the targets
+        of alphas[l] alone."""
+        # one product per row: a stacked product could round differently
+        y_next = np.stack([self.phi_next @ alpha for alpha in alphas])
+        stack = alphas[:, None, :]
+        grad_next = value_grad(self.X_next, stack, self.lower, self.upper)
+        choice = _best_candidates(self.ells, self.F, value_grad(self.X_prev, stack, self.lower, self.upper))
+        k = np.arange(choice.shape[1])
         f_mu, ell_mu = self.F[k, choice], self.ells[k, choice]
         Z = grad_next @ self.sigma  # z = sigma' grad
         D = (f_mu - self.K) @ self.sigma_inv.T
-        return y_next + (ell_mu + np.sum(Z * D, axis=1)) * self.dt, y_next
+        return y_next + (ell_mu + np.sum(Z * D, axis=-1)) * self.dt, y_next
 
 
 def _edge_targets(
@@ -168,7 +174,9 @@ def _edge_targets(
     Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
     """
     phi_next = features(X_next, lower, upper)
-    return _EdgeDesign(problem, dt, i, X_prev, K, X_next, phi_next, lower, upper).targets(alpha_next)
+    design = _EdgeDesign(problem, dt, i, X_prev, K, X_next, phi_next, lower, upper)
+    y_hat, y_next = design.targets(np.asarray(alpha_next, dtype=float)[None, :])
+    return y_hat[0], y_next[0]
 
 
 @dataclass
@@ -274,12 +282,15 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         if i > 0:
             phi_next = features(tree.layer_states(i), lower, upper)
             phi_prev = phi_next[tree.layer(i + 1).parents]
-        shared_alpha = shared = None
+        # lambdas that hold the same alpha_{i+1} (all of them at layer N-1,
+        # where it is alpha_N) share one row of the stacked targets
+        alphas = {id(f.alphas[-1]): f.alphas[-1] for f in live}
+        row = {key: r for r, key in enumerate(alphas)}
+        y_hats, y_nexts = design.targets(np.array(list(alphas.values())))
         for f in live:
-            if f.alphas[-1] is not shared_alpha:  # lambdas share alpha_N
-                shared_alpha, shared = f.alphas[-1], design.targets(f.alphas[-1])
-            y_hat, y_next = shared
-            f.rho[i + 1] = path_heuristic(run_costs, y_next)
+            r = row[id(f.alphas[-1])]
+            y_hat = y_hats[r]
+            f.rho[i + 1] = path_heuristic(run_costs, y_nexts[r])
             if i == 0:
                 f.initial_value_samples = y_hat
                 continue
@@ -355,12 +366,14 @@ def rollout_policies(
     sqrt_dt = np.sqrt(grid.dt)
     rows = np.arange(L * count)
     blocks = [slice(b * count, (b + 1) * count) for b in range(L)]
+    # (L, 1, .) stacks: block b's states take policy b's coefficients and box
+    alphas = np.stack([c.alphas[:N] for c in coefficients])[:, None]
+    lower = np.stack([c.lower for c in coefficients])[:, None]
+    upper = np.stack([c.upper for c in coefficients])[:, None]
     for i in range(N):
         t = i * grid.dt
         ells, F = _drifts_and_costs(problem, t, X, cands)
-        grad = np.concatenate(
-            [value_grad(X[block], c.alpha(i + 1), c.lower, c.upper) for block, c in zip(blocks, coefficients)]
-        )
+        grad = value_grad(X.reshape(L, count, n), alphas[:, :, i], lower, upper).reshape(-1, n)
         choice = _best_candidates(ells, F, grad)
         for b, block in enumerate(blocks):
             control_counts[b, i] = np.bincount(choice[block], minlength=len(cands))

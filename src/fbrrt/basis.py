@@ -79,25 +79,30 @@ def value_eval(x, alpha, lower, upper):
 
 
 def value_grad(x, alpha, lower, upper) -> np.ndarray:
-    """Gradient of V at x; accepts (n,) or (B, n), returns matching shape."""
+    """Gradient of V at x, of shape (..., n).
+
+    States x (..., n), coefficients alpha (..., p) and the box broadcast
+    over their leading axes: an (L, 1, p) stack of coefficients on (B, n)
+    states gives the (L, B, n) gradients of every state under each, and on
+    (L, count, n) states the gradients of block l under alpha[l].  Every
+    entry rounds as it does for one state and one coefficient vector.
+    """
     alpha = np.asarray(alpha, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     z = _scale(x, lower, upper)
-    squeeze = z.ndim == 1
-    z = np.atleast_2d(z)
-    B, n = z.shape
-    if alpha.shape[0] != feature_count(n):
-        raise ValueError(f"coefficient dimension {alpha.shape[0]} != feature dimension {feature_count(n)}")
+    n = z.shape[-1]
+    if alpha.shape[-1] != feature_count(n):
+        raise ValueError(f"coefficient dimension {alpha.shape[-1]} != feature dimension {feature_count(n)}")
     scale = 2.0 / (upper - lower)
-    grad = np.zeros((B, n))
+    grad = np.empty(np.broadcast_shapes(z.shape, alpha.shape[:-1] + (n,)))
     for k in range(n):
-        grad[:, k] = (alpha[1 + k] + alpha[1 + n + k] * 4.0 * z[:, k]) * scale[k]
+        grad[..., k] = (alpha[..., 1 + k] + alpha[..., 1 + n + k] * 4.0 * z[..., k]) * scale[..., k]
     for c, (j, k) in enumerate(_cross_pairs(n)):
-        a = alpha[1 + 2 * n + c]
-        grad[:, j] += a * z[:, k] * scale[j]
-        grad[:, k] += a * z[:, j] * scale[k]
-    return grad[0] if squeeze else grad
+        a = alpha[..., 1 + 2 * n + c]
+        grad[..., j] += a * z[..., k] * scale[..., j]
+        grad[..., k] += a * z[..., j] * scale[..., k]
+    return grad
 
 
 def weighted_least_squares(phi: np.ndarray, targets: np.ndarray, weights: np.ndarray, ridge: float) -> np.ndarray:

@@ -35,6 +35,16 @@ class ForwardConfig:
             raise ValueError("mixing probabilities must lie in [0, 1]")
 
 
+def apply_diffusion(sigma: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sigma w for every row w of W (..., n), summed one state dimension at a
+    time, so that a row rounds the same alone and in any batch; a BLAS
+    product does not once sigma has off-diagonal entries."""
+    out = W[..., :1] * sigma[:, 0]
+    for k in range(1, W.shape[-1]):
+        out += W[..., k : k + 1] * sigma[:, k]
+    return out
+
+
 def _take(out, rows, controls, choice, ells, drifts):
     """Write the chosen control, its drift and its running cost of every row
     of a (rows, controls) product into `out` = (controls, drifts, costs)."""
@@ -66,9 +76,8 @@ def forward_expand(
     neighbours over those prefixes, controls, drifts, Euler-Maruyama steps)
     grows the tree the node-by-node pass grows.  This is why
     `fbrrt.problem` asks drifts and costs to round each row alike in any
-    batch; the noise enters as one product with sigma per layer, which
-    rounds like a per-node product when sigma is diagonal, as in every
-    shipped problem.  Raises ValueError on a non-finite drift or state.
+    batch, and why the noise enters through `apply_diffusion`.  Raises
+    ValueError on a non-finite drift or state.
     """
     problem, grid = tree.problem, tree.grid
     if not tree.layer_size(0):
@@ -135,7 +144,8 @@ def forward_expand(
                 _take(out, rows, explore_controls, control[ev[rows]], ells, F)
             controls, K, ells = out
             # ids count the expansions in pass order, as node-by-node growth numbers them
-            tree.append_layer(i, parents, controls, K, X + K * dt + noise[ev] @ sigma.T, ells * dt, count + ev)
+            X_next = X + K * dt + apply_diffusion(sigma, noise[ev])
+            tree.append_layer(i, parents, controls, K, X_next, ells * dt, count + ev)
         if not np.isfinite(tree.layer_states(i + 1)).all():
             raise ValueError(f"non-finite state in layer {i + 1}")
     return tree

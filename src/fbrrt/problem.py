@@ -300,9 +300,14 @@ def make_lq_problem(
         return (linear(mat, z) * z).sum(axis=-1)
 
     def drift(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return linear(A, x) + linear(B, u)
+        Ax = linear(A, np.asarray(x, dtype=float))
+        Bu = linear(B, np.asarray(u, dtype=float))
+        # one plane at a time: on a state x control grid a broadcast add
+        # over the short trailing axis costs several times more
+        out = np.empty(np.broadcast_shapes(Ax.shape, Bu.shape))
+        for i in range(n):
+            np.add(Ax[..., i], Bu[..., i], out=out[..., i])
+        return out
 
     def running_cost(t, x, u):
         x = np.asarray(x, dtype=float)

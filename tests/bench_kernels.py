@@ -8,13 +8,16 @@ it.  Run it with
 Inputs are fixed: B = 256 states drawn from the region of interest (the
 width M of the acceptance trees), coefficients drawn once from a seeded
 generator.  A rollout step is a one-step rollout of B chains per policy,
-alone (L=1) and stacked as the lambda search runs it (L=5).
+alone (L=1) and stacked as the lambda search runs it (L=5).  A backward
+layer's targets score B edges under L=5 coefficient vectors in one pass,
+as the lambda search fits five lambdas.  The LQ grid drift is the drift of
+5 x B rollout states under every one of the 21 controls.
 """
 
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores, rollout_policies
+from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
@@ -64,6 +67,26 @@ def test_weighted_least_squares(benchmark):
     weights = np.random.default_rng(1).uniform(0.1, 2.0, size=B)
     fit = benchmark(weighted_least_squares, phi, targets, weights, 1e-8 * B)
     assert np.allclose(fit, alpha, atol=1e-6)
+
+
+@pytest.mark.benchmark(group="backward")
+def test_layer_targets(benchmark):
+    rng = np.random.default_rng(0)
+    X_prev, X_next = LQ.sample_roi(rng, size=B), LQ.sample_roi(rng, size=B)
+    K = LQ.drift(0.0, X_prev, np.asarray(LQ.random_controls)[rng.integers(len(LQ.random_controls), size=B)])
+    box = (LQ.roi_lower, LQ.roi_upper)
+    design = _EdgeDesign(LQ, 0.05, 3, X_prev, K, X_next, features(X_next, *box), *box)
+    alphas = rng.normal(size=(5, feature_count(2)))
+    y_hat, y_next = benchmark(design.targets, alphas)
+    assert y_hat.shape == y_next.shape == (5, B)
+
+
+@pytest.mark.benchmark(group="problem")
+def test_lq_grid_drift(benchmark):
+    X, _ = _inputs(LQ)
+    X = np.concatenate([X] * 5)[:, None, :]
+    U = np.asarray(LQ.control_candidates)[None, :, :]
+    assert benchmark(LQ.drift, 0.3, X, U).shape == (5 * B, 21, 2)
 
 
 @pytest.mark.benchmark(group="rollout_step")

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from fbrrt.backward import (
     BackwardArtifacts,
     BackwardPassError,
+    _best_candidates,
     _candidate_scores,
+    _drifts_and_costs,
     _edge_targets,
+    _EdgeDesign,
     _layer_edge_arrays,
     backward_pass,
     default_lambda_grid,
@@ -139,6 +142,20 @@ def test_candidate_scores_match_pairwise_evaluation(name):
         assert np.array_equal(choice, ref_choice)
 
 
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_stacked_best_candidates_match_one_gradient_at_a_time(name):
+    # an (L, B, n) gradient stack on the shared grid picks, row for row,
+    # what each gradient picks alone, ties included
+    p = policy_problems()[name]
+    rng = np.random.default_rng(7)
+    X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
+    ells, F = _drifts_and_costs(p, 0.3, X, np.asarray(p.control_candidates))
+    grads = np.array([value_grad(X, alpha, p.roi_lower, p.roi_upper) for alpha in random_alphas(p, rng)])
+    stacked = _best_candidates(ells, F, grads)
+    assert stacked.shape == (len(grads), len(X))
+    assert np.array_equal(stacked, np.array([_best_candidates(ells, F, grad) for grad in grads]))
+
+
 # ---------------------------------------------------------------------------
 # regression targets
 
@@ -216,6 +233,25 @@ def test_edge_targets_match_reference(name):
         got = _edge_targets(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
         want = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
+    # one pass over an (L, p) stack of coefficients gives, row for row, the
+    # targets of each coefficient vector alone
+    p = policy_problems()[name]
+    rng = np.random.default_rng(8)
+    X_prev = p.sample_roi(rng, size=50)
+    K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
+    X_next = p.sample_roi(rng, size=50)
+    box = (p.roi_lower, p.roi_upper)
+    design = _EdgeDesign(p, 0.05, 3, X_prev, K, X_next, features(X_next, *box), *box)
+    alphas = np.array(random_alphas(p, rng) + random_alphas(p, rng))
+    y_hat, y_next = design.targets(alphas)
+    assert y_hat.shape == y_next.shape == (len(alphas), 50)
+    for alpha, got_hat, got_next in zip(alphas, y_hat, y_next):
+        want_hat, want_next = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, *box)
+        assert np.array_equal(got_hat, want_hat) and np.array_equal(got_next, want_next)
 
 
 # ---------------------------------------------------------------------------

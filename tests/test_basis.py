@@ -15,6 +15,8 @@ from fbrrt.basis import (
     weighted_least_squares,
 )
 
+from conftest import policy_problems
+
 BOX1 = (np.array([-1.0]), np.array([1.0]))
 BOX2 = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
@@ -91,6 +93,23 @@ def test_value_grad_matches_finite_differences():
     # a batch of states gives, bit for bit, each state's own gradient
     X = rng.uniform(lo - 1, hi + 1, size=(40, 2))
     assert np.array_equal(value_grad(X, alpha, lo, hi), np.array([value_grad(x, alpha, lo, hi) for x in X]))
+
+
+@pytest.mark.parametrize("name", ["heat", "double_integrator", "lq_3d"])  # n = 1, 2, 3
+def test_value_grad_coefficient_stack_matches_single_calls(name):
+    # an (L, 1, p) stack on shared (B, n) states, and on (L, count, n)
+    # blocks of states, gives bit for bit what one call per row gives
+    p = policy_problems()[name]
+    rng = np.random.default_rng(2)
+    box = (p.roi_lower, p.roi_upper)
+    alphas = rng.normal(size=(4, feature_count(p.state_dim)))
+    X = rng.uniform(p.roi_lower - 1, p.roi_upper + 1, size=(30, p.state_dim))
+    shared = value_grad(X, alphas[:, None, :], *box)
+    assert shared.shape == (4, 30, p.state_dim)
+    assert np.array_equal(shared, np.array([value_grad(X, a, *box) for a in alphas]))
+    blocks = X[:28].reshape(4, 7, p.state_dim)
+    stacked = value_grad(blocks, alphas[:, None, :], *box)
+    assert np.array_equal(stacked, np.array([value_grad(x, a, *box) for x, a in zip(blocks, alphas)]))
 
 
 def test_value_eval_dimension_mismatch():

@@ -5,7 +5,7 @@ import pytest
 
 from fbrrt.backward import target_policy_batch
 from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
-from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
+from fbrrt.forward import ForwardConfig, apply_diffusion, forward_expand, parallel_forward_baseline
 from fbrrt.problem import (
     ControlProblem,
     TimeGrid,
@@ -25,9 +25,11 @@ from conftest import scalar_problem
 
 
 def euler_maruyama_step(problem, dt, t, x, k, w):
-    """x + k dt + sigma(t, x) w, with w ~ N(0, dt I) supplied by the caller."""
+    """x + k dt + sigma(t, x) w, with w ~ N(0, dt I) supplied by the caller;
+    sigma w is summed as forward_expand sums it for a layer."""
     x = np.asarray(x, dtype=float)
-    return x + np.asarray(k, dtype=float) * dt + problem.diffusion(t, x) @ np.asarray(w, dtype=float)
+    noise = apply_diffusion(problem.diffusion(t, x), np.asarray(w, dtype=float))
+    return x + np.asarray(k, dtype=float) * dt + noise
 
 
 def select_expansion_node(tree, i, config, rng):
@@ -226,6 +228,15 @@ def small_lq_problem():
     )
 
 
+def correlated_noise_lq_problem():
+    # a diffusion with off-diagonal entries, whose BLAS product rounds a
+    # batch of rows unlike one row
+    return make_lq_problem(
+        np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([[0.1], [1.0]]), 0.1 * np.eye(2), np.eye(1), np.eye(2),
+        noise=np.array([[0.3, 0.07], [-0.11, 0.25]]), grid_points=5,
+    )
+
+
 def assert_same_tree(fast, slow):
     assert list(fast.layers) == list(slow.layers)
     for a, b in zip(fast.nodes, slow.nodes):
@@ -236,15 +247,22 @@ def assert_same_tree(fast, slow):
 
 
 @pytest.mark.parametrize(
-    "make_problem", [make_double_integrator_l1, make_pendulum_l1, small_lq_problem, make_uncontrolled_heat]
+    "make_problem",
+    [
+        make_double_integrator_l1,
+        make_pendulum_l1,
+        small_lq_problem,
+        make_uncontrolled_heat,
+        correlated_noise_lq_problem,
+    ],
 )
 @pytest.mark.parametrize("with_coeffs", [False, True])
 def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
     # the batched pass must draw the same numbers in the same order and
     # grow exactly the tree the per-node helpers grow, also where a drift
     # computed for a batch of rows could round differently from one row
-    # (the pendulum's sine, the LQ matrix products); the heat problem's
-    # exploration set differs from its policy candidates
+    # (the pendulum's sine, the LQ matrix products, a non-diagonal sigma);
+    # the heat problem's exploration set differs from its policy candidates
     p = make_problem()
     grid = TimeGrid.from_horizon(p.horizon, 8)
     coeffs = quadratic_value(p, grid.steps) if with_coeffs else None

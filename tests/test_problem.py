@@ -103,6 +103,21 @@ def test_diffusion_inverse_on_samples():
             assert np.max(np.abs(prod - np.eye(p.state_dim))) < 1e-10
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+def test_lq_grid_drift_matches_pairwise_evaluation(n, m):
+    # the (B, C, n) drift on a state x control grid equals, bit for bit,
+    # each (state, control) pair evaluated alone, and A x + B u
+    rng = np.random.default_rng(4)
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+    p = make_lq_problem(A, B, np.eye(n), np.eye(m), np.eye(n), noise=0.3, grid_points=5)
+    X = p.sample_roi(rng, size=12)
+    cands = np.asarray(p.control_candidates)
+    grid = p.drift(0.3, X[:, None, :], cands[None, :, :])
+    assert grid.shape == (len(X), len(cands), n)
+    assert np.array_equal(grid, np.array([[p.drift(0.3, x, u) for u in cands] for x in X]))
+    assert np.allclose(grid, (X @ A.T)[:, None, :] + (cands @ B.T)[None, :, :])
+
+
 def test_batched_drift_matches_scalar():
     p = make_pendulum_l1()
     rng = np.random.default_rng(3)
