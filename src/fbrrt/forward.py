@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import backward
+from . import backward, draws
 from .basis import ValueCoefficients
 from .problem import ControlProblem, TimeGrid
 from .tree import BranchTree, default_metric_weights
@@ -54,6 +54,21 @@ def _take(out, rows, controls, choice, ells, drifts):
     out[0][rows], out[1][rows], out[2][rows] = controls[choice], drifts[k, choice], ells[k, choice]
 
 
+def expansion_schedule(sizes, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer each expansion picks a node from, in pass order, and that
+    layer's width at its turn, for a tree of layer sizes `sizes`.
+
+    Pass p expands layer i into layer i+1 while layer i+1 is short of M.
+    By then layer i has grown by one node in each of passes 0..p, up to
+    its own shortfall; the roots never grow.
+    """
+    sizes = np.asarray(sizes)
+    grows = np.maximum(M - sizes, 0)
+    grows[0] = 0
+    passes, layer = np.nonzero(np.arange(M)[:, None] < grows[1:])
+    return layer, sizes[layer] + np.minimum(passes + 1, grows[layer])
+
+
 def forward_expand(
     tree: BranchTree,
     coeffs: Optional[ValueCoefficients],
@@ -68,9 +83,13 @@ def forward_expand(
     later passes over layer i.
 
     Which random numbers an expansion draws depends only on its own coin
-    flips and on layer widths, and the schedule alone fixes the widths.  So
-    the pass first replays the schedule on the widths, drawing the same
-    numbers in the same order as growing one node at a time, and then grows
+    flips and on layer widths, and the schedule alone fixes the widths
+    (`expansion_schedule`).  So the pass first replays the schedule on the
+    widths, drawing the same numbers in the same order as growing one node
+    at a time.  `fbrrt.draws.replay` does this from the generator's raw
+    PCG64 words in bulk, through an exact model of numpy's samplers, and
+    leaves `rng` in the state the node-by-node calls leave it in; any bit
+    generator other than PCG64 raises TypeError.  Then the pass grows
     the tree a layer at a time: an expansion of layer i sees the prefix of
     layer i that existed at its turn, so one batch per layer (nearest
     neighbours over those prefixes, controls, drifts, Euler-Maruyama steps)
@@ -89,29 +108,14 @@ def forward_expand(
     explore_controls = np.asarray(problem.random_controls, dtype=float)
     exploit, eps_rrt, eps_opt = coeffs is not None, config.eps_rrt, config.eps_opt
 
-    # Replay.  Per expansion: its layer, that layer's width at its turn, the
-    # uniformly drawn position (-1 for an RRT pick, whose ROI target goes to
-    # `target`), the exploration control (-1 to exploit) and the noise.
-    sizes, count = tree.layer_sizes, len(tree.nodes)
-    E = sum(max(M - size, 0) for size in sizes[1:])
-    layer, width, pos, control = (np.empty(E, dtype=np.intp) for _ in range(4))
-    target, noise = np.zeros((E, n)), np.empty((E, n))  # only RRT picks fill their target row
-    uniform, integers, standard_normal = rng.random, rng.integers, rng.standard_normal
-    e = 0
-    for _ in range(M):
-        for i in range(N):
-            if sizes[i + 1] >= M:
-                continue
-            layer[e], width[e] = i, sizes[i]
-            if eps_rrt > uniform():
-                uniform(out=target[e])
-                pos[e] = -1
-            else:
-                pos[e] = integers(sizes[i])
-            control[e] = -1 if exploit and eps_opt > uniform() else integers(len(explore_controls))
-            standard_normal(out=noise[e])
-            sizes[i + 1] += 1
-            e += 1
+    # Replay.  Per expansion: the uniformly drawn position (-1 for an RRT
+    # pick, whose ROI target goes to `target`), the exploration control (-1
+    # to exploit) and the noise.
+    count = len(tree.nodes)
+    layer, width = expansion_schedule(tree.layer_sizes, M)
+    pos, control, target, noise = draws.replay(
+        rng, width.tolist(), n, eps_rrt, eps_opt if exploit else None, len(explore_controls)
+    )
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and
     # rng.normal(0, s) is 0.0 + s * rng.standard_normal(), draw for draw
     roi_lower = np.asarray(problem.roi_lower, dtype=float)

@@ -11,14 +11,21 @@ generator.  A rollout step is a one-step rollout of B chains per policy,
 alone (L=1) and stacked as the lambda search runs it (L=5).  A backward
 layer's targets score B edges under L=5 coefficient vectors in one pass,
 as the lambda search fits five lambdas.  The LQ grid drift is the drift of
-5 x B rollout states under every one of the 21 controls.
+5 x B rollout states under every one of the 21 controls.  The forward
+replay draws one iteration's random numbers for the di-tree workload's
+tree (M = B, 30 steps): a fresh one (7680 expansions, pure exploration, as
+in iteration 1) and one pruned to 0.3 (exploiting, as in later
+iterations), in bulk from PCG64 words and by the scalar Generator calls
+the bulk replay reproduces.
 """
 
 import numpy as np
 import pytest
 
+from fbrrt import draws
 from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
+from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
 
@@ -111,3 +118,33 @@ def test_nearest_positions(benchmark):
     widths = np.full(B, B)
     out = benchmark(tree.nearest_positions, 0, queries, widths, default_metric_weights(DI))
     assert out.shape == (B,) and out.max() < B
+
+
+def _replay_schedules():
+    """(widths, eps_rrt, eps_opt) of one iteration of a fresh and of a
+    pruned di-tree tree."""
+    grid = TimeGrid.from_horizon(DI.horizon, 30)
+    tree = BranchTree(DI, grid)
+    tree.add_root()
+    fresh = tree.layer_sizes
+    forward_expand(tree, None, ForwardConfig(target_width=B), np.random.default_rng(0))
+    pruned = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3).layer_sizes
+    return {
+        "fresh": (expansion_schedule(fresh, B)[1].tolist(), 1.0, None),
+        "pruned": (expansion_schedule(pruned, B)[1].tolist(), 0.7, 0.7),
+    }
+
+
+REPLAY_SCHEDULES = _replay_schedules()
+
+
+@pytest.mark.benchmark(group="forward_replay")
+@pytest.mark.parametrize("layers", ["fresh", "pruned"])
+@pytest.mark.parametrize("replay", [draws.replay, draws.replay_scalar], ids=["bulk", "scalar"])
+def test_forward_replay(benchmark, layers, replay):
+    widths, eps_rrt, eps_opt = REPLAY_SCHEDULES[layers]
+    draws.replay(np.random.default_rng(0), [1], 2, eps_rrt, eps_opt, 3)  # tables read before timing
+    pos, *_ = benchmark(
+        lambda: replay(np.random.default_rng(0), widths, 2, eps_rrt, eps_opt, len(DI.random_controls))
+    )
+    assert len(pos) == len(widths)

@@ -262,38 +262,53 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
     # grow exactly the tree the per-node helpers grow, also where a drift
     # computed for a batch of rows could round differently from one row
     # (the pendulum's sine, the LQ matrix products, a non-diagonal sigma);
-    # the heat problem's exploration set differs from its policy candidates
+    # the heat problem's exploration set differs from its policy candidates.
+    # Each case starts from one root with a fresh generator, from one root
+    # with a generator that holds a buffered 32-bit half (integers() takes
+    # it first), and from three roots, so that layer 0 is wider than 1.
     p = make_problem()
     grid = TimeGrid.from_horizon(p.horizon, 8)
     coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
-    trees, rng_states = [], []
-    for grow in (forward_expand, grow_node_by_node):
-        tree = BranchTree(p, grid)
-        tree.add_root()
-        rng = np.random.default_rng(21)
-        grow(tree, coeffs, ForwardConfig(target_width=16, eps_rrt=0.5, eps_opt=0.6), rng)
-        grow(tree, coeffs, ForwardConfig(target_width=40), rng)
-        trees.append(tree)
-        rng_states.append(rng.bit_generator.state)
-    fast, slow = trees
-    assert list(fast.layers) == list(slow.layers) and fast.layer_sizes == [1] + [40] * 8
-    assert_same_tree(fast, slow)
-    assert rng_states[0] == rng_states[1]
+    for roots, buffered in ((1, False), (1, True), (3, False)):
+        trees, rng_states = [], []
+        for grow in (forward_expand, grow_node_by_node):
+            tree = BranchTree(p, grid)
+            tree.add_roots(p.initial_state + 0.1 * np.arange(roots)[:, None])
+            rng = np.random.default_rng(21)
+            if buffered:
+                rng.integers(5)
+            grow(tree, coeffs, ForwardConfig(target_width=16, eps_rrt=0.5, eps_opt=0.6), rng)
+            grow(tree, coeffs, ForwardConfig(target_width=40), rng)
+            trees.append(tree)
+            rng_states.append(rng.bit_generator.state)
+        fast, slow = trees
+        assert list(fast.layers) == list(slow.layers) and fast.layer_sizes == [roots] + [40] * 8
+        assert_same_tree(fast, slow)
+        assert rng_states[0] == rng_states[1]
 
-    # regrow pruned trees of unequal widths whose widest layers are already
-    # full: their turns in the schedule must draw nothing
-    trees, rng_states = [], []
-    for tree, grow in ((fast, forward_expand), (slow, grow_node_by_node)):
-        tree = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3)
-        M = max(tree.layer_sizes[1:])
-        assert min(tree.layer_sizes[1:]) < M
-        rng = np.random.default_rng(22)
-        grow(tree, coeffs, ForwardConfig(target_width=M, eps_rrt=0.5, eps_opt=0.6), rng)
-        trees.append(tree)
-        rng_states.append(rng.bit_generator.state)
-    assert trees[0].layer_sizes == [1] + [M] * 8
-    assert_same_tree(*trees)
-    assert rng_states[0] == rng_states[1]
+        # regrow pruned trees of unequal widths whose widest layers are
+        # already full: their turns in the schedule must draw nothing
+        trees, rng_states = [], []
+        for tree, grow in ((fast, forward_expand), (slow, grow_node_by_node)):
+            tree = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3)
+            M = max(tree.layer_sizes[1:])
+            assert min(tree.layer_sizes[1:]) < M
+            rng = np.random.default_rng(22)
+            grow(tree, coeffs, ForwardConfig(target_width=M, eps_rrt=0.5, eps_opt=0.6), rng)
+            trees.append(tree)
+            rng_states.append(rng.bit_generator.state)
+        assert trees[0].layer_sizes == [roots] + [M] * 8
+        assert_same_tree(*trees)
+        assert rng_states[0] == rng_states[1]
+
+
+def test_forward_expand_requires_pcg64():
+    # the pass replays PCG64 words; there is no scalar fallback
+    p = scalar_problem()
+    tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 2))
+    tree.add_root()
+    with pytest.raises(TypeError, match="PCG64"):
+        forward_expand(tree, None, ForwardConfig(target_width=4), np.random.Generator(np.random.MT19937(0)))
 
 
 @pytest.mark.parametrize("with_coeffs, eps_opt", [(False, 1.0), (True, 1.0), (True, 0.0)])
