@@ -86,6 +86,10 @@ class SolverConfig:
             raise ValueError("iterations must be >= 1")
         if self.M < 2:
             raise ValueError("M must be >= 2")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.rollout_count < 1:
+            raise ValueError("rollout_count must be >= 1")
         for name in ("eps_rrt", "eps_opt"):
             v = getattr(self, name)
             if not 0 <= v <= 1:

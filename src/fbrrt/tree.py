@@ -13,8 +13,10 @@ built on demand for callers that look at one node at a time.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -123,11 +125,11 @@ class BranchTree:
         i, j = self._position(parent_id)
         if i >= self.grid.steps:
             raise ValueError("cannot expand a node at the terminal layer")
-        drift = np.asarray(drift, dtype=float)
-        if not np.all(np.isfinite(drift)):
+        # math.isfinite on a list of floats costs a tenth of np.isfinite on one short row
+        if not all(map(math.isfinite, drift.tolist() if isinstance(drift, np.ndarray) else drift)):
             raise ValueError("drift must be finite")
-        control = np.asarray(control, dtype=float)
         if cost_increment is None:
+            control = np.asarray(control, dtype=float)
             cost_increment = float(self.problem.running_cost(i * self.grid.dt, self._state[i, j], control)) * self.grid.dt
         c, pos, node_id = i + 1, self._size[i + 1], self._count
         if pos == self._width:
@@ -180,7 +182,7 @@ class BranchTree:
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")
-        return int(self._layer_of[node_id % self._count]), int(self._pos_of[node_id % self._count])
+        return self._layer_of.item(node_id % self._count), self._pos_of.item(node_id % self._count)
 
     def _node_at(self, i: int, j: int) -> TreeNode:
         root = i == 0
@@ -302,15 +304,17 @@ class BranchTree:
         layer, pos = self._layer_of[: self._count], self._pos_of[: self._count]
         parent = np.where(layer > 0, self._id[layer - 1, self._parent[layer, pos]], -1)
         columns = [self._state, self._drift, self._control, self._run_cost, rho]
-        table = np.column_stack([np.arange(self._count), layer, parent] + [a[layer, pos] for a in columns])
         header = [f"{c}{k}" for c, d in (("x", n), ("k", n), ("u", m)) for k in range(d)]
-        values = ",%.12g" * (2 * n + m + 2) + "\r\n"  # the csv module's default line end
-        row_format, root_format = "%d,%d,%d" + values, "%d,%d,%.0s" + values  # %.0s prints nothing
+        row_format = "%d,%d,%s" + ",%.12g" * (2 * n + m + 2) + "\r\n"  # the csv module's default line end
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["id", "time_index", "parent_id"] + header + ["run_cost", "rho"]) + "\r\n")
             for start in range(0, self._count, 4096):  # a block at a time: no whole-file string
-                rows = table[start : start + 4096].tolist()
-                fh.writelines((row_format if row[2] >= 0 else root_format) % tuple(row) for row in rows)
+                stop = min(start + 4096, self._count)
+                at = layer[start:stop], pos[start:stop]
+                parents = [p if p >= 0 else "" for p in parent[start:stop].tolist()]
+                values = np.column_stack([a[at] for a in columns]).T.tolist()
+                rows = zip(range(start, stop), at[0].tolist(), parents, *values)
+                fh.write(row_format * (stop - start) % tuple(chain.from_iterable(rows)))
 
 
 def default_metric_weights(problem: ControlProblem) -> np.ndarray:

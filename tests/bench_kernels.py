@@ -16,7 +16,10 @@ replay draws one iteration's random numbers for the di-tree workload's
 tree (M = B, 30 steps): a fresh one (7680 expansions, pure exploration, as
 in iteration 1) and one pruned to 0.3 (exploiting, as in later
 iterations), in bulk from PCG64 words and by the scalar Generator calls
-the bulk replay reproduces.
+the bulk replay reproduces.  The chains kernels are those of the
+di-chains-out workload (M = 512, 30 steps): one layer of 512 chains
+appended node by node through `add_edge`, and `dump_csv` of one
+iteration's chains tree (15,360 edges, 15,872 rows with the roots).
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ import pytest
 from fbrrt import draws
 from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
-from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand
+from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
 
@@ -118,6 +121,43 @@ def test_nearest_positions(benchmark):
     widths = np.full(B, B)
     out = benchmark(tree.nearest_positions, 0, queries, widths, default_metric_weights(DI))
     assert out.shape == (B,) and out.max() < B
+
+
+CHAINS = 512
+
+
+@pytest.mark.benchmark(group="tree")
+def test_chains_layer_add_edge(benchmark):
+    # one chains step from the root layer, as `parallel_forward_baseline` makes it
+    rng = np.random.default_rng(0)
+    grid = TimeGrid.from_horizon(DI.horizon, 30)
+    X = np.tile(DI.initial_state, (CHAINS, 1))
+    U = np.asarray(DI.random_controls)[rng.integers(len(DI.random_controls), size=CHAINS)]
+    K = DI.drift(0.0, X, U)
+    X_next = X + K * grid.dt + rng.normal(size=X.shape) * np.sqrt(grid.dt) @ DI.diffusion(0.0, X[0]).T
+    costs = (DI.running_cost(0.0, X, U) * grid.dt).tolist()
+
+    def fresh_tree():
+        tree = BranchTree(DI, grid)
+        return (tree, tree.add_roots(X)), {}
+
+    def append(tree, roots):
+        return [tree.add_edge(roots[j], U[j], K[j], X_next[j], cost_increment=costs[j]) for j in range(CHAINS)]
+
+    ids = benchmark.pedantic(append, setup=fresh_tree, rounds=100)
+    assert ids == list(range(CHAINS, 2 * CHAINS))
+
+
+@pytest.mark.benchmark(group="tree")
+def test_chains_dump_csv(benchmark, tmp_path):
+    grid = TimeGrid.from_horizon(DI.horizon, 30)
+    tree = parallel_forward_baseline(
+        DI, grid, CHAINS, None, ForwardConfig(target_width=CHAINS), np.random.default_rng(0)
+    )
+    scores = [None] + [tree.layer(i).run_costs for i in range(1, grid.steps + 1)]
+    out = tmp_path / "tree.csv"
+    benchmark(tree.dump_csv, out, scores)
+    assert len(tree.nodes) == 15872 and out.read_bytes().count(b"\n") == 15873
 
 
 def _replay_schedules():

@@ -76,6 +76,19 @@ def test_config_validation():
         SolverConfig(keep_fraction=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("rollout_count", 0), ("rollout_count", -3), ("steps", 0), ("steps", -1)])
+def test_config_rejects_counts_below_one(field, value):
+    # raised up front, naming the field, rather than deep inside the solve
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_one_step_and_one_rollout():
+    config = SolverConfig(steps=1, rollout_count=1, M=4, iterations=1)
+    assert config.effective_steps() == 1
+    assert len(fbrrt_solve(config).iterations) == 1
+
+
 def test_config_defaults_per_problem():
     assert SolverConfig(problem="pendulum").effective_steps() == 60
     assert SolverConfig(problem="heat").effective_steps() == 20

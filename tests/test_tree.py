@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbrrt.forward import ForwardConfig, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1
 from fbrrt.tree import BranchTree, default_metric_weights
 
@@ -60,8 +61,15 @@ def test_terminal_layer_expansion_rejected(problem):
 
 def test_nonfinite_drift_rejected(problem, grid):
     tree = make_tree(problem, grid)
-    with pytest.raises(ValueError):
-        tree.add_edge(0, np.array([0.0]), np.array([np.nan, 0.0]), np.zeros(2))
+    child = tree.add_edge(0, np.array([0.0]), np.zeros(2), np.zeros(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        for drift in ([bad, 0.0], [0.0, bad]):
+            for given in (np.array, list):
+                with pytest.raises(ValueError, match="drift must be finite"):
+                    tree.add_edge(child, [0.0], given(drift), np.zeros(2))
+                # rejected before anything is stored
+                assert tree.layer_sizes[:3] == [1, 1, 0] and len(tree.nodes) == 2
+    assert tree.add_edge(child, [0.0], [0.0, 1.0], np.zeros(2)) == 2
 
 
 def chain(tree, length, u=np.array([1.0])):
@@ -277,3 +285,51 @@ def test_dump_csv(tmp_path, problem):
         "id", "time_index", "parent_id", "x0", "x1", "k0", "k1", "u0", "run_cost", "rho",
     ]
     assert len(lines) == len(tree.nodes) + 1
+
+
+def reference_csv(tree, scores) -> bytes:
+    """The per-row writer `dump_csv` replaced: a float64 table in id order,
+    one `%` per row, roots formatted without their -1 parent."""
+    n, m = tree.problem.state_dim, tree.problem.control_dim
+    blocks = []
+    for i, size in enumerate(tree.layer_sizes):
+        layer = tree.layer(i)
+        rho = np.full(size, np.nan)
+        if scores is not None and i < len(scores) and scores[i] is not None:
+            rho[: min(len(scores[i]), size)] = scores[i][:size]
+        parents = tree.layer(i - 1).ids[layer.parents] if i else np.full(size, -1)
+        columns = [layer.ids, np.full(size, i), parents, layer.states, layer.drifts, layer.controls]
+        blocks.append(np.column_stack(columns + [layer.run_costs, rho]))
+    table = np.concatenate(blocks)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    header = [f"{c}{k}" for c, d in (("x", n), ("k", n), ("u", m)) for k in range(d)]
+    values = ",%.12g" * (2 * n + m + 2) + "\r\n"
+    row_format, root_format = "%d,%d,%d" + values, "%d,%d,%.0s" + values
+    lines = [",".join(["id", "time_index", "parent_id"] + header + ["run_cost", "rho"]) + "\r\n"]
+    lines += [(row_format if row[2] >= 0 else root_format) % tuple(row) for row in table.tolist()]
+    return "".join(lines).encode()
+
+
+def test_dump_csv_matches_the_per_row_writer(tmp_path):
+    # Scratch mutations of `dump_csv` this test fails on: a block of 4095
+    # rows or a block edge one row off, a root's parent printed as -1, a
+    # `+ 0.0` on the float columns (prints -0.0 as 0), "%.12f" or "%s" for
+    # the values, and rho aligned from the wrong end of a short score list.
+    problem = make_double_integrator_l1(initial_state=(-0.0, 2.5e-7))
+    grid = TimeGrid.from_horizon(problem.horizon, 9)
+    tree = parallel_forward_baseline(problem, grid, 512, None, ForwardConfig(target_width=512), np.random.default_rng(8))
+    assert len(tree.nodes) == 5120  # a full 4096-row block and a partial one
+    rng = np.random.default_rng(9)
+    scores = [None] * 6
+    scores[1] = rng.normal(size=512) * 10.0 ** rng.integers(-30, 30, size=512)  # exponent notation
+    scores[3] = np.where(rng.uniform(size=512) < 0.5, -0.0, 1e-300)
+    scores[4] = rng.normal(size=300)  # shorter than its layer
+    scores[5] = np.array([np.inf, -np.inf, np.nan, 123456789012345.0, 0.1] * 103)[:512]
+    # layers 0 and 2 are None, layers 6-9 have no entry
+    out = tmp_path / "tree.csv"
+    tree.dump_csv(out, scores=scores)
+    text = out.read_bytes()
+    assert b"-0," in text and b"e-" in text and b"e+" in text
+    assert text == reference_csv(tree, scores)
+    tree.dump_csv(out)
+    assert out.read_bytes() == reference_csv(tree, None)
