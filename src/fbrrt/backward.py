@@ -72,7 +72,12 @@ def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.nd
     for k in range(1, F.shape[2]):
         dot += F[..., k] * grad[..., None, k]
     scores = ells + dot
-    best = scores.min(axis=-1, keepdims=True)
+    first = scores.argmin(axis=-1)
+    best = np.take_along_axis(scores, first[..., None], axis=-1)
+    # argmin stops at a NaN, so a NaN best means a NaN row; otherwise each
+    # row matches its best once, and a larger count means a tie somewhere
+    if not np.isnan(best).any() and np.count_nonzero(scores == best) == first.size:
+        return first
     tie_ell = np.where(scores == best, ells, np.inf)
     return np.argmin(tie_ell, axis=-1)  # first occurrence = lowest index
 

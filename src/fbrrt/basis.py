@@ -118,8 +118,8 @@ def weighted_least_squares(phi: np.ndarray, targets: np.ndarray, weights: np.nda
         raise ValueError("row counts of features, targets, and weights must agree")
     if np.any(weights < 0) or not np.any(weights > 0):
         raise ValueError("weights must be nonnegative with at least one positive")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:  # also refuses NaN, which every comparison below would let through
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     p = phi.shape[1]
     sw = np.sqrt(weights)
     A = phi * sw[:, None]

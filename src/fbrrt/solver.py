@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,8 +37,9 @@ from .tree import BranchTree
 
 
 class SolverError(RuntimeError):
-    """A solve that stopped.  `iteration`, `phase` ("forward", "backward"
-    or "rollout") and `layer` (from a BackwardPassError, else None) say
+    """A solve that stopped.  `iteration`, `phase` ("forward", "backward",
+    "rollout" or "output", the last for an iteration's CSV files that could
+    not be written) and `layer` (from a BackwardPassError, else None) say
     where; they are None for an error raised outside the iteration loop."""
 
     def __init__(self, message: str, iteration: Optional[int] = None, phase: Optional[str] = None, layer=None):
@@ -96,6 +101,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be None or finite and >= 0, got {self.ridge}")
 
     def build_problem(self) -> ControlProblem:
         return PROBLEM_FACTORIES[self.problem](**self.problem_overrides)
@@ -131,7 +138,9 @@ class IterationStats:
     residual_total: float
     layer_widths: list
     control_counts: list
-    wall_time: float  # excluded from the canonical report
+    # excluded from the canonical report; the CSV files are written by a
+    # child process, so only the wait for the previous one counts here
+    wall_time: float
 
 
 @dataclass
@@ -203,67 +212,71 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
         out_dir = Path(config.out_dir) / run_id
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    for it in range(1, config.iterations + 1):
-        t_start = time.perf_counter()
-        first = coeffs is None
-        fwd = ForwardConfig(
-            target_width=config.M,
-            eps_rrt=1.0 if first else config.eps_rrt,
-            eps_opt=0.0 if first else config.eps_opt,
-        )
-        try:
-            if config.mode == "fbrrt":
-                forward_expand(tree, coeffs, fwd, forward_rng)
-            else:
-                tree = parallel_forward_baseline(problem, grid, config.M, coeffs, fwd, forward_rng)
-        except ValueError as exc:
-            raise SolverError.at(it, "forward", exc) from exc
-        try:
-            if config.lambda_search:
-                artifacts = bw.lambda_search(
-                    tree,
-                    bw.default_lambda_grid(tree),
-                    config.rollout_count,
-                    seed=config.seed * 1_000_003 + it,
-                    ridge=config.ridge,
+    writer = _CsvWriter()
+    try:
+        for it in range(1, config.iterations + 1):
+            t_start = time.perf_counter()
+            first = coeffs is None
+            fwd = ForwardConfig(
+                target_width=config.M,
+                eps_rrt=1.0 if first else config.eps_rrt,
+                eps_opt=0.0 if first else config.eps_opt,
+            )
+            try:
+                if config.mode == "fbrrt":
+                    forward_expand(tree, coeffs, fwd, forward_rng)
+                else:
+                    tree = parallel_forward_baseline(problem, grid, config.M, coeffs, fwd, forward_rng)
+            except ValueError as exc:
+                raise SolverError.at(it, "forward", exc) from exc
+            try:
+                if config.lambda_search:
+                    artifacts = bw.lambda_search(
+                        tree,
+                        bw.default_lambda_grid(tree),
+                        config.rollout_count,
+                        seed=config.seed * 1_000_003 + it,
+                        ridge=config.ridge,
+                    )
+                else:
+                    lam = config.lam if config.lam is not None else float(bw.default_lambda_grid(tree)[2])
+                    artifacts = bw.backward_pass(tree, lam, ridge=config.ridge)
+            except (bw.BackwardPassError, ValueError) as exc:
+                raise SolverError.at(it, "backward", exc) from exc
+            coeffs = artifacts.coefficients
+            try:
+                rollout = rollout_policy(
+                    problem, grid, coeffs, problem.initial_state, config.rollout_count, _iteration_rng(config.seed, it, 1)
                 )
-            else:
-                lam = config.lam if config.lam is not None else float(bw.default_lambda_grid(tree)[2])
-                artifacts = bw.backward_pass(tree, lam, ridge=config.ridge)
-        except (bw.BackwardPassError, ValueError) as exc:
-            raise SolverError.at(it, "backward", exc) from exc
-        coeffs = artifacts.coefficients
-        try:
-            rollout = rollout_policy(
-                problem, grid, coeffs, problem.initial_state, config.rollout_count, _iteration_rng(config.seed, it, 1)
+                if not np.isfinite(rollout.mean_cost):
+                    raise ValueError(f"non-finite rollout mean cost {rollout.mean_cost}")
+            except ValueError as exc:
+                raise SolverError.at(it, "rollout", exc) from exc
+            acc_min = min(acc_min, rollout.mean_cost)
+            widths = tree.layer_sizes
+            if out_dir is not None:
+                writer.start(it, out_dir, tree, artifacts.rho, rollout)
+            if config.mode == "fbrrt" and it < config.iterations:
+                tree = tree.prune(artifacts.rho, config.keep_fraction)
+            stats.append(
+                IterationStats(
+                    iteration=it,
+                    mean_cost=rollout.mean_cost,
+                    std_cost=rollout.std_cost,
+                    accumulated_min=acc_min,
+                    lam=artifacts.lam,
+                    ess_min=float(np.min(artifacts.ess)),
+                    ess_mean=float(np.mean(artifacts.ess)),
+                    residual_total=float(np.sum(artifacts.residual_norms)),
+                    layer_widths=widths,
+                    control_counts=rollout.control_counts.tolist(),
+                    # the whole iteration, prune included
+                    wall_time=time.perf_counter() - t_start,
+                )
             )
-            if not np.isfinite(rollout.mean_cost):
-                raise ValueError(f"non-finite rollout mean cost {rollout.mean_cost}")
-        except ValueError as exc:
-            raise SolverError.at(it, "rollout", exc) from exc
-        acc_min = min(acc_min, rollout.mean_cost)
-        widths = tree.layer_sizes
-        if out_dir is not None:
-            tree.dump_csv(out_dir / f"{it:02d}.tree.csv", scores=artifacts.rho)
-            _dump_rollouts_csv(out_dir / f"{it:02d}.rollouts.csv", rollout)
-        if config.mode == "fbrrt" and it < config.iterations:
-            tree = tree.prune(artifacts.rho, config.keep_fraction)
-        stats.append(
-            IterationStats(
-                iteration=it,
-                mean_cost=rollout.mean_cost,
-                std_cost=rollout.std_cost,
-                accumulated_min=acc_min,
-                lam=artifacts.lam,
-                ess_min=float(np.min(artifacts.ess)),
-                ess_mean=float(np.mean(artifacts.ess)),
-                residual_total=float(np.sum(artifacts.residual_norms)),
-                layer_widths=widths,
-                control_counts=rollout.control_counts.tolist(),
-                # the whole iteration, CSV writing and prune included
-                wall_time=time.perf_counter() - t_start,
-            )
-        )
+        writer.wait()
+    finally:
+        writer.reap()
 
     report = RunReport(
         config=config.to_dict(),
@@ -276,6 +289,73 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
     if out_dir is not None:
         report.save(out_dir)
     return report
+
+
+class _CsvWriter:
+    """Writes an iteration's CSV files in a child made by `os.fork`, so the
+    formatting runs on another core while the solve goes on.  The child
+    works on a copy-on-write snapshot of the unpruned tree and the rollout,
+    so nothing is serialised.  At most one child is alive: `start` reaps the
+    previous one first.  A `%` formatting thread would hold the GIL, and a
+    spawned worker would pickle the tree and import the package afresh.
+
+    Where `os.fork` is missing, or more than one Python thread runs (a
+    thread holding a lock at the fork would leave it held in the child),
+    the write runs inline instead."""
+
+    def __init__(self):
+        self.pid: Optional[int] = None
+        self.iteration: Optional[int] = None
+
+    def start(self, iteration: int, out_dir: Path, tree: BranchTree, rho, rollout: RolloutReport) -> None:
+        """Write the iteration's tree and rollout CSV files into `out_dir`."""
+        self.wait()
+        args = (out_dir, iteration, tree, rho, rollout)
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            try:
+                _write_iteration_csvs(*args)
+            except Exception as exc:
+                raise SolverError.at(iteration, "output", exc) from exc
+            return
+        pid = os.fork()
+        if pid == 0:
+            # the child leaves by os._exit whatever happens, so that it never
+            # runs the rest of the solve or the parent's exit handlers
+            code = 1
+            try:
+                _write_iteration_csvs(*args)
+                code = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                try:
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+        self.pid, self.iteration = pid, iteration
+
+    def wait(self) -> None:
+        """Reap the running child; raise SolverError if it failed."""
+        code = self.reap()
+        if code:
+            raise SolverError(
+                f"iteration {self.iteration}: CSV writer exited with status {code} (traceback on stderr)",
+                iteration=self.iteration,
+                phase="output",
+            )
+
+    def reap(self) -> int:
+        """Reap the running child, if any, and return its exit code."""
+        if self.pid is None:
+            return 0
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _write_iteration_csvs(out_dir: Path, it: int, tree: BranchTree, rho, rollout: RolloutReport):
+    tree.dump_csv(out_dir / f"{it:02d}.tree.csv", scores=rho)
+    _dump_rollouts_csv(out_dir / f"{it:02d}.rollouts.csv", rollout)
 
 
 def _dump_rollouts_csv(path, rollout: RolloutReport):

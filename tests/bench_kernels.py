@@ -18,8 +18,11 @@ in iteration 1) and one pruned to 0.3 (exploiting, as in later
 iterations), in bulk from PCG64 words and by the scalar Generator calls
 the bulk replay reproduces.  The chains kernels are those of the
 di-chains-out workload (M = 512, 30 steps): one layer of 512 chains
-appended node by node through `add_edge`, and `dump_csv` of one
-iteration's chains tree (15,360 edges, 15,872 rows with the roots).
+appended node by node through `add_edge`, `dump_csv` of one iteration's
+chains tree (15,360 edges, 15,872 rows with the roots), and one fork, write
+and reap of that tree's and a 256-trajectory rollout's CSV files, as
+`fbrrt_solve` writes each iteration's files with `--out` where `os.fork`
+exists.
 """
 
 import numpy as np
@@ -30,6 +33,7 @@ from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
 from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
+from fbrrt.solver import _CsvWriter, rollout_policy
 from fbrrt.tree import BranchTree, default_metric_weights
 
 B = 256
@@ -148,16 +152,37 @@ def test_chains_layer_add_edge(benchmark):
     assert ids == list(range(CHAINS, 2 * CHAINS))
 
 
-@pytest.mark.benchmark(group="tree")
-def test_chains_dump_csv(benchmark, tmp_path):
+def _chains_tree():
+    """One iteration's chains tree of the di-chains-out workload and scores."""
     grid = TimeGrid.from_horizon(DI.horizon, 30)
     tree = parallel_forward_baseline(
         DI, grid, CHAINS, None, ForwardConfig(target_width=CHAINS), np.random.default_rng(0)
     )
-    scores = [None] + [tree.layer(i).run_costs for i in range(1, grid.steps + 1)]
+    return tree, [None] + [tree.layer(i).run_costs for i in range(1, grid.steps + 1)]
+
+
+@pytest.mark.benchmark(group="tree")
+def test_chains_dump_csv(benchmark, tmp_path):
+    tree, scores = _chains_tree()
     out = tmp_path / "tree.csv"
     benchmark(tree.dump_csv, out, scores)
     assert len(tree.nodes) == 15872 and out.read_bytes().count(b"\n") == 15873
+
+
+@pytest.mark.benchmark(group="tree")
+def test_chains_forked_csv_write(benchmark, tmp_path):
+    tree, scores = _chains_tree()
+    coeffs = ValueCoefficients(np.zeros((tree.grid.steps, feature_count(2))), DI.roi_lower, DI.roi_upper)
+    rollout = rollout_policy(DI, tree.grid, coeffs, DI.initial_state, 256, np.random.default_rng(1))
+    writer = _CsvWriter()
+
+    def fork_write_reap():
+        writer.start(1, tmp_path, tree, scores, rollout)
+        writer.wait()
+
+    benchmark(fork_write_reap)
+    assert (tmp_path / "01.tree.csv").read_bytes().count(b"\n") == 15873
+    assert (tmp_path / "01.rollouts.csv").read_bytes().count(b"\n") == 257
 
 
 def _replay_schedules():

@@ -156,6 +156,56 @@ def test_stacked_best_candidates_match_one_gradient_at_a_time(name):
     assert np.array_equal(stacked, np.array([_best_candidates(ells, F, grad) for grad in grads]))
 
 
+def best_candidates_reference(ells, F, grad):
+    """`_best_candidates` as it was before its no-tie shortcut: a per-row
+    minimum, then the smallest running cost among the tied candidates."""
+    dot = F[..., 0] * grad[..., None, 0]
+    for k in range(1, F.shape[2]):
+        dot += F[..., k] * grad[..., None, k]
+    scores = ells + dot
+    best = scores.min(axis=-1, keepdims=True)
+    return np.argmin(np.where(scores == best, ells, np.inf), axis=-1)
+
+
+def best_candidate_grids(seed, B=60, C=5, n=2, L=3):
+    """(ells, F, grad) grids: float values without ties, small integers
+    that tie scores and running costs, and rows holding NaN, +inf and
+    -inf, each with a (B, n) and an (L, B, n) gradient."""
+    rng = np.random.default_rng(seed)
+    floats = (rng.normal(size=(B, C)), rng.normal(size=(B, C, n)))
+    ints = (rng.integers(0, 3, size=(B, C)).astype(float), rng.integers(-1, 2, size=(B, C, n)).astype(float))
+    special = tuple(a.copy() for a in ints)
+    special[0][0] = np.nan  # a NaN row
+    special[1][1, 2, 0] = np.nan  # one NaN score
+    special[0][2] = np.inf  # every score +inf
+    special[0][3, 1] = np.inf  # one +inf score
+    special[0][4, :2] = -np.inf  # two -inf scores tie
+    special[0][5, 3] = -np.inf  # one -inf score
+    special[1][6, 0, 1] = np.inf  # +inf drift: +inf or -inf or NaN after the gradient
+    for ells, F in (floats, ints, special):
+        for shape in ((B, n), (L, B, n)):
+            yield ells, F, rng.integers(-2, 3, size=shape).astype(float)
+            yield ells, F, rng.normal(size=shape)
+    # a NaN row next to a row whose tie adds the one match the NaN row lacks
+    ells, F = (a.copy() for a in floats)
+    grad = rng.normal(size=(B, n))
+    ells[0, 2] = np.nan
+    ells[1], F[1], grad[1] = 5.0, 0.0, (1.0, 0.0)
+    ells[1, 1], ells[1, 3], F[1, 3, 0] = 1.0, 0.0, 1.0  # scores 1 + 0 and 0 + 1
+    yield ells, F, grad
+    # one candidate: index 0 whatever the score
+    yield special[0][:, :1], special[1][:, :1], rng.normal(size=(L, B, n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_best_candidates_match_the_reference(seed):
+    for ells, F, grad in best_candidate_grids(seed):
+        with np.errstate(invalid="ignore"):
+            got, ref = _best_candidates(ells, F, grad), best_candidates_reference(ells, F, grad)
+        assert got.shape == grad.shape[:-1]
+        assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # regression targets
 

@@ -161,6 +161,14 @@ def test_wls_rejects_bad_weights():
         weighted_least_squares(phi, np.ones(2), np.zeros(2), ridge=0.0)
 
 
+@pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-12])
+def test_wls_rejects_a_ridge_outside_zero_to_inf(ridge):
+    # a NaN ridge used to skip both the ridge rows and the ridge-0 rank check
+    phi = np.ones((4, 3))  # rank 1, so an unchecked fit would pass silently
+    with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+        weighted_least_squares(phi, np.ones(4), np.ones(4), ridge=ridge)
+
+
 @settings(deadline=None, max_examples=30)
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 2**16))
 def test_wls_weight_scaling_invariance(scale, seed):

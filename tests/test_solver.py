@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import os
+import threading
 import time
 
 import numpy as np
@@ -26,6 +29,7 @@ import fbrrt.solver
 from fbrrt.tree import BranchTree
 
 from conftest import policy_problems, scalar_problem
+from test_golden import RUN_CONFIG, RUN_FILES
 
 DI = {
     "A": np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -81,6 +85,12 @@ def test_config_rejects_counts_below_one(field, value):
     # raised up front, naming the field, rather than deep inside the solve
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_config_rejects_a_ridge_outside_zero_to_inf(ridge):
+    with pytest.raises(ValueError, match="ridge must be None or finite and >= 0"):
+        SolverConfig(ridge=ridge)
 
 
 def test_config_accepts_one_step_and_one_rollout():
@@ -260,6 +270,99 @@ def test_solve_report_files(tmp_path):
     data = json.loads((out / "report.json").read_text())
     assert len(data["iterations"]) == 2
     assert len(json.loads((out / "timings.json").read_text())["wall_times"]) == 2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("iteration", [1, 2])
+def test_solve_unwritable_csv_is_an_output_error(iteration, fork, tmp_path, monkeypatch, capfd):
+    # iteration 2 is the last: its writer is reaped before report.save
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    (tmp_path / "t" / f"0{iteration}.tree.csv").mkdir(parents=True)
+    cfg = SolverConfig(**TINY, out_dir=str(tmp_path), run_id="t")
+    with pytest.raises(SolverError, match=f"^iteration {iteration}: ") as err:
+        fbrrt_solve(cfg)
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (iteration, "output", None)
+    assert not (tmp_path / "t" / "report.json").exists()
+    if fork:  # the child prints its traceback
+        assert "IsADirectoryError" in capfd.readouterr().err
+    else:
+        assert isinstance(err.value.__cause__, IsADirectoryError)
+    assert_no_child_left()
+
+
+def test_solve_error_leaves_no_writer_behind(tmp_path, monkeypatch):
+    backward_pass = fbrrt.backward.backward_pass
+
+    def fail_on_second_iteration(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected")
+        return backward_pass(*args, **kwargs)
+
+    calls = []
+    monkeypatch.setattr(fbrrt.backward, "backward_pass", fail_on_second_iteration)
+    with pytest.raises(SolverError, match="injected") as err:
+        fbrrt_solve(SolverConfig(**TINY, out_dir=str(tmp_path), run_id="t"))
+    assert (err.value.iteration, err.value.phase) == (2, "backward")
+    assert_no_child_left()
+    assert (tmp_path / "t" / "01.rollouts.csv").exists()
+
+
+def test_solve_forks_one_writer_at_a_time(tmp_path, monkeypatch):
+    fork = os.fork
+    alive_at_fork = []
+
+    def checked_fork():
+        try:
+            alive_at_fork.append(os.waitpid(-1, os.WNOHANG))  # a running child gives (0, 0)
+        except ChildProcessError:
+            pass
+        return fork()
+
+    monkeypatch.setattr(os, "fork", checked_fork)
+    report = fbrrt_solve(SolverConfig(**{**TINY, "iterations": 3}, out_dir=str(tmp_path), run_id="t"))
+    assert alive_at_fork == []
+    assert_no_child_left()
+    assert sorted(f.name for f in (tmp_path / "t").iterdir()) == sorted(
+        [f"0{k}.{kind}.csv" for k in (1, 2, 3) for kind in ("tree", "rollouts")] + ["report.json", "timings.json"]
+    )
+    assert len(report.iterations) == 3
+
+
+def test_solve_writes_inline_while_another_thread_runs(tmp_path, monkeypatch):
+    # a fork while another thread holds a lock would leave it held in the child
+    def refuse_fork():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        fbrrt_solve(SolverConfig(**TINY, out_dir=str(tmp_path), run_id="t"))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (tmp_path / "t" / "02.tree.csv").exists()
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_FILES))
+def test_run_directory_without_fork_matches_golden_hashes(mode, tmp_path, monkeypatch, capsys):
+    # the inline writer, used where os.fork is missing, writes the same bytes
+    monkeypatch.delattr(os, "fork")
+    config = tmp_path / "run.cfg"
+    config.write_text(RUN_CONFIG)
+    assert main(["run", str(config), "--mode", mode, "--out", str(tmp_path / "out")]) == 0
+    run_dir = tmp_path / "out" / f"double_integrator-{mode}-seed3"
+    got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in RUN_FILES[mode]}
+    assert got == RUN_FILES[mode]
 
 
 # ---------------------------------------------------------------------------
