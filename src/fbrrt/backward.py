@@ -3,7 +3,7 @@
 Walking the tree backward in time, each edge contributes a regression target
 
     y_hat_i = y_{i+1} + (l(t_i, x_i, mu) + z_{i+1}' d_i) dt,
-    d_i = sigma^{-1}(t_{i+1}, x_{i+1}) (f(t_i, x_i, mu) - k_i),
+    d_i = sigma^{-1} (f(t_i, x_i, mu) - k_i),
 
 where mu is the target policy under the current value estimate and k_i the
 drift actually sampled on the edge; the z'd term compensates for sampling
@@ -138,14 +138,13 @@ class _EdgeDesign:
     """What every coefficient vector shares on the edges into layer i+1:
     the parent states X_prev, sampled drifts K, child states X_next and
     their features phi_next, the drift and cost grid of every candidate on
-    the parents, and the diffusion at t_{i+1}."""
+    the parents, and the problem's sigma and its inverse."""
 
     def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, K, X_next, phi_next, lower, upper):
         self.dt, self.X_prev, self.K, self.X_next, self.phi_next = dt, X_prev, K, X_next, phi_next
         self.lower, self.upper = lower, upper
         self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
-        self.sigma = problem.diffusion((i + 1) * dt, X_next[0])
-        self.sigma_inv = problem.diffusion_inverse((i + 1) * dt, X_next[0])
+        self.sigma, self.sigma_inv = problem.sigma, np.linalg.inv(problem.sigma)
 
     def targets(self, alphas):
         """(y_hat_i, y_next), each (L, B), of every edge under each row
@@ -189,7 +188,6 @@ class BackwardArtifacts:
     coefficients: ValueCoefficients
     lam: float
     rho: list  # rho[i] aligned with tree layer i node order, i = 1..N
-    theta: list  # theta[i] softmin weights used at layer i, i = 2..N (None elsewhere)
     residual_norms: np.ndarray  # (N,) weighted residual norm of each fit
     ess: np.ndarray  # (N,) effective sample size of the weights at each fit
     initial_value_samples: np.ndarray  # per root edge y_hat_0; mean estimates V(0, x0)
@@ -214,7 +212,7 @@ class _LambdaFit:
 
     def __init__(self, lam: float, steps: int):
         self.lam, self.alphas = lam, []  # alpha_N, alpha_{N-1}, ...
-        self.rho, self.theta = [None] * (steps + 1), [None] * (steps + 1)
+        self.rho = [None] * (steps + 1)
         self.residuals, self.ess = np.zeros(steps), np.zeros(steps)
         self.initial_value_samples: Optional[np.ndarray] = None
         self.error: Optional[Exception] = None  # what stopped this lambda
@@ -234,7 +232,6 @@ class _LambdaFit:
             coefficients=coeffs,
             lam=self.lam,
             rho=self.rho,
-            theta=self.theta,
             residual_norms=self.residuals,
             ess=self.ess,
             initial_value_samples=self.initial_value_samples,
@@ -300,8 +297,7 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
                 f.initial_value_samples = y_hat
                 continue
             try:
-                f.theta[i + 1] = softmin_weights(f.rho[i + 1], f.lam)
-                f.add(i, _weighted_fit(i, phi_prev, y_hat, f.theta[i + 1], ridge))
+                f.add(i, _weighted_fit(i, phi_prev, y_hat, softmin_weights(f.rho[i + 1], f.lam), ridge))
             except (BackwardPassError, ValueError) as exc:
                 f.error = exc
 
@@ -384,7 +380,7 @@ def rollout_policies(
             control_counts[b, i] = np.bincount(choice[block], minlength=len(cands))
         costs += ells[rows, choice] * grid.dt
         W = rng.normal(size=(count, n)) * sqrt_dt
-        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + W @ problem.diffusion(t, X[0]).T).reshape(-1, n)
+        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + W @ problem.sigma.T).reshape(-1, n)
     costs += problem.terminal_cost(X)
     return [RolloutReport(costs[block], X[block], control_counts[b]) for b, block in enumerate(blocks)]
 

@@ -44,23 +44,17 @@ def _coerce(raw: str):
 
 
 def parse_config_text(text: str) -> SolverConfig:
-    fields: dict = {}
-    overrides: dict = {}
+    """The default config with the file's `key = value` lines applied as
+    overrides, so a file and the command line check keys alike."""
+    items = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        value = _coerce(raw)
-        if key.startswith("problem."):
-            overrides[key[len("problem."):]] = value
-        else:
-            fields[key] = value
-    if overrides:
-        fields["problem_overrides"] = overrides
-    return SolverConfig(**fields)
+        items.append(line)
+    return apply_overrides(SolverConfig(), items)
 
 
 def parse_config_file(path) -> SolverConfig:

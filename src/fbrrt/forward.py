@@ -26,7 +26,6 @@ class ForwardConfig:
     target_width: int  # M
     eps_rrt: float = 0.7
     eps_opt: float = 0.7
-    metric_weights: Optional[np.ndarray] = None  # default 1/roi_width^2
 
     def __post_init__(self):
         if self.target_width < 1:
@@ -103,8 +102,7 @@ def forward_expand(
         raise ValueError("tree has no root layer")
     M, N, n = config.target_width, grid.steps, problem.state_dim
     dt = grid.dt
-    weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(problem)
-    sigma = problem.diffusion(0.0, np.asarray(problem.initial_state, dtype=float))
+    weights = default_metric_weights(problem)
     explore_controls = np.asarray(problem.random_controls, dtype=float)
     exploit, eps_rrt, eps_opt = coeffs is not None, config.eps_rrt, config.eps_opt
 
@@ -148,7 +146,7 @@ def forward_expand(
                 _take(out, rows, explore_controls, control[ev[rows]], ells, F)
             controls, K, ells = out
             # ids count the expansions in pass order, as node-by-node growth numbers them
-            X_next = X + K * dt + apply_diffusion(sigma, noise[ev])
+            X_next = X + K * dt + apply_diffusion(problem.sigma, noise[ev])
             tree.append_layer(i, parents, controls, K, X_next, ells * dt, count + ev)
         if not np.isfinite(tree.layer_states(i + 1)).all():
             raise ValueError(f"non-finite state in layer {i + 1}")
@@ -193,7 +191,7 @@ def parallel_forward_baseline(
                 )
         K = problem.drift(t, X, U)
         W = rng.normal(size=(M, n)) * sqrt_dt
-        X_next = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
+        X_next = X + K * grid.dt + W @ problem.sigma.T
         costs = (problem.running_cost(t, X, U) * grid.dt).tolist()
         frontier = [tree.add_edge(frontier[j], U[j], K[j], X_next[j], cost_increment=costs[j]) for j in range(M)]
         if not np.isfinite(X_next).all():

@@ -1,9 +1,15 @@
 """Stochastic optimal control problem definitions and benchmark instances.
 
-A problem bundles controlled drift ``f(t, x, u)``, square invertible
-diffusion ``sigma(t, x)``, running cost ``l(t, x, u) >= 0``, terminal cost
-``g(x) >= 0``, finite control candidate sets, a region-of-interest box used
-for exploration sampling and basis scaling, and the horizon.
+A problem bundles controlled drift ``f(t, x, u)``, the noise ``sigma``,
+running cost ``l(t, x, u) >= 0``, terminal cost ``g(x) >= 0``, finite
+control candidate sets, a region-of-interest box used for exploration
+sampling and basis scaling, and the horizon.
+
+``sigma`` is one constant (n, n) matrix: the noise depends on neither time
+nor state, so the forward pass samples and the backward pass compensates
+(d = sigma^{-1}(f - k)) with the same matrix.  It must be invertible for
+the backward pass; ``validate_problem`` checks that, and the factories
+refuse a singular one.
 
 Vectorization convention: ``drift`` and ``running_cost`` broadcast over
 leading axes, i.e. they accept ``x`` of shape ``(..., n)`` and ``u`` of shape
@@ -16,16 +22,12 @@ Each (state, control) entry must equal, bit for bit, that pair evaluated
 alone, and no row's result may depend on the other rows it is evaluated
 with: the forward pass grows the tree a layer at a time, one batch per time
 step, and must grow the tree that node-by-node evaluation grows.
-``diffusion`` / ``diffusion_inverse`` take a single state and
-return ``(n, n)``.  The noise must not depend on the state: batched code
-evaluates them at one state per step and applies the matrix to every row,
-and ``ControlProblem`` refuses ``constant_diffusion=False``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,8 +68,7 @@ class ControlProblem:
     control_dim: int
     horizon: float
     drift: Callable  # (t, x, u) -> (..., n)
-    diffusion: Callable  # (t, x) -> (n, n)
-    diffusion_inverse: Callable  # (t, x) -> (n, n)
+    sigma: np.ndarray  # (n, n) constant noise matrix
     running_cost: Callable  # (t, x, u) -> (...,)
     terminal_cost: Callable  # (x) -> (...,)
     control_candidates: np.ndarray  # (C, m)
@@ -75,15 +76,15 @@ class ControlProblem:
     roi_lower: np.ndarray  # (n,)
     roi_upper: np.ndarray  # (n,)
     initial_state: np.ndarray  # (n,)
-    constant_diffusion: bool = True
 
     def __post_init__(self):
         if self.state_dim < 1 or self.control_dim < 1:
             raise ValueError("state_dim and control_dim must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if not self.constant_diffusion:
-            raise ValueError("state-dependent diffusion (constant_diffusion=False) is not supported")
+        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        if self.sigma.shape != (self.state_dim, self.state_dim):
+            raise ValueError("sigma must have shape (state_dim, state_dim)")
         lo, hi = np.asarray(self.roi_lower), np.asarray(self.roi_upper)
         if lo.shape != (self.state_dim,) or hi.shape != (self.state_dim,):
             raise ValueError("roi bounds must have shape (state_dim,)")
@@ -95,6 +96,10 @@ class ControlProblem:
         if np.asarray(self.initial_state).shape != (self.state_dim,):
             raise ValueError("initial_state must have shape (state_dim,)")
 
+    def diffusion(self, t, x) -> np.ndarray:
+        """sigma, the same at every (t, x)."""
+        return self.sigma
+
     @property
     def roi_widths(self) -> np.ndarray:
         return np.asarray(self.roi_upper) - np.asarray(self.roi_lower)
@@ -104,32 +109,70 @@ class ControlProblem:
 
 
 def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples: int = 1000, tol: float = 1e-10):
-    """Spot-check problem invariants on random (t, x, u) draws from roi x [0,T].
+    """Spot-check problem invariants on random (t, x, u) draws from roi x [0,T],
+    and that inv(sigma) sigma is the identity.
 
-    Raises AssertionError on violation; used by the test suite and the
-    `oracle` CLI subcommand.
+    Raises AssertionError on violation (LinAlgError for a singular sigma);
+    used by the test suite and the `oracle` CLI subcommand.
     """
     ts = rng.uniform(0.0, problem.horizon, size=samples)
     xs = problem.sample_roi(rng, size=samples)
     cand_idx = rng.integers(0, len(problem.control_candidates), size=samples)
     us = np.asarray(problem.control_candidates)[cand_idx]
-    eye = np.eye(problem.state_dim)
     for t, x, u in zip(ts, xs, us):
         assert problem.running_cost(t, x, u) >= 0.0
-        sig = problem.diffusion(t, x)
-        sig_inv = problem.diffusion_inverse(t, x)
-        assert np.max(np.abs(sig_inv @ sig - eye)) < tol
+    sigma = problem.sigma
+    assert np.max(np.abs(np.linalg.inv(sigma) @ sigma - np.eye(problem.state_dim))) < tol
     assert np.all(problem.terminal_cost(xs) >= 0.0)
-
-
-def _constant_diffusion_pair(sigma_mat: np.ndarray):
-    sigma_mat = np.asarray(sigma_mat, dtype=float)
-    sigma_inv = np.linalg.inv(sigma_mat)
-    return (lambda t, x: sigma_mat), (lambda t, x: sigma_inv)
 
 
 def _bang_controls() -> np.ndarray:
     return np.array([[-1.0], [0.0], [1.0]])
+
+
+def _second_order_l1(
+    name, acceleration, fuel_weight, noise, terminal_weight, horizon, initial_state, roi_lower, roi_upper
+) -> ControlProblem:
+    """States (position, rate) with position' = rate and rate' =
+    `acceleration(x, u)`, a |u| fuel cost, a quadratic terminal cost and
+    bang controls.
+
+    Noise enters the rate channel; the position channel gets a tiny
+    diagonal regularizer (1e-3 * noise) so sigma stays invertible.
+    """
+    a, s = float(fuel_weight), float(noise)
+    q = np.asarray(terminal_weight, dtype=float)
+    if a <= 0 or s <= 0 or np.any(q <= 0):
+        raise ValueError("fuel_weight, noise, and terminal_weight must be positive")
+
+    def drift(t, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return np.stack(np.broadcast_arrays(x[..., 1], acceleration(x, u)), axis=-1)
+
+    def running_cost(t, x, u):
+        u = np.asarray(u, dtype=float)
+        return a * np.abs(u[..., 0])
+
+    def terminal_cost(x):
+        x = np.asarray(x, dtype=float)
+        return q[0] * x[..., 0] ** 2 + q[1] * x[..., 1] ** 2
+
+    return ControlProblem(
+        name=name,
+        state_dim=2,
+        control_dim=1,
+        horizon=float(horizon),
+        drift=drift,
+        sigma=np.diag([1e-3 * s, s]),
+        running_cost=running_cost,
+        terminal_cost=terminal_cost,
+        control_candidates=_bang_controls(),
+        random_controls=_bang_controls(),
+        roi_lower=np.asarray(roi_lower, dtype=float),
+        roi_upper=np.asarray(roi_upper, dtype=float),
+        initial_state=np.asarray(initial_state, dtype=float),
+    )
 
 
 def make_double_integrator_l1(
@@ -141,47 +184,12 @@ def make_double_integrator_l1(
     roi_lower=(-4.0, -3.0),
     roi_upper=(4.0, 3.0),
 ) -> ControlProblem:
-    """Minimum-fuel double integrator: states (position, velocity), |u| cost.
-
-    Noise enters the velocity channel; the position channel gets a tiny
-    diagonal regularizer (1e-3 * noise) so the diffusion stays invertible.
-    """
-    a, s = float(fuel_weight), float(noise)
-    q = np.asarray(terminal_weight, dtype=float)
-    if a <= 0 or s <= 0 or np.any(q <= 0):
-        raise ValueError("fuel_weight, noise, and terminal_weight must be positive")
-
-    def drift(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        vel = np.broadcast_to(x[..., 1], np.broadcast_shapes(x[..., 1].shape, u[..., 0].shape))
-        acc = np.broadcast_to(u[..., 0], vel.shape)
-        return np.stack([vel, acc], axis=-1)
-
-    def running_cost(t, x, u):
-        u = np.asarray(u, dtype=float)
-        return a * np.abs(u[..., 0])
-
-    def terminal_cost(x):
-        x = np.asarray(x, dtype=float)
-        return q[0] * x[..., 0] ** 2 + q[1] * x[..., 1] ** 2
-
-    diffusion, diffusion_inverse = _constant_diffusion_pair(np.diag([1e-3 * s, s]))
-    return ControlProblem(
-        name="double_integrator_l1",
-        state_dim=2,
-        control_dim=1,
-        horizon=float(horizon),
-        drift=drift,
-        diffusion=diffusion,
-        diffusion_inverse=diffusion_inverse,
-        running_cost=running_cost,
-        terminal_cost=terminal_cost,
-        control_candidates=_bang_controls(),
-        random_controls=_bang_controls(),
-        roi_lower=np.asarray(roi_lower, dtype=float),
-        roi_upper=np.asarray(roi_upper, dtype=float),
-        initial_state=np.asarray(initial_state, dtype=float),
+    """Minimum-fuel double integrator: states (position, velocity), |u| cost,
+    velocity' = u."""
+    return _second_order_l1(
+        "double_integrator_l1",
+        lambda x, u: u[..., 0],
+        fuel_weight, noise, terminal_weight, horizon, initial_state, roi_lower, roi_upper,
     )
 
 
@@ -201,44 +209,11 @@ def make_pendulum_l1(
     angle'' = gravity_ratio * sin(angle) - damping * rate + u, so angle = 0
     is the unstable upright equilibrium and angle = pi hangs down.
     """
-    a, s = float(fuel_weight), float(noise)
-    q = np.asarray(terminal_weight, dtype=float)
-    if a <= 0 or s <= 0 or np.any(q <= 0):
-        raise ValueError("fuel_weight, noise, and terminal_weight must be positive")
     grav, damp = float(gravity_ratio), float(damping)
-
-    def drift(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        rate = x[..., 1]
-        acc = grav * np.sin(x[..., 0]) - damp * rate + u[..., 0]
-        rate, acc = np.broadcast_arrays(rate, acc)
-        return np.stack([rate, acc], axis=-1)
-
-    def running_cost(t, x, u):
-        u = np.asarray(u, dtype=float)
-        return a * np.abs(u[..., 0])
-
-    def terminal_cost(x):
-        x = np.asarray(x, dtype=float)
-        return q[0] * x[..., 0] ** 2 + q[1] * x[..., 1] ** 2
-
-    diffusion, diffusion_inverse = _constant_diffusion_pair(np.diag([1e-3 * s, s]))
-    return ControlProblem(
-        name="pendulum_l1",
-        state_dim=2,
-        control_dim=1,
-        horizon=float(horizon),
-        drift=drift,
-        diffusion=diffusion,
-        diffusion_inverse=diffusion_inverse,
-        running_cost=running_cost,
-        terminal_cost=terminal_cost,
-        control_candidates=_bang_controls(),
-        random_controls=_bang_controls(),
-        roi_lower=np.asarray(roi_lower, dtype=float),
-        roi_upper=np.asarray(roi_upper, dtype=float),
-        initial_state=np.asarray(initial_state, dtype=float),
+    return _second_order_l1(
+        "pendulum_l1",
+        lambda x, u: grav * np.sin(x[..., 0]) - damp * x[..., 1] + u[..., 0],
+        fuel_weight, noise, terminal_weight, horizon, initial_state, roi_lower, roi_upper,
     )
 
 
@@ -288,7 +263,8 @@ def make_lq_problem(
         raise ValueError("R must be m x m")
     if np.any(np.linalg.eigvalsh(R) <= 0):
         raise ValueError("R must be positive definite")
-    sigma_mat = noise * np.eye(n) if np.isscalar(noise) else np.asarray(noise, dtype=float)
+    sigma = noise * np.eye(n) if np.isscalar(noise) else np.asarray(noise, dtype=float)
+    np.linalg.inv(sigma)  # raises LinAlgError on a singular noise matrix
 
     # Products contract one index per einsum, which rounds every row the
     # same whatever batch it sits in; BLAS products (`x @ A.T`) and the
@@ -320,7 +296,6 @@ def make_lq_problem(
     candidates = control_grid(
         np.broadcast_to(control_lower, (m,)), np.broadcast_to(control_upper, (m,)), grid_points
     )
-    diffusion, diffusion_inverse = _constant_diffusion_pair(sigma_mat)
     if initial_state is None:
         initial_state = np.zeros(n)
     if roi_lower is None:
@@ -333,8 +308,7 @@ def make_lq_problem(
         control_dim=m,
         horizon=float(horizon),
         drift=drift,
-        diffusion=diffusion,
-        diffusion_inverse=diffusion_inverse,
+        sigma=sigma,
         running_cost=running_cost,
         terminal_cost=terminal_cost,
         control_candidates=candidates,
@@ -380,15 +354,13 @@ def make_uncontrolled_heat(
         x = np.asarray(x, dtype=float)
         return q * x[..., 0] ** 2
 
-    diffusion, diffusion_inverse = _constant_diffusion_pair(np.array([[s]]))
     return ControlProblem(
         name="uncontrolled_heat",
         state_dim=1,
         control_dim=1,
         horizon=float(horizon),
         drift=drift,
-        diffusion=diffusion,
-        diffusion_inverse=diffusion_inverse,
+        sigma=np.array([[s]]),
         running_cost=running_cost,
         terminal_cost=terminal_cost,
         control_candidates=np.array([[0.0]]),

@@ -9,6 +9,7 @@ runtime-bucketed method comparison.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -87,6 +88,10 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.problem not in PROBLEM_FACTORIES:
             raise ValueError(f"unknown problem {self.problem!r}; choose from {sorted(PROBLEM_FACTORIES)}")
+        try:
+            inspect.signature(PROBLEM_FACTORIES[self.problem]).bind_partial(**self.problem_overrides)
+        except TypeError as exc:
+            raise ValueError(f"problem {self.problem!r}: {exc}") from exc
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.M < 2:

@@ -199,35 +199,15 @@ class BranchTree:
     def layer_nodes(self, i: int) -> list[TreeNode]:
         return [self._node_at(i, j) for j in range(self._size[i])]
 
-    def path_at(self, i: int, j: int) -> list[tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
-        """Root-to-node (state, drift, control) triples for the j-th node of layer i.
-
-        drift/control entries describe the edge *into* each state (None at
-        the root).
-        """
-        if not 0 <= i <= self.grid.steps:
-            raise IndexError(f"layer {i} out of range")
-        if not 0 <= j < self._size[i]:
-            raise IndexError(f"node {j} out of range for layer {i}")
-        path = []
-        for layer in range(i, -1, -1):
-            node = self._node_at(layer, j)
-            path.append((node.state, node.drift, node.control))
-            j = self._parent[layer, j]
-        return path[::-1]
-
     def nearest(self, i: int, query, metric_weights) -> tuple[TreeNode, int]:
         """Node of layer i minimizing the weighted squared Euclidean distance.
 
         Brute-force scan; ties resolve to the lowest node id (layers are in
         insertion = id order).
         """
-        node = self._node_at(i, self.nearest_position(i, query, metric_weights))
+        query = np.asarray(query, dtype=float)[None]
+        node = self._node_at(i, int(self.nearest_positions(i, query, [self._size[i]], metric_weights)[0]))
         return node, node.id
-
-    def nearest_position(self, i: int, query, metric_weights) -> int:
-        """Position within layer i of the node `nearest` returns."""
-        return int(self.nearest_positions(i, np.asarray(query, dtype=float)[None], [self._size[i]], metric_weights)[0])
 
     def nearest_positions(self, i: int, queries, widths, metric_weights) -> np.ndarray:
         """For each row of `queries`, the position of the nearest node among

@@ -138,7 +138,7 @@ def test_chains_layer_add_edge(benchmark):
     X = np.tile(DI.initial_state, (CHAINS, 1))
     U = np.asarray(DI.random_controls)[rng.integers(len(DI.random_controls), size=CHAINS)]
     K = DI.drift(0.0, X, U)
-    X_next = X + K * grid.dt + rng.normal(size=X.shape) * np.sqrt(grid.dt) @ DI.diffusion(0.0, X[0]).T
+    X_next = X + K * grid.dt + rng.normal(size=X.shape) * np.sqrt(grid.dt) @ DI.sigma.T
     costs = (DI.running_cost(0.0, X, U) * grid.dt).tolist()
 
     def fresh_tree():

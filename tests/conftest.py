@@ -12,8 +12,6 @@ from fbrrt.problem import (
 def scalar_problem(fuel_weight=0.5, noise=1.0, roi=(-1.0, 1.0), x0=0.0, horizon=1.0):
     """1D dX = u dt + noise dW with an L1 running cost; shared test fixture."""
     a, s = float(fuel_weight), float(noise)
-    sigma = np.array([[s]])
-    sigma_inv = np.array([[1.0 / s]])
     bang = np.array([[-1.0], [0.0], [1.0]])
     return ControlProblem(
         name="scalar",
@@ -21,8 +19,7 @@ def scalar_problem(fuel_weight=0.5, noise=1.0, roi=(-1.0, 1.0), x0=0.0, horizon=
         control_dim=1,
         horizon=horizon,
         drift=lambda t, x, u: np.broadcast_arrays(np.asarray(x, float)[..., :1] * 0.0 + np.asarray(u, float)[..., :1])[0],
-        diffusion=lambda t, x: sigma,
-        diffusion_inverse=lambda t, x: sigma_inv,
+        sigma=np.array([[s]]),
         running_cost=lambda t, x, u: a * np.abs(np.asarray(u, float)[..., 0]) + 0.0 * np.asarray(x, float)[..., 0],
         terminal_cost=lambda x: np.asarray(x, float)[..., 0] ** 2,
         control_candidates=bang,

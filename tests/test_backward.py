@@ -259,14 +259,13 @@ def test_bsde_target_correction_arithmetic():
 def edge_targets_reference(problem, dt, i, X_prev, K, X_next, alpha_next, lower, upper):
     """Reference for `_edge_targets`: picks mu with the target policy, then
     evaluates the drift and running cost again at mu."""
-    t, t_next = i * dt, (i + 1) * dt
+    t = i * dt
     y_next = value_eval(X_next, alpha_next, lower, upper)
     grad_next = value_grad(X_next, alpha_next, lower, upper)
     mu = target_policy_batch(problem, t, X_prev, alpha_next, lower, upper)
     f_mu = problem.drift(t, X_prev, mu)
     ell_mu = problem.running_cost(t, X_prev, mu)
-    sigma = problem.diffusion(t_next, X_next[0])
-    sigma_inv = problem.diffusion_inverse(t_next, X_next[0])
+    sigma, sigma_inv = problem.sigma, np.linalg.inv(problem.sigma)
     Z = grad_next @ sigma
     D = (f_mu - K) @ sigma_inv.T
     return y_next + (ell_mu + np.sum(Z * D, axis=1)) * dt, y_next
@@ -375,7 +374,7 @@ def test_backward_pass_single_on_policy_chain():
     for i in range(5):
         x = tree.nodes[node].state
         w = rng.normal(size=1) * np.sqrt(grid.dt)
-        node = tree.add_edge(node, np.array([0.0]), np.zeros(1), x + p.diffusion(0, x) @ w)
+        node = tree.add_edge(node, np.array([0.0]), np.zeros(1), x + p.sigma @ w)
     g = float(p.terminal_cost(tree.nodes[node].state))
     artifacts = backward_pass(tree, lam=1.0)
     for i in range(1, 6):
@@ -389,10 +388,12 @@ def test_backward_pass_weight_and_ess_diagnostics():
     tree = grown_tree(p, 6, 48, seed=5)
     artifacts = backward_pass(tree, lam=2.0)
     N = 6
-    assert artifacts.theta[N] is not None and artifacts.theta[1] is None
-    for i in range(2, N + 1):
-        assert abs(np.mean(artifacts.theta[i]) - 1.0) < 1e-10
-        assert len(artifacts.theta[i]) == 48
+    # the fit of layer i weights its edges by the softmin of rho[i + 1]
+    for i in range(1, N):
+        theta = softmin_weights(artifacts.rho[i + 1], artifacts.lam)
+        assert abs(np.mean(theta) - 1.0) < 1e-10
+        assert len(theta) == 48
+        assert artifacts.ess[i - 1] == pytest.approx(np.sum(theta) ** 2 / np.sum(theta**2))
     # terminal fit is uniform, so its effective sample size is exactly M
     assert artifacts.ess[N - 1] == pytest.approx(48.0)
     assert np.all(artifacts.ess >= 1.0)
@@ -492,7 +493,7 @@ def backward_pass_reference(tree, lam, ridge=None):
     problem, N = tree.problem, tree.grid.steps
     lower, upper = problem.roi_lower, problem.roi_upper
     ridge = 1e-8 * tree.layer_size(N) if ridge is None else ridge
-    rho, theta = [None] * (N + 1), [None] * (N + 1)
+    rho = [None] * (N + 1)
     residuals, ess = np.zeros(N), np.zeros(N)
 
     def fit(layer, phi, targets, weights):
@@ -512,13 +513,12 @@ def backward_pass_reference(tree, lam, ridge=None):
         X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
         y_hat, y_next = _edge_targets(problem, tree.grid.dt, i, X_prev, K, X_next, alphas[-1], lower, upper)
         rho[i + 1] = path_heuristic(run_costs, y_next)
-        theta[i + 1] = softmin_weights(rho[i + 1], lam)
-        alphas.append(fit(i, features(X_prev, lower, upper), y_hat, theta[i + 1]))
+        alphas.append(fit(i, features(X_prev, lower, upper), y_hat, softmin_weights(rho[i + 1], lam)))
     coeffs = ValueCoefficients(alphas=np.array(alphas[::-1]), lower=lower, upper=upper)
     X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, 1)
     y0_hat, y_1 = _edge_targets(problem, tree.grid.dt, 0, X_prev, K, X_next, coeffs.alpha(1), lower, upper)
     rho[1] = path_heuristic(run_costs, y_1)
-    return BackwardArtifacts(coeffs, float(lam), rho, theta, residuals, ess, y0_hat)
+    return BackwardArtifacts(coeffs, float(lam), rho, residuals, ess, y0_hat)
 
 
 def sequential_lambda_search(tree, lambdas, rollout_count, seed, ridge=None):
@@ -546,9 +546,8 @@ def sequential_lambda_search(tree, lambdas, rollout_count, seed, ridge=None):
 def assert_same_artifacts(got, want):
     assert got.lam == want.lam
     assert np.array_equal(got.coefficients.alphas, want.coefficients.alphas)
-    for name in ("rho", "theta"):
-        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
-            assert (a is None and b is None) or np.array_equal(a, b)
+    for a, b in zip(got.rho, want.rho, strict=True):
+        assert (a is None and b is None) or np.array_equal(a, b)
     for name in ("residual_norms", "ess", "initial_value_samples"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 

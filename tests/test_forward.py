@@ -7,7 +7,6 @@ from fbrrt.backward import target_policy_batch
 from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
 from fbrrt.forward import ForwardConfig, apply_diffusion, forward_expand, parallel_forward_baseline
 from fbrrt.problem import (
-    ControlProblem,
     TimeGrid,
     make_double_integrator_l1,
     make_lq_problem,
@@ -25,10 +24,10 @@ from conftest import scalar_problem
 
 
 def euler_maruyama_step(problem, dt, t, x, k, w):
-    """x + k dt + sigma(t, x) w, with w ~ N(0, dt I) supplied by the caller;
+    """x + k dt + sigma w, with w ~ N(0, dt I) supplied by the caller;
     sigma w is summed as forward_expand sums it for a layer."""
     x = np.asarray(x, dtype=float)
-    noise = apply_diffusion(problem.diffusion(t, x), np.asarray(w, dtype=float))
+    noise = apply_diffusion(problem.sigma, np.asarray(w, dtype=float))
     return x + np.asarray(k, dtype=float) * dt + noise
 
 
@@ -39,8 +38,7 @@ def select_expansion_node(tree, i, config, rng):
         raise ValueError(f"layer {i} is empty")
     if config.eps_rrt > rng.uniform():
         target = tree.problem.sample_roi(rng)
-        weights = config.metric_weights if config.metric_weights is not None else default_metric_weights(tree.problem)
-        return tree.nearest(i, target, weights)[1]
+        return tree.nearest(i, target, default_metric_weights(tree.problem))[1]
     return tree.layers[i][rng.integers(size)]
 
 
@@ -325,7 +323,7 @@ def test_forward_expand_rejects_nonfinite_drift(with_coeffs, eps_opt):
 
 
 def test_forward_expand_rejects_nonfinite_state():
-    p = dataclasses.replace(scalar_problem(), diffusion=lambda t, x: np.array([[np.inf]]))
+    p = dataclasses.replace(scalar_problem(), sigma=np.array([[np.inf]]))
     tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 1))
     tree.add_root()
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
@@ -344,7 +342,7 @@ def test_baseline_rejects_nonfinite_drift(with_coeffs):
 
 
 def test_baseline_rejects_nonfinite_state():
-    p = dataclasses.replace(scalar_problem(), diffusion=lambda t, x: np.array([[np.inf]]))
+    p = dataclasses.replace(scalar_problem(), sigma=np.array([[np.inf]]))
     grid = TimeGrid.from_horizon(p.horizon, 3)
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
         parallel_forward_baseline(p, grid, 8, None, ForwardConfig(target_width=8), np.random.default_rng(0))
@@ -365,15 +363,8 @@ def test_baseline_paths_disjoint():
 
 
 def test_baseline_zero_noise_matches_deterministic_rollout():
-    p = scalar_problem()
     # single exploration control makes the drift deterministic
-    p = ControlProblem(
-        **{**{f: getattr(p, f) for f in (
-            "name", "state_dim", "control_dim", "horizon", "drift", "diffusion",
-            "diffusion_inverse", "running_cost", "terminal_cost", "control_candidates",
-            "roi_lower", "roi_upper", "initial_state", "constant_diffusion",
-        )}, "random_controls": np.array([[1.0]]), "diffusion": lambda t, x: np.zeros((1, 1))},
-    )
+    p = dataclasses.replace(scalar_problem(), random_controls=np.array([[1.0]]), sigma=np.zeros((1, 1)))
     grid = TimeGrid.from_horizon(p.horizon, 10)
     tree = parallel_forward_baseline(p, grid, 16, None, ForwardConfig(target_width=16), np.random.default_rng(12))
     terminal = tree.layer_states(10)

@@ -39,9 +39,18 @@ def test_double_integrator_equilibrium_and_costs():
     assert p.terminal_cost(np.array([1.0, 1.0])) == pytest.approx(2.0)
 
 
-def test_state_dependent_diffusion_refused():
-    with pytest.raises(ValueError, match="constant_diffusion"):
-        dataclasses.replace(make_double_integrator_l1(), constant_diffusion=False)
+@pytest.mark.parametrize("sigma", [np.eye(3), np.ones(2), np.ones((2, 1)), np.float64(0.5)])
+def test_sigma_of_wrong_shape_refused(sigma):
+    with pytest.raises(ValueError, match="sigma must have shape"):
+        dataclasses.replace(make_double_integrator_l1(), sigma=sigma)
+
+
+def test_diffusion_is_sigma_everywhere():
+    p = make_pendulum_l1(noise=0.4)
+    assert np.array_equal(p.sigma, np.diag([4e-4, 0.4]))
+    assert dataclasses.replace(p, sigma=[[1, 0], [0, 2]]).sigma.dtype == float
+    for t, x in [(0.0, p.initial_state), (2.5, np.array([1.0, -3.0]))]:
+        assert p.diffusion(t, x) is p.sigma
 
 
 def test_double_integrator_rejects_nonpositive():
@@ -95,12 +104,18 @@ def test_l1_running_cost_state_independent():
             assert np.ptp(vals) == 0.0
 
 
-def test_diffusion_inverse_on_samples():
-    rng = np.random.default_rng(2)
-    for p in (make_double_integrator_l1(), make_pendulum_l1(), make_uncontrolled_heat()):
-        for x in p.sample_roi(rng, size=20):
-            prod = p.diffusion_inverse(0.5, x) @ p.diffusion(0.5, x)
-            assert np.max(np.abs(prod - np.eye(p.state_dim))) < 1e-10
+@pytest.mark.parametrize("noise", [0.0, [[0.3, 0.3], [0.3, 0.3]]])
+def test_lq_rejects_singular_noise(noise):
+    with pytest.raises(np.linalg.LinAlgError):
+        make_lq_problem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2), np.eye(2), noise)
+
+
+def test_validate_problem_checks_sigma():
+    p = make_uncontrolled_heat()
+    with pytest.raises(np.linalg.LinAlgError):
+        validate_problem(dataclasses.replace(p, sigma=np.zeros((1, 1))), np.random.default_rng(0), samples=10)
+    with pytest.raises(AssertionError), np.errstate(invalid="ignore"):
+        validate_problem(dataclasses.replace(p, sigma=np.array([[np.inf]])), np.random.default_rng(0), samples=10)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])

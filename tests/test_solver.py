@@ -11,7 +11,7 @@ import pytest
 from fbrrt.backward import BackwardPassError, _candidate_scores
 from fbrrt.basis import ValueCoefficients, feature_count
 from fbrrt.cli import apply_overrides, main, parse_config_text
-from fbrrt.problem import ControlProblem, TimeGrid, make_lq_problem, make_uncontrolled_heat
+from fbrrt.problem import TimeGrid, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import (
     IterationStats,
     RolloutReport,
@@ -49,16 +49,7 @@ def zero_coefficients(problem, steps):
 
 
 def without_noise(problem):
-    fields = {
-        f: getattr(problem, f)
-        for f in (
-            "name", "state_dim", "control_dim", "horizon", "drift", "diffusion_inverse",
-            "running_cost", "terminal_cost", "control_candidates", "random_controls",
-            "roi_lower", "roi_upper", "initial_state", "constant_diffusion",
-        )
-    }
-    n = problem.state_dim
-    return ControlProblem(diffusion=lambda t, x: np.zeros((n, n)), **fields)
+    return dataclasses.replace(problem, sigma=np.zeros((problem.state_dim, problem.state_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +130,7 @@ def rollout_reference(problem, grid, coeffs, x0, count, rng):
         costs += problem.running_cost(t, X, U) * grid.dt
         K = problem.drift(t, X, U)
         W = rng.normal(size=(count, n)) * sqrt_dt
-        X = X + K * grid.dt + W @ problem.diffusion(t, X[0]).T
+        X = X + K * grid.dt + W @ problem.sigma.T
     costs += problem.terminal_cost(X)
     return RolloutReport(costs=costs, terminal_states=X, control_counts=control_counts)
 
@@ -223,10 +214,21 @@ TINY = dict(problem="heat", steps=3, M=4, iterations=2, rollout_count=4, seed=0)
 
 
 def test_solve_error_names_the_forward_phase():
-    p = dataclasses.replace(make_uncontrolled_heat(), diffusion=lambda t, x: np.array([[np.inf]]))
+    p = dataclasses.replace(make_uncontrolled_heat(), sigma=np.array([[np.inf]]))
     with pytest.raises(SolverError, match=r"^iteration 1: non-finite state in layer 1") as err:
         fbrrt_solve(SolverConfig(**TINY), problem=p)
     assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "forward", None)
+
+
+@pytest.mark.parametrize("mode", ["fbrrt", "parallel-baseline"])
+def test_solve_without_noise_is_a_backward_error(mode):
+    # the chains, the tree and the rollouts run on sigma = 0; the backward
+    # pass cannot invert it
+    p = without_noise(make_uncontrolled_heat())
+    with pytest.raises(SolverError, match=r"^iteration 1: Singular matrix") as err:
+        fbrrt_solve(SolverConfig(**TINY, mode=mode), problem=p)
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "backward", None)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("lambda_search, layer", [(False, 3), (True, -1)])
@@ -530,8 +532,10 @@ def test_parse_config_text_types_and_overrides():
 def test_parse_config_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_config_text("M 32")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="unknown config key 'unknown_key'"):
         parse_config_text("unknown_key = 1")
+    with pytest.raises(ValueError, match="bogus"):
+        parse_config_text("problem = heat\nproblem.bogus = 1")
 
 
 def test_apply_overrides():
@@ -559,6 +563,17 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     config.write_text("problem = no_such_problem\n")
     assert main(["run", str(config)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("line", ["bogus=3", "problem.bogus=1"])
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_cli_run_unknown_key_exits_2(tmp_path, capsys, line, where):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = heat\nsteps = 2\nM = 4\niterations = 1\n" + (line if where == "file" else ""))
+    argv = ["run", str(config)] + ([line] if where == "override" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bogus" in err and "Traceback" not in err
 
 
 def test_cli_oracle_passes(capsys):

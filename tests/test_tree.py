@@ -81,15 +81,22 @@ def chain(tree, length, u=np.array([1.0])):
     return node
 
 
-def test_path_at_lengths(problem, grid):
+def root_path(tree, i, j):
+    """Positions, layer 0..i, of the root path of the j-th node of layer i."""
+    path = [j]
+    for layer in range(i, 0, -1):
+        path.append(int(tree.layer(layer).parents[path[-1]]))
+    return path[::-1]
+
+
+def test_chain_root_paths(problem, grid):
     tree = make_tree(problem, grid)
-    assert len(tree.path_at(0, 0)) == 1
+    assert root_path(tree, 0, 0) == [0]
     chain(tree, 3)
-    path = tree.path_at(3, 0)
-    assert len(path) == 4
-    assert np.allclose(path[0][0], problem.initial_state)
-    with pytest.raises(IndexError):
-        tree.path_at(3, 1)
+    assert tree.layer_sizes[:5] == [1, 1, 1, 1, 0]
+    assert root_path(tree, 3, 0) == [0, 0, 0, 0]
+    assert np.allclose(tree.layer_states(0)[0], problem.initial_state)
+    assert [tree.layer(i).ids.tolist() for i in range(4)] == [[0], [1], [2], [3]]
 
 
 def test_path_replay_identity(problem, grid):
@@ -102,17 +109,18 @@ def test_path_replay_identity(problem, grid):
         u = np.asarray(problem.random_controls)[rng.integers(3)]
         k = problem.drift(i * grid.dt, x, u)
         w = rng.normal(size=2) * np.sqrt(grid.dt)
-        x_next = x + k * grid.dt + problem.diffusion(i * grid.dt, x) @ w
+        x_next = x + k * grid.dt + problem.sigma @ w
         node = tree.add_edge(node, u, k, x_next)
-    path = tree.path_at(5, 0)
+    path = root_path(tree, 5, 0)
     for i in range(1, len(path)):
-        x_prev = path[i - 1][0]
-        x, k, u = path[i]
+        layer = tree.layer(i)
+        x_prev = tree.layer_states(i - 1)[layer.parents[path[i]]]
+        x, k, u = layer.states[path[i]], layer.drifts[path[i]], layer.controls[path[i]]
         k_replay = problem.drift((i - 1) * grid.dt, x_prev, u)
         assert np.allclose(k, k_replay, atol=1e-12)
         # noise recoverable because sigma is invertible
-        w = np.linalg.solve(problem.diffusion((i - 1) * grid.dt, x_prev), x - x_prev - k * grid.dt)
-        assert np.allclose(x_prev + k * grid.dt + problem.diffusion((i - 1) * grid.dt, x_prev) @ w, x)
+        w = np.linalg.solve(problem.sigma, x - x_prev - k * grid.dt)
+        assert np.allclose(x_prev + k * grid.dt + problem.sigma @ w, x)
 
 
 def test_run_cost_telescoping(problem, grid):
@@ -181,9 +189,10 @@ def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
     queries[::3] = states[rng.integers(40, 55, size=34)]  # on a copied state
     widths = np.sort(rng.integers(1, 71, size=100))
     weights = default_metric_weights(problem)
-    got = layer_tree(problem, grid, states).nearest_positions(1, queries, widths, weights)
+    tree = layer_tree(problem, grid, states)
+    got = tree.nearest_positions(1, queries, widths, weights)
     for q, width, pos in zip(queries, widths, got):
-        assert pos == layer_tree(problem, grid, states[:width]).nearest_position(1, q, weights)
+        assert tree.layer(1).ids[pos] == layer_tree(problem, grid, states[:width]).nearest(1, q, weights)[1]
         on_node = np.flatnonzero((states[:width] == q).all(axis=1))
         if len(on_node):
             assert pos == on_node[0]
