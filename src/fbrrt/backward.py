@@ -83,28 +83,19 @@ def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.nd
 
 
 def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
-    """Score every control candidate at every state in one vectorized sweep.
+    """The target policy argmin_u { l(t,x,u) + f(t,x,u)' dV(x) } over the
+    candidate set, scored at every state in one vectorized sweep.
 
     `t` is one time and `alpha_next` one coefficient vector for every
     state.  Returns (choice, cands, ells, F): per-state winning candidate
-    index, the candidate array, and the (B, C[, n]) running costs and
-    drifts evaluated on the state-candidate grid.
+    index (ties go to the smallest running cost, then the lowest index),
+    the candidate array, and the (B, C[, n]) running costs and drifts
+    evaluated on the state-candidate grid.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     cands = _control_candidates(problem)
     grad = value_grad(X, alpha_next, lower, upper)
     ells, F = _drifts_and_costs(problem, t, X, cands)
     return _best_candidates(ells, F, grad), cands, ells, F
-
-
-def target_policy_batch(problem: ControlProblem, t: float, X: np.ndarray, alpha_next, lower, upper) -> np.ndarray:
-    """argmin_u { l(t,x,u) + f(t,x,u)' dV(x) } over the candidate set, batched.
-
-    Ties break toward the candidate with smallest running cost, then lowest
-    candidate index.
-    """
-    choice, cands, _, _ = _candidate_scores(problem, t, X, alpha_next, lower, upper)
-    return cands[choice]
 
 
 def softmin_weights(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -380,7 +371,7 @@ def rollout_policies(
             control_counts[b, i] = np.bincount(choice[block], minlength=len(cands))
         costs += ells[rows, choice] * grid.dt
         W = rng.normal(size=(count, n)) * sqrt_dt
-        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + W @ problem.sigma.T).reshape(-1, n)
+        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + problem.apply_diffusion(W)).reshape(-1, n)
     costs += problem.terminal_cost(X)
     return [RolloutReport(costs[block], X[block], control_counts[b]) for b, block in enumerate(blocks)]
 

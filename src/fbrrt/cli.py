@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import validate_problem
+from .problem import TimeGrid, validate_problem
 from .solver import (
     PROBLEM_FACTORIES,
     SolverConfig,
@@ -25,7 +25,6 @@ from .solver import (
     heat_value_at,
     riccati_oracle,
 )
-from .problem import TimeGrid
 
 
 def _coerce(raw: str):

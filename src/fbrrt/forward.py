@@ -34,23 +34,36 @@ class ForwardConfig:
             raise ValueError("mixing probabilities must lie in [0, 1]")
 
 
-def apply_diffusion(sigma: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sigma w for every row w of W (..., n), summed one state dimension at a
-    time, so that a row rounds the same alone and in any batch; a BLAS
-    product does not once sigma has off-diagonal entries."""
-    out = W[..., :1] * sigma[:, 0]
-    for k in range(1, W.shape[-1]):
-        out += W[..., k : k + 1] * sigma[:, k]
-    return out
+def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coeffs, noise):
+    """One Euler-Maruyama step of the sampling SDE from the states X (B, n)
+    at t_i: returns each row's (control, drift k, running cost, next state).
 
-
-def _take(out, rows, controls, choice, ells, drifts):
-    """Write the chosen control, its drift and its running cost of every row
-    of a (rows, controls) product into `out` = (controls, drifts, costs)."""
-    if not np.isfinite(drifts).all():
-        raise ValueError("drift must be finite")
-    k = np.arange(len(rows))
-    out[0][rows], out[1][rows], out[2][rows] = controls[choice], drifts[k, choice], ells[k, choice]
+    `pick` holds each row's exploration control index, or -1 for a row
+    that follows the target policy of `coeffs` (alpha_{i+1}, row i of
+    `alphas`).  Drift and cost are read off the grid that chose the
+    control, whose drifts must all be finite, as must the next states
+    (ValueError).  `noise` (B, n) enters as `problem.apply_diffusion`.
+    """
+    t = i * grid.dt
+    controls, K, ells = np.empty((len(X), problem.control_dim)), np.empty(X.shape), np.empty(len(X))
+    for rows in (np.flatnonzero(pick < 0), np.flatnonzero(pick >= 0)):
+        if not len(rows):
+            continue
+        if pick[rows[0]] < 0:
+            choice, cands, grid_ells, F = backward._candidate_scores(
+                problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
+            )
+        else:
+            cands, choice = np.asarray(problem.random_controls, dtype=float), pick[rows]
+            grid_ells, F = backward._drifts_and_costs(problem, t, X[rows], cands)
+        if not np.isfinite(F).all():
+            raise ValueError("drift must be finite")
+        k = np.arange(len(rows))
+        controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
+    X_next = X + K * grid.dt + problem.apply_diffusion(noise)
+    if not np.isfinite(X_next).all():
+        raise ValueError(f"non-finite state in layer {i + 1}")
+    return controls, K, ells, X_next
 
 
 def expansion_schedule(sizes, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,19 +104,17 @@ def forward_expand(
     generator other than PCG64 raises TypeError.  Then the pass grows
     the tree a layer at a time: an expansion of layer i sees the prefix of
     layer i that existed at its turn, so one batch per layer (nearest
-    neighbours over those prefixes, controls, drifts, Euler-Maruyama steps)
-    grows the tree the node-by-node pass grows.  This is why
-    `fbrrt.problem` asks drifts and costs to round each row alike in any
-    batch, and why the noise enters through `apply_diffusion`.  Raises
-    ValueError on a non-finite drift or state.
+    neighbours over those prefixes, then one `sampling_step`) grows the
+    tree the node-by-node pass grows.  This is why `fbrrt.problem` asks
+    drifts and costs to round each row alike in any batch, and why the
+    noise enters through `problem.apply_diffusion`.  Raises ValueError on a
+    non-finite drift or state.
     """
     problem, grid = tree.problem, tree.grid
     if not tree.layer_size(0):
         raise ValueError("tree has no root layer")
-    M, N, n = config.target_width, grid.steps, problem.state_dim
-    dt = grid.dt
+    M, N, dt = config.target_width, grid.steps, grid.dt
     weights = default_metric_weights(problem)
-    explore_controls = np.asarray(problem.random_controls, dtype=float)
     exploit, eps_rrt, eps_opt = coeffs is not None, config.eps_rrt, config.eps_opt
 
     # Replay.  Per expansion: the uniformly drawn position (-1 for an RRT
@@ -112,7 +123,7 @@ def forward_expand(
     count = len(tree.nodes)
     layer, width = expansion_schedule(tree.layer_sizes, M)
     pos, control, target, noise = draws.replay(
-        rng, width.tolist(), n, eps_rrt, eps_opt if exploit else None, len(explore_controls)
+        rng, width.tolist(), problem.state_dim, eps_rrt, eps_opt if exploit else None, len(problem.random_controls)
     )
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and
     # rng.normal(0, s) is 0.0 + s * rng.standard_normal(), draw for draw
@@ -132,24 +143,9 @@ def forward_expand(
             rrt = parents < 0
             parents[rrt] = tree.nearest_positions(i, target[ev[rrt]], width[ev[rrt]], weights)
             X = tree.layer_states(i)[parents]
-            out = np.empty((len(ev), problem.control_dim)), np.empty((len(ev), n)), np.empty(len(ev))
-            rows = np.flatnonzero(control[ev] < 0)
-            if len(rows):
-                # a node of layer i expands with alpha_{i+1}, row i of `alphas`
-                choice, cands, ells, F = backward._candidate_scores(
-                    problem, i * dt, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
-                )
-                _take(out, rows, cands, choice, ells, F)
-            rows = np.flatnonzero(control[ev] >= 0)
-            if len(rows):
-                ells, F = backward._drifts_and_costs(problem, i * dt, X[rows], explore_controls)
-                _take(out, rows, explore_controls, control[ev[rows]], ells, F)
-            controls, K, ells = out
+            controls, K, ells, X_next = sampling_step(problem, grid, i, X, control[ev], coeffs, noise[ev])
             # ids count the expansions in pass order, as node-by-node growth numbers them
-            X_next = X + K * dt + apply_diffusion(problem.sigma, noise[ev])
             tree.append_layer(i, parents, controls, K, X_next, ells * dt, count + ev)
-        if not np.isfinite(tree.layer_states(i + 1)).all():
-            raise ValueError(f"non-finite state in layer {i + 1}")
     return tree
 
 
@@ -163,38 +159,28 @@ def parallel_forward_baseline(
 ) -> BranchTree:
     """M independent Euler-Maruyama chains from x0 (no branching).
 
-    Control selection uses the same eps_opt exploit/explore mixing as the
-    RRT expansion.  The chains are stepped as a batch but appended node by
-    node through `add_edge`, which checks every drift: about 3 µs per node
-    on a 2-vCPU x86-64 host.  Against these chains the equal-runtime
-    tree-vs-chains acceptance test gave 8, 8 and 8 wins of the 7 it needs
-    (solve medians: tree 0.49-0.54 s, chains 0.84-1.04 s).  A whole-layer
-    append makes a chains solve faster than a tree solve, and the test
-    then fails (6 wins); the per-node append stays until the RRT pass is
-    faster (ROADMAP item 4).  Raises ValueError on a non-finite drift or
-    state.
+    Each time step draws every chain's exploration control (`integers`),
+    then, with coefficients and eps_opt > 0, which chains follow the policy
+    instead (`uniform`), then the noise (`normal`), and takes the RRT
+    expansion's `sampling_step`, so both passes choose controls, record
+    drifts and costs and add noise alike.  The chains are appended node by
+    node through `add_edge` (about 3 µs per node on a 2-vCPU x86-64 host),
+    not a layer at a time: the equal-runtime tree-vs-chains acceptance test
+    fails against whole-layer appends, which make a chains solve faster
+    than a tree solve (README; ROADMAP item 4).  Raises ValueError on a
+    non-finite drift or state.
     """
     tree = BranchTree(problem, grid)
     X = np.tile(problem.initial_state, (M, 1))
     frontier = tree.add_roots(X)
-    n = problem.state_dim
-    cands = np.asarray(problem.random_controls)
     sqrt_dt = np.sqrt(grid.dt)
     for i in range(grid.steps):
-        t = i * grid.dt
-        U = cands[rng.integers(len(cands), size=M)]
+        pick = rng.integers(len(problem.random_controls), size=M)
         if coeffs is not None and config.eps_opt > 0:
-            exploit = config.eps_opt > rng.uniform(size=M)
-            if np.any(exploit):
-                U[exploit] = backward.target_policy_batch(
-                    problem, t, X[exploit], coeffs.alpha(i + 1), coeffs.lower, coeffs.upper
-                )
-        K = problem.drift(t, X, U)
-        W = rng.normal(size=(M, n)) * sqrt_dt
-        X_next = X + K * grid.dt + W @ problem.sigma.T
-        costs = (problem.running_cost(t, X, U) * grid.dt).tolist()
+            pick[config.eps_opt > rng.uniform(size=M)] = -1
+        W = rng.normal(size=(M, problem.state_dim)) * sqrt_dt
+        U, K, ells, X_next = sampling_step(problem, grid, i, X, pick, coeffs, W)
+        costs = (ells * grid.dt).tolist()
         frontier = [tree.add_edge(frontier[j], U[j], K[j], X_next[j], cost_increment=costs[j]) for j in range(M)]
-        if not np.isfinite(X_next).all():
-            raise ValueError(f"non-finite state in layer {i + 1}")
         X = X_next
     return tree

@@ -9,7 +9,9 @@ sampling and basis scaling, and the horizon.
 nor state, so the forward pass samples and the backward pass compensates
 (d = sigma^{-1}(f - k)) with the same matrix.  It must be invertible for
 the backward pass; ``validate_problem`` checks that, and the factories
-refuse a singular one.
+refuse a singular one.  Every simulation (the tree, the chains and the
+rollouts) adds its noise through ``apply_diffusion``, so a row rounds the
+same in any of them.
 
 Vectorization convention: ``drift`` and ``running_cost`` broadcast over
 leading axes, i.e. they accept ``x`` of shape ``(..., n)`` and ``u`` of shape
@@ -99,6 +101,14 @@ class ControlProblem:
     def diffusion(self, t, x) -> np.ndarray:
         """sigma, the same at every (t, x)."""
         return self.sigma
+
+    def apply_diffusion(self, W: np.ndarray) -> np.ndarray:
+        """sigma w for every row w of W (..., n), summed one state dimension
+        at a time so a row rounds alike alone and in any batch (BLAS does not)."""
+        out = W[..., :1] * self.sigma[:, 0]
+        for k in range(1, W.shape[-1]):
+            out += W[..., k : k + 1] * self.sigma[:, k]
+        return out
 
     @property
     def roi_widths(self) -> np.ndarray:

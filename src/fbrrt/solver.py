@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import numbers
 import os
 import sys
 import threading
@@ -63,6 +64,13 @@ PROBLEM_FACTORIES = {
 # artifact-chosen grids matching the per-problem default time steps
 DEFAULT_STEPS = {"double_integrator": 30, "pendulum": 60, "lq": 30, "heat": 20}
 
+# numpy scalars pass, a bool only as a bool; steps, lam and ridge may be None
+_FIELD_TYPES = {
+    **dict.fromkeys(("steps", "M", "iterations", "rollout_count", "seed"), numbers.Integral),
+    **dict.fromkeys(("eps_rrt", "eps_opt", "keep_fraction", "lam", "ridge"), numbers.Real),
+    "lambda_search": bool,
+}
+
 
 @dataclass
 class SolverConfig:
@@ -92,17 +100,16 @@ class SolverConfig:
             inspect.signature(PROBLEM_FACTORIES[self.problem]).bind_partial(**self.problem_overrides)
         except TypeError as exc:
             raise ValueError(f"problem {self.problem!r}: {exc}") from exc
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.rollout_count < 1:
-            raise ValueError("rollout_count must be >= 1")
-        for name in ("eps_rrt", "eps_opt"):
+        for name, kind in _FIELD_TYPES.items():
             v = getattr(self, name)
-            if not 0 <= v <= 1:
+            wrong = not isinstance(v, kind) or isinstance(v, bool) != (kind is bool)
+            if wrong and not (v is None and name in ("steps", "lam", "ridge")):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {v!r}")
+        for name, low in (("iterations", 1), ("M", 2), ("steps", 1), ("rollout_count", 1)):
+            if getattr(self, name) is not None and getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("eps_rrt", "eps_opt"):
+            if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
@@ -110,7 +117,14 @@ class SolverConfig:
             raise ValueError(f"ridge must be None or finite and >= 0, got {self.ridge}")
 
     def build_problem(self) -> ControlProblem:
-        return PROBLEM_FACTORIES[self.problem](**self.problem_overrides)
+        """The factory's problem; ValueError naming the arguments that have
+        no default and no override."""
+        factory = PROBLEM_FACTORIES[self.problem]
+        params = inspect.signature(factory).parameters.values()
+        missing = [p.name for p in params if p.default is p.empty and p.name not in self.problem_overrides]
+        if missing:
+            raise ValueError(f"problem {self.problem!r} needs {', '.join(missing)}")
+        return factory(**self.problem_overrides)
 
     def effective_steps(self) -> int:
         return self.steps if self.steps is not None else DEFAULT_STEPS[self.problem]

@@ -17,9 +17,11 @@ tree (M = B, 30 steps): a fresh one (7680 expansions, pure exploration, as
 in iteration 1) and one pruned to 0.3 (exploiting, as in later
 iterations), in bulk from PCG64 words and by the scalar Generator calls
 the bulk replay reproduces.  The chains kernels are those of the
-di-chains-out workload (M = 512, 30 steps): one layer of 512 chains
-appended node by node through `add_edge`, `dump_csv` of one iteration's
-chains tree (15,360 edges, 15,872 rows with the roots), and one fork, write
+di-chains-out workload (M = 512, 30 steps): one `sampling_step` of 512
+chains with coefficients and eps_opt = 0.7 (about 70% of the rows follow
+the policy), one layer of 512 chains appended node by node through
+`add_edge`, `dump_csv` of one iteration's chains tree (15,360 edges,
+15,872 rows with the roots), and one fork, write
 and reap of that tree's and a 256-trajectory rollout's CSV files, as
 `fbrrt_solve` writes each iteration's files with `--out` where `os.fork`
 exists.
@@ -31,7 +33,7 @@ import pytest
 from fbrrt import draws
 from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
-from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand, parallel_forward_baseline
+from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand, parallel_forward_baseline, sampling_step
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.solver import _CsvWriter, rollout_policy
 from fbrrt.tree import BranchTree, default_metric_weights
@@ -128,18 +130,33 @@ def test_nearest_positions(benchmark):
 
 
 CHAINS = 512
+CHAINS_GRID = TimeGrid.from_horizon(DI.horizon, 30)
+
+
+@pytest.mark.benchmark(group="tree")
+def test_chains_step(benchmark):
+    # a mid-horizon step of the chains after the first iteration: states
+    # spread over the region of interest, a value estimate to exploit
+    rng = np.random.default_rng(0)
+    X = DI.sample_roi(rng, size=CHAINS)
+    coeffs = ValueCoefficients(rng.normal(size=(30, feature_count(2))), DI.roi_lower, DI.roi_upper)
+    pick = rng.integers(len(DI.random_controls), size=CHAINS)
+    pick[0.7 > rng.uniform(size=CHAINS)] = -1
+    W = rng.normal(size=X.shape) * np.sqrt(CHAINS_GRID.dt)
+    U, K, ells, X_next = benchmark(sampling_step, DI, CHAINS_GRID, 15, X, pick, coeffs, W)
+    assert X_next.shape == (CHAINS, 2) and np.isfinite(ells).all()
 
 
 @pytest.mark.benchmark(group="tree")
 def test_chains_layer_add_edge(benchmark):
     # one chains step from the root layer, as `parallel_forward_baseline` makes it
     rng = np.random.default_rng(0)
-    grid = TimeGrid.from_horizon(DI.horizon, 30)
+    grid = CHAINS_GRID
     X = np.tile(DI.initial_state, (CHAINS, 1))
-    U = np.asarray(DI.random_controls)[rng.integers(len(DI.random_controls), size=CHAINS)]
-    K = DI.drift(0.0, X, U)
-    X_next = X + K * grid.dt + rng.normal(size=X.shape) * np.sqrt(grid.dt) @ DI.sigma.T
-    costs = (DI.running_cost(0.0, X, U) * grid.dt).tolist()
+    pick = rng.integers(len(DI.random_controls), size=CHAINS)
+    W = rng.normal(size=X.shape) * np.sqrt(grid.dt)
+    U, K, ells, X_next = sampling_step(DI, grid, 0, X, pick, None, W)
+    costs = (ells * grid.dt).tolist()
 
     def fresh_tree():
         tree = BranchTree(DI, grid)
@@ -154,7 +171,7 @@ def test_chains_layer_add_edge(benchmark):
 
 def _chains_tree():
     """One iteration's chains tree of the di-chains-out workload and scores."""
-    grid = TimeGrid.from_horizon(DI.horizon, 30)
+    grid = CHAINS_GRID
     tree = parallel_forward_baseline(
         DI, grid, CHAINS, None, ForwardConfig(target_width=CHAINS), np.random.default_rng(0)
     )

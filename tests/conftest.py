@@ -57,3 +57,12 @@ def policy_problems():
         ),
         "scalar_no_fuel": scalar_problem(fuel_weight=0.0),
     }
+
+
+def correlated_noise_lq_problem():
+    """A 2-D LQ problem whose sigma has off-diagonal entries, so a BLAS
+    product with it rounds a batch of rows unlike one row."""
+    return make_lq_problem(
+        np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([[0.1], [1.0]]), 0.1 * np.eye(2), np.eye(1), np.eye(2),
+        noise=np.array([[0.3, 0.07], [-0.11, 0.25]]), grid_points=5,
+    )

@@ -18,7 +18,6 @@ from fbrrt.backward import (
     path_heuristic,
     rollout_policies,
     softmin_weights,
-    target_policy_batch,
 )
 from fbrrt.basis import (
     ValueCoefficients,
@@ -41,9 +40,15 @@ from conftest import policy_problems, scalar_problem
 # target policy
 
 
+def policy_controls(problem, t, X, alpha_next, lower, upper):
+    """The target policy's control at every state of X (B, n)."""
+    choice, cands, _, _ = _candidate_scores(problem, t, X, alpha_next, lower, upper)
+    return cands[choice]
+
+
 def target_policy(problem, t, x, alpha_next, lower, upper):
     """The target policy at one state."""
-    return target_policy_batch(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
+    return policy_controls(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
 
 
 def constant_alpha(n, c=1.0):
@@ -91,7 +96,7 @@ def test_policy_batch_matches_scalar():
     rng = np.random.default_rng(1)
     X = p.sample_roi(rng, size=32)
     alpha = rng.normal(size=feature_count(2))
-    batch = target_policy_batch(p, 0.5, X, alpha, p.roi_lower, p.roi_upper)
+    batch = policy_controls(p, 0.5, X, alpha, p.roi_lower, p.roi_upper)
     rows = np.array([target_policy(p, 0.5, x, alpha, p.roi_lower, p.roi_upper) for x in X])
     assert np.array_equal(batch, rows)
 
@@ -102,8 +107,8 @@ def test_policy_scale_invariant_without_running_cost():
     for _ in range(50):
         x = p.sample_roi(rng)[None]
         alpha = rng.normal(size=3)
-        u1 = target_policy_batch(p, 0.0, x, alpha, p.roi_lower, p.roi_upper)
-        u2 = target_policy_batch(p, 0.0, x, 7.5 * alpha, p.roi_lower, p.roi_upper)
+        u1 = policy_controls(p, 0.0, x, alpha, p.roi_lower, p.roi_upper)
+        u2 = policy_controls(p, 0.0, x, 7.5 * alpha, p.roi_lower, p.roi_upper)
         assert np.array_equal(u1, u2)
 
 
@@ -262,7 +267,7 @@ def edge_targets_reference(problem, dt, i, X_prev, K, X_next, alpha_next, lower,
     t = i * dt
     y_next = value_eval(X_next, alpha_next, lower, upper)
     grad_next = value_grad(X_next, alpha_next, lower, upper)
-    mu = target_policy_batch(problem, t, X_prev, alpha_next, lower, upper)
+    mu = policy_controls(problem, t, X_prev, alpha_next, lower, upper)
     f_mu = problem.drift(t, X_prev, mu)
     ell_mu = problem.running_cost(t, X_prev, mu)
     sigma, sigma_inv = problem.sigma, np.linalg.inv(problem.sigma)

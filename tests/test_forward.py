@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fbrrt.backward import target_policy_batch
+from fbrrt.backward import _candidate_scores
 from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
-from fbrrt.forward import ForwardConfig, apply_diffusion, forward_expand, parallel_forward_baseline
+from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
 from fbrrt.problem import (
     TimeGrid,
     make_double_integrator_l1,
@@ -15,19 +15,21 @@ from fbrrt.problem import (
 )
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import scalar_problem
+from conftest import correlated_noise_lq_problem, scalar_problem
 
 
 # Node-by-node reference of the forward pass: one node selection, control
 # and Euler-Maruyama step at a time.  forward_expand must grow the tree
-# these grow (test_forward_expand_matches_node_by_node_growth).
+# these grow (test_forward_expand_matches_node_by_node_growth), and
+# parallel_forward_baseline the chains they step
+# (test_baseline_matches_chain_by_chain_stepping).
 
 
 def euler_maruyama_step(problem, dt, t, x, k, w):
     """x + k dt + sigma w, with w ~ N(0, dt I) supplied by the caller;
-    sigma w is summed as forward_expand sums it for a layer."""
+    sigma w is summed as both forward passes sum it for a layer."""
     x = np.asarray(x, dtype=float)
-    noise = apply_diffusion(problem.sigma, np.asarray(w, dtype=float))
+    noise = problem.apply_diffusion(np.asarray(w, dtype=float))
     return x + np.asarray(k, dtype=float) * dt + noise
 
 
@@ -42,12 +44,17 @@ def select_expansion_node(tree, i, config, rng):
     return tree.layers[i][rng.integers(size)]
 
 
+def policy_control(problem, t, x, alpha_next, lower, upper):
+    """The target policy's control at the one state x."""
+    choice, cands, _, _ = _candidate_scores(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)
+    return cands[choice[0]]
+
+
 def select_control(problem, t, x, alpha_next, coeffs_box, config, rng):
     """Exploit the target policy with probability eps_opt (when coefficients
     exist), otherwise draw uniformly from the exploration control set."""
     if alpha_next is not None and config.eps_opt > rng.uniform():
-        lower, upper = coeffs_box
-        return target_policy_batch(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)[0]
+        return policy_control(problem, t, x, alpha_next, *coeffs_box)
     cands = np.asarray(problem.random_controls)
     return cands[rng.integers(len(cands))]
 
@@ -226,15 +233,6 @@ def small_lq_problem():
     )
 
 
-def correlated_noise_lq_problem():
-    # a diffusion with off-diagonal entries, whose BLAS product rounds a
-    # batch of rows unlike one row
-    return make_lq_problem(
-        np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([[0.1], [1.0]]), 0.1 * np.eye(2), np.eye(1), np.eye(2),
-        noise=np.array([[0.3, 0.07], [-0.11, 0.25]]), grid_points=5,
-    )
-
-
 def assert_same_tree(fast, slow):
     assert list(fast.layers) == list(slow.layers)
     for a, b in zip(fast.nodes, slow.nodes):
@@ -244,24 +242,23 @@ def assert_same_tree(fast, slow):
             assert np.array_equal(a.control, b.control) and np.array_equal(a.drift, b.drift)
 
 
-@pytest.mark.parametrize(
-    "make_problem",
-    [
-        make_double_integrator_l1,
-        make_pendulum_l1,
-        small_lq_problem,
-        make_uncontrolled_heat,
-        correlated_noise_lq_problem,
-    ],
-)
+# drifts that could round differently for a batch of rows than for one row
+# (the pendulum's sine, the LQ matrix products, a non-diagonal sigma), and
+# heat, whose exploration set differs from its policy candidates
+GROWTH_PROBLEMS = [
+    make_double_integrator_l1,
+    make_pendulum_l1,
+    small_lq_problem,
+    make_uncontrolled_heat,
+    correlated_noise_lq_problem,
+]
+
+
+@pytest.mark.parametrize("make_problem", GROWTH_PROBLEMS)
 @pytest.mark.parametrize("with_coeffs", [False, True])
 def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
     # the batched pass must draw the same numbers in the same order and
-    # grow exactly the tree the per-node helpers grow, also where a drift
-    # computed for a batch of rows could round differently from one row
-    # (the pendulum's sine, the LQ matrix products, a non-diagonal sigma);
-    # the heat problem's exploration set differs from its policy candidates.
-    # Each case starts from one root with a fresh generator, from one root
+    # grow exactly the tree the per-node helpers grow.  Each case starts from one root with a fresh generator, from one root
     # with a generator that holds a buffered 32-bit half (integers() takes
     # it first), and from three roots, so that layer 0 is wider than 1.
     p = make_problem()
@@ -328,6 +325,53 @@ def test_forward_expand_rejects_nonfinite_state():
     tree.add_root()
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
         forward_expand(tree, None, ForwardConfig(target_width=4), np.random.default_rng(0))
+
+
+def step_chain_by_chain(problem, grid, M, coeffs, config, rng):
+    """Reference for parallel_forward_baseline: each time step takes the
+    same bulk draws, then steps every chain on its own: its control, the
+    drift and running cost of that one (state, control) pair, and
+    euler_maruyama_step."""
+    tree = BranchTree(problem, grid)
+    ids = list(tree.add_roots(np.tile(problem.initial_state, (M, 1))))
+    explore = np.asarray(problem.random_controls, dtype=float)
+    for i in range(grid.steps):
+        t = i * grid.dt
+        pick = rng.integers(len(explore), size=M)
+        exploit = np.zeros(M, dtype=bool)
+        if coeffs is not None and config.eps_opt > 0:
+            exploit = config.eps_opt > rng.uniform(size=M)
+        W = rng.normal(size=(M, problem.state_dim)) * np.sqrt(grid.dt)
+        for j in range(M):
+            x = tree.nodes[ids[j]].state
+            if exploit[j]:
+                u = policy_control(problem, t, x, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
+            else:
+                u = explore[pick[j]]
+            k = problem.drift(t, x, u)
+            cost = float(problem.running_cost(t, x, u)) * grid.dt
+            x_next = euler_maruyama_step(problem, grid.dt, t, x, k, W[j])
+            ids[j] = tree.add_edge(ids[j], u, k, x_next, cost_increment=cost)
+    return tree
+
+
+@pytest.mark.parametrize("make_problem", GROWTH_PROBLEMS)
+@pytest.mark.parametrize("with_coeffs", [False, True])
+def test_baseline_matches_chain_by_chain_stepping(make_problem, with_coeffs):
+    # the chains take the tree's sampling step: one batch per time step
+    # steps every chain as it steps alone, a non-diagonal sigma included
+    p = make_problem()
+    grid = TimeGrid.from_horizon(p.horizon, 8)
+    coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
+    config = ForwardConfig(target_width=24, eps_opt=0.6)
+    trees, rng_states = [], []
+    for run in (parallel_forward_baseline, step_chain_by_chain):
+        rng = np.random.default_rng(23)
+        trees.append(run(p, grid, 24, coeffs, config, rng))
+        rng_states.append(rng.bit_generator.state)
+    assert trees[0].layer_sizes == [24] * 9
+    assert_same_tree(*trees)
+    assert rng_states[0] == rng_states[1]
 
 
 @pytest.mark.parametrize("with_coeffs", [False, True])

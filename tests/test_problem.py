@@ -12,6 +12,8 @@ from fbrrt.problem import (
     validate_problem,
 )
 
+from conftest import correlated_noise_lq_problem
+
 ALL_FACTORIES = [make_double_integrator_l1, make_pendulum_l1, make_uncontrolled_heat]
 
 
@@ -51,6 +53,21 @@ def test_diffusion_is_sigma_everywhere():
     assert dataclasses.replace(p, sigma=[[1, 0], [0, 2]]).sigma.dtype == float
     for t, x in [(0.0, p.initial_state), (2.5, np.array([1.0, -3.0]))]:
         assert p.diffusion(t, x) is p.sigma
+
+
+@pytest.mark.parametrize("make_problem", [make_double_integrator_l1, correlated_noise_lq_problem])
+def test_apply_diffusion_rounds_each_row_alone(make_problem):
+    # the tree, the chains and the rollouts add noise in batches of any
+    # size; each row must round as it does alone, and (for a diagonal sigma)
+    # exactly as the matrix product does
+    p = make_problem()
+    W = np.random.default_rng(0).normal(size=(64, 2))
+    batch = p.apply_diffusion(W)
+    assert np.array_equal(batch, np.array([p.apply_diffusion(w) for w in W]))
+    assert np.array_equal(p.apply_diffusion(W.reshape(8, 8, 2)), batch.reshape(8, 8, 2))
+    assert np.allclose(batch, W @ p.sigma.T)
+    if not np.any(p.sigma - np.diag(np.diag(p.sigma))):
+        assert np.array_equal(batch, W @ p.sigma.T)
 
 
 def test_double_integrator_rejects_nonpositive():

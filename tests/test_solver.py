@@ -28,7 +28,7 @@ from fbrrt.solver import (
 import fbrrt.solver
 from fbrrt.tree import BranchTree
 
-from conftest import policy_problems, scalar_problem
+from conftest import correlated_noise_lq_problem, policy_problems, scalar_problem
 from test_golden import RUN_CONFIG, RUN_FILES
 
 DI = {
@@ -84,6 +84,37 @@ def test_config_rejects_a_ridge_outside_zero_to_inf(ridge):
         SolverConfig(ridge=ridge)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("M", 16.0),
+        ("iterations", 2.0),
+        ("rollout_count", 8.0),
+        ("steps", 5.0),
+        ("seed", 1.5),
+        ("seed", True),
+        ("M", "abc"),
+        ("eps_rrt", "abc"),
+        ("eps_opt", None),
+        ("keep_fraction", False),
+        ("lam", "abc"),
+        ("ridge", True),
+        ("lambda_search", 1),
+        ("lambda_search", "true"),
+    ],
+)
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    # a wrong type names the field up front instead of failing with a
+    # TypeError deep inside the solve
+    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_scalars_and_optional_none():
+    config = SolverConfig(M=np.int64(8), seed=np.int32(3), eps_rrt=np.float64(0.5), lam=2, steps=None, ridge=None)
+    assert config.M == 8 and config.lam == 2
+
+
 def test_config_accepts_one_step_and_one_rollout():
     config = SolverConfig(steps=1, rollout_count=1, M=4, iterations=1)
     assert config.effective_steps() == 1
@@ -130,14 +161,16 @@ def rollout_reference(problem, grid, coeffs, x0, count, rng):
         costs += problem.running_cost(t, X, U) * grid.dt
         K = problem.drift(t, X, U)
         W = rng.normal(size=(count, n)) * sqrt_dt
-        X = X + K * grid.dt + W @ problem.sigma.T
+        X = X + K * grid.dt + problem.apply_diffusion(W)
     costs += problem.terminal_cost(X)
     return RolloutReport(costs=costs, terminal_states=X, control_counts=control_counts)
 
 
-@pytest.mark.parametrize("name", list(policy_problems()))
+@pytest.mark.parametrize("name", [*policy_problems(), "lq_correlated_noise"])
 def test_rollout_matches_reference(name):
-    p = policy_problems()[name]
+    # the correlated case checks that the stepped batch adds its noise as
+    # one row alone would
+    p = correlated_noise_lq_problem() if name == "lq_correlated_noise" else policy_problems()[name]
     grid = TimeGrid.from_horizon(p.horizon, 10)
     coeffs = ValueCoefficients(
         alphas=np.random.default_rng(8).normal(size=(10, feature_count(p.state_dim))),
@@ -574,6 +607,24 @@ def test_cli_run_unknown_key_exits_2(tmp_path, capsys, line, where):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "bogus" in err and "Traceback" not in err
+
+
+def test_cli_run_wrong_type_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = heat\nsteps = 2\nM = 4\niterations = 1\n")
+    assert main(["run", str(config), "M=16.0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: M must be of type Integral" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_lq_without_its_matrices_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "lq.cfg"
+    config.write_text("problem = lq\nsteps = 2\nM = 4\niterations = 1\nrollout_count = 4\n")
+    argv = ["run", str(config)] if command == "run" else ["compare", str(config), str(config), "--states", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "A, B, Qr, R, Qf, noise" in err and "Traceback" not in err
 
 
 def test_cli_oracle_passes(capsys):
