@@ -1,15 +1,21 @@
-"""Backward pass: drift-compensated LSMC value regression with softmin weights.
+"""Backward pass: regress-later LSMC value regression with softmin weights.
 
 Walking the tree backward in time, each edge contributes a regression target
 
-    y_hat_i = y_{i+1} + (l(t_i, x_i, mu) + z_{i+1}' d_i) dt,
-    d_i = sigma^{-1} (f(t_i, x_i, mu) - k_i),
+    y_hat_i = V_{i+1}(x_i + f(t_i, x_i, mu) dt) + c' alpha_{i+1} + l(t_i, x_i, mu) dt,
 
-where mu is the target policy under the current value estimate and k_i the
-drift actually sampled on the edge; the z'd term compensates for sampling
-off-policy.  Paths are weighted by the softmin of the path-integral
-heuristic rho = run_cost + value estimate, and per-timestep coefficients are
-fit by weighted ridge least squares.
+where mu is the target policy under the current value estimate V_{i+1} =
+Phi alpha_{i+1}, and c = E[Phi(m + sigma w)] - Phi(m), w ~ N(0, dt I), is
+the noise's shift of the feature means, the same at every m
+(`basis.noise_feature_shift`).  y_hat_i is the mean, over the edge's
+noise, of V_{i+1} at the state the target dynamics reach from x_i:
+"regression later" (Glasserman & Yu, 2004), exact for the degree-2 basis
+and a constant sigma.  Neither the drift k_i sampled on the edge nor the
+child state enters it, so the sampling drift needs no compensation, and
+no selection on outcomes, by pruning or by the weights, biases a target.
+Paths are weighted by the softmin of the path-integral heuristic rho =
+run_cost + V_{i+1}(x_{i+1}), and per-timestep coefficients are fit by
+weighted ridge least squares.
 
 Several temperatures lambda are fit in lockstep: one walk down the tree
 computes what no lambda changes (the edge arrays, the features, the drift
@@ -32,6 +38,7 @@ from .basis import (
     SingularRegressionError,
     ValueCoefficients,
     features,
+    noise_feature_shift,
     value_grad,
     weighted_least_squares,
 )
@@ -127,15 +134,15 @@ def _layer_edge_arrays(tree: BranchTree, i_next: int):
 
 class _EdgeDesign:
     """What every coefficient vector shares on the edges into layer i+1:
-    the parent states X_prev, sampled drifts K, child states X_next and
-    their features phi_next, the drift and cost grid of every candidate on
-    the parents, and the problem's sigma and its inverse."""
+    the parent states X_prev, the child features phi_next, the drift and
+    cost grid of every candidate on the parents, and the noise's shift c
+    of the feature means."""
 
-    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, K, X_next, phi_next, lower, upper):
-        self.dt, self.X_prev, self.K, self.X_next, self.phi_next = dt, X_prev, K, X_next, phi_next
+    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper):
+        self.dt, self.X_prev, self.phi_next = dt, X_prev, phi_next
         self.lower, self.upper = lower, upper
         self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
-        self.sigma, self.sigma_inv = problem.sigma, np.linalg.inv(problem.sigma)
+        self.shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
 
     def targets(self, alphas):
         """(y_hat_i, y_next), each (L, B), of every edge under each row
@@ -143,14 +150,14 @@ class _EdgeDesign:
         of alphas[l] alone."""
         # one product per row: a stacked product could round differently
         y_next = np.stack([self.phi_next @ alpha for alpha in alphas])
-        stack = alphas[:, None, :]
-        grad_next = value_grad(self.X_next, stack, self.lower, self.upper)
-        choice = _best_candidates(self.ells, self.F, value_grad(self.X_prev, stack, self.lower, self.upper))
+        grad = value_grad(self.X_prev, alphas[:, None, :], self.lower, self.upper)
+        choice = _best_candidates(self.ells, self.F, grad)
         k = np.arange(choice.shape[1])
         f_mu, ell_mu = self.F[k, choice], self.ells[k, choice]
-        Z = grad_next @ self.sigma  # z = sigma' grad
-        D = (f_mu - self.K) @ self.sigma_inv.T
-        return y_next + (ell_mu + np.sum(Z * D, axis=-1)) * self.dt, y_next
+        X_mean = self.X_prev + f_mu * self.dt  # (L, B, n) next states without the noise
+        phi_mean = features(X_mean.reshape(-1, X_mean.shape[-1]), self.lower, self.upper).reshape(*choice.shape, -1)
+        y_mean = np.stack([phi @ alpha + self.shift @ alpha for phi, alpha in zip(phi_mean, alphas)])
+        return y_mean + ell_mu * self.dt, y_next
 
 
 def _edge_targets(
@@ -164,12 +171,13 @@ def _edge_targets(
     lower,
     upper,
 ):
-    """Vectorized drift-compensated targets for all edges into layer i+1.
+    """Vectorized regress-later targets for all edges into layer i+1.
 
     Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
+    y_hat_i no longer depends on the sampled drifts K (nor on X_next): it
+    is a function of the parent states alone.
     """
-    phi_next = features(X_next, lower, upper)
-    design = _EdgeDesign(problem, dt, i, X_prev, K, X_next, phi_next, lower, upper)
+    design = _EdgeDesign(problem, dt, i, X_prev, features(X_next, lower, upper), lower, upper)
     y_hat, y_next = design.targets(np.asarray(alpha_next, dtype=float)[None, :])
     return y_hat[0], y_next[0]
 
@@ -270,8 +278,8 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         live = [f for f in fits if f.error is None]
         if not live:
             break
-        X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
-        design = _EdgeDesign(problem, grid.dt, i, X_prev, K, X_next, phi_next, lower, upper)
+        X_prev, _, _, run_costs = _layer_edge_arrays(tree, i + 1)
+        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper)
         if i > 0:
             phi_next = features(tree.layer_states(i), lower, upper)
             phi_prev = phi_next[tree.layer(i + 1).parents]
@@ -342,7 +350,7 @@ def rollout_policies(
     u_i = mu(x_i; alpha_{i+1}) of `coefficients`, all on the same noise.
 
     The L policies' chains are stacked L x count.  Each step scores every
-    candidate at every state with one drift and cost grid and draws one
+    candidate at every state with one drift and cost grid and takes one
     (count, n) noise block that every policy's chains share, so each report
     equals the one a rollout of that policy alone gets from the same
     generator state.

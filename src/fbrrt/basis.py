@@ -51,6 +51,22 @@ def features(x, lower, upper) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+def noise_feature_shift(cov, lower, upper) -> np.ndarray:
+    """E[features(m + w)] - features(m) for w ~ N(0, cov), shape (p,).
+
+    The same for every m: 2 a_k^2 cov_kk on T2(z_k), a_j a_k cov_jk on
+    z_j z_k and 0 elsewhere, with a = 2 / (upper - lower) the box scale.
+    """
+    cov = np.asarray(cov, dtype=float)
+    scale = 2.0 / (np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float))
+    n = scale.shape[0]
+    shift = np.zeros(feature_count(n))
+    shift[1 + n : 1 + 2 * n] = 2.0 * scale**2 * np.diag(cov)
+    for c, (j, k) in enumerate(_cross_pairs(n)):
+        shift[1 + 2 * n + c] = scale[j] * scale[k] * cov[j, k]
+    return shift
+
+
 def feature_grad(x, lower, upper) -> np.ndarray:
     """Exact gradient of the feature map at a single x; shape (p, n)."""
     lower = np.asarray(lower, dtype=float)

@@ -157,8 +157,8 @@ def _cmd_oracle(args) -> int:
     def heat_mc_test():
         sigma, T, q = 1.0, 1.0, 1.0
         x0 = 0.5
-        draws = x0 + sigma * np.sqrt(T) * rng.normal(size=100_000)
-        g = q * draws**2
+        x_T = x0 + sigma * np.sqrt(T) * rng.normal(size=100_000)
+        g = q * x_T**2
         mc, se = g.mean(), g.std() / np.sqrt(g.size)
         exact = heat_value_at([[q]], 0.0, [[sigma]], T, 0.0, [x0])
         assert abs(mc - exact) < 3 * se, (mc, exact, se)

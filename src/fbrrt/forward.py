@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import backward, draws
+from . import backward
 from .basis import ValueCoefficients
 from .problem import ControlProblem, TimeGrid
 from .tree import BranchTree, default_metric_weights
@@ -81,6 +81,25 @@ def expansion_schedule(sizes, M: int) -> tuple[np.ndarray, np.ndarray]:
     return layer, sizes[layer] + np.minimum(passes + 1, grows[layer])
 
 
+def _draw_expansions(rng: np.random.Generator, problem: ControlProblem, width, eps_rrt, eps_opt, dt):
+    """The random numbers of the expansions at layer widths `width`, one
+    Generator call per variable over all of them, in this order: the RRT
+    coins, the ROI targets, the uniformly drawn positions (-1 where the coin
+    chose RRT), the exploration controls, the coins that set a control to
+    -1 to follow the policy (only when `eps_opt` is not None, that is with
+    coefficients) and the noise.  Returns (pos, target, control, noise)."""
+    E = len(width)
+    rrt = eps_rrt > rng.random(E)
+    target = problem.sample_roi(rng, E)
+    pos = rng.integers(width)
+    pos[rrt] = -1
+    control = rng.integers(len(problem.random_controls), size=E)
+    if eps_opt is not None:
+        control[eps_opt > rng.random(E)] = -1
+    noise = rng.normal(0.0, np.sqrt(dt), (E, problem.state_dim))
+    return pos, target, control, noise
+
+
 def forward_expand(
     tree: BranchTree,
     coeffs: Optional[ValueCoefficients],
@@ -94,44 +113,26 @@ def forward_expand(
     layer i are immediately candidates for expansion into layer i+1 and in
     later passes over layer i.
 
-    Which random numbers an expansion draws depends only on its own coin
-    flips and on layer widths, and the schedule alone fixes the widths
-    (`expansion_schedule`).  So the pass first replays the schedule on the
-    widths, drawing the same numbers in the same order as growing one node
-    at a time.  `fbrrt.draws.replay` does this from the generator's raw
-    PCG64 words in bulk, through an exact model of numpy's samplers, and
-    leaves `rng` in the state the node-by-node calls leave it in; any bit
-    generator other than PCG64 raises TypeError.  Then the pass grows
-    the tree a layer at a time: an expansion of layer i sees the prefix of
+    The schedule alone fixes each expansion's layer and that layer's width
+    at its turn (`expansion_schedule`), so the pass first takes every
+    expansion's random numbers in bulk (`_draw_expansions`), then grows the
+    tree a layer at a time: an expansion of layer i sees the prefix of
     layer i that existed at its turn, so one batch per layer (nearest
     neighbours over those prefixes, then one `sampling_step`) grows the
-    tree the node-by-node pass grows.  This is why `fbrrt.problem` asks
-    drifts and costs to round each row alike in any batch, and why the
-    noise enters through `problem.apply_diffusion`.  Raises ValueError on a
-    non-finite drift or state.
+    tree that expanding one node at a time on the same numbers grows.  This
+    is why `fbrrt.problem` asks drifts and costs to round each row alike in
+    any batch, and why the noise enters through `problem.apply_diffusion`.
+    Raises ValueError on a non-finite drift or state.
     """
     problem, grid = tree.problem, tree.grid
     if not tree.layer_size(0):
         raise ValueError("tree has no root layer")
     M, N, dt = config.target_width, grid.steps, grid.dt
     weights = default_metric_weights(problem)
-    exploit, eps_rrt, eps_opt = coeffs is not None, config.eps_rrt, config.eps_opt
-
-    # Replay.  Per expansion: the uniformly drawn position (-1 for an RRT
-    # pick, whose ROI target goes to `target`), the exploration control (-1
-    # to exploit) and the noise.
     count = len(tree.nodes)
     layer, width = expansion_schedule(tree.layer_sizes, M)
-    pos, control, target, noise = draws.replay(
-        rng, width.tolist(), problem.state_dim, eps_rrt, eps_opt if exploit else None, len(problem.random_controls)
-    )
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and
-    # rng.normal(0, s) is 0.0 + s * rng.standard_normal(), draw for draw
-    roi_lower = np.asarray(problem.roi_lower, dtype=float)
-    target *= np.asarray(problem.roi_upper, dtype=float) - roi_lower
-    target += roi_lower
-    noise *= np.sqrt(dt)
-    noise += 0.0
+    eps_opt = config.eps_opt if coeffs is not None else None
+    pos, target, control, noise = _draw_expansions(rng, problem, width, config.eps_rrt, eps_opt, dt)
 
     # Sweep: the expansions of each layer, in pass order, as one batch.
     order = np.argsort(layer, kind="stable")
@@ -159,7 +160,7 @@ def parallel_forward_baseline(
 ) -> BranchTree:
     """M independent Euler-Maruyama chains from x0 (no branching).
 
-    Each time step draws every chain's exploration control (`integers`),
+    Each time step samples every chain's exploration control (`integers`),
     then, with coefficients and eps_opt > 0, which chains follow the policy
     instead (`uniform`), then the noise (`normal`), and takes the RRT
     expansion's `sampling_step`, so both passes choose controls, record

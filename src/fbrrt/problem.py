@@ -6,12 +6,12 @@ control candidate sets, a region-of-interest box used for exploration
 sampling and basis scaling, and the horizon.
 
 ``sigma`` is one constant (n, n) matrix: the noise depends on neither time
-nor state, so the forward pass samples and the backward pass compensates
-(d = sigma^{-1}(f - k)) with the same matrix.  It must be invertible for
-the backward pass; ``validate_problem`` checks that, and the factories
-refuse a singular one.  Every simulation (the tree, the chains and the
-rollouts) adds its noise through ``apply_diffusion``, so a row rounds the
-same in any of them.
+nor state, so the forward pass samples with it and the backward pass takes
+each target's mean over the same noise in closed form (through the
+covariance sigma sigma' dt).  It may be singular, zero included; it must
+be finite, which ``validate_problem`` checks.  Every simulation (the tree,
+the chains and the rollouts) adds its noise through ``apply_diffusion``,
+so a row rounds the same in any of them.
 
 Vectorization convention: ``drift`` and ``running_cost`` broadcast over
 leading axes, i.e. they accept ``x`` of shape ``(..., n)`` and ``u`` of shape
@@ -118,12 +118,12 @@ class ControlProblem:
         return rng.uniform(self.roi_lower, self.roi_upper, size=None if size is None else (size, self.state_dim))
 
 
-def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples: int = 1000, tol: float = 1e-10):
-    """Spot-check problem invariants on random (t, x, u) draws from roi x [0,T],
-    and that inv(sigma) sigma is the identity.
+def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples: int = 1000):
+    """Spot-check problem invariants on random (t, x, u) samples from roi x [0,T],
+    and that sigma is finite.
 
-    Raises AssertionError on violation (LinAlgError for a singular sigma);
-    used by the test suite and the `oracle` CLI subcommand.
+    Raises AssertionError on violation; used by the test suite and the
+    `oracle` CLI subcommand.
     """
     ts = rng.uniform(0.0, problem.horizon, size=samples)
     xs = problem.sample_roi(rng, size=samples)
@@ -131,8 +131,7 @@ def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples:
     us = np.asarray(problem.control_candidates)[cand_idx]
     for t, x, u in zip(ts, xs, us):
         assert problem.running_cost(t, x, u) >= 0.0
-    sigma = problem.sigma
-    assert np.max(np.abs(np.linalg.inv(sigma) @ sigma - np.eye(problem.state_dim))) < tol
+    assert np.all(np.isfinite(problem.sigma))
     assert np.all(problem.terminal_cost(xs) >= 0.0)
 
 
@@ -148,7 +147,8 @@ def _second_order_l1(
     bang controls.
 
     Noise enters the rate channel; the position channel gets a tiny
-    diagonal regularizer (1e-3 * noise) so sigma stays invertible.
+    diagonal regularizer (1e-3 * noise).  sigma need not be invertible,
+    but the shipped problems are defined with the regularizer.
     """
     a, s = float(fuel_weight), float(noise)
     q = np.asarray(terminal_weight, dtype=float)
@@ -274,7 +274,6 @@ def make_lq_problem(
     if np.any(np.linalg.eigvalsh(R) <= 0):
         raise ValueError("R must be positive definite")
     sigma = noise * np.eye(n) if np.isscalar(noise) else np.asarray(noise, dtype=float)
-    np.linalg.inv(sigma)  # raises LinAlgError on a singular noise matrix
 
     # Products contract one index per einsum, which rounds every row the
     # same whatever batch it sits in; BLAS products (`x @ A.T`) and the

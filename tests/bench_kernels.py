@@ -12,11 +12,10 @@ alone (L=1) and stacked as the lambda search runs it (L=5).  A backward
 layer's targets score B edges under L=5 coefficient vectors in one pass,
 as the lambda search fits five lambdas.  The LQ grid drift is the drift of
 5 x B rollout states under every one of the 21 controls.  The forward
-replay draws one iteration's random numbers for the di-tree workload's
-tree (M = B, 30 steps): a fresh one (7680 expansions, pure exploration, as
-in iteration 1) and one pruned to 0.3 (exploiting, as in later
-iterations), in bulk from PCG64 words and by the scalar Generator calls
-the bulk replay reproduces.  The chains kernels are those of the
+draws are one iteration's random numbers for the di-tree workload's tree
+(M = B, 30 steps), drawn in bulk as `forward_expand` draws them: a fresh
+tree (7680 expansions, pure exploration, as in iteration 1) and one
+pruned to 0.3 (exploiting, as in later iterations).  The chains kernels are those of the
 di-chains-out workload (M = 512, 30 steps): one `sampling_step` of 512
 chains with coefficients and eps_opt = 0.7 (about 70% of the rows follow
 the policy), one layer of 512 chains appended node by node through
@@ -30,10 +29,16 @@ exists.
 import numpy as np
 import pytest
 
-from fbrrt import draws
 from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
 from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
-from fbrrt.forward import ForwardConfig, expansion_schedule, forward_expand, parallel_forward_baseline, sampling_step
+from fbrrt.forward import (
+    ForwardConfig,
+    _draw_expansions,
+    expansion_schedule,
+    forward_expand,
+    parallel_forward_baseline,
+    sampling_step,
+)
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.solver import _CsvWriter, rollout_policy
 from fbrrt.tree import BranchTree, default_metric_weights
@@ -89,9 +94,8 @@ def test_weighted_least_squares(benchmark):
 def test_layer_targets(benchmark):
     rng = np.random.default_rng(0)
     X_prev, X_next = LQ.sample_roi(rng, size=B), LQ.sample_roi(rng, size=B)
-    K = LQ.drift(0.0, X_prev, np.asarray(LQ.random_controls)[rng.integers(len(LQ.random_controls), size=B)])
     box = (LQ.roi_lower, LQ.roi_upper)
-    design = _EdgeDesign(LQ, 0.05, 3, X_prev, K, X_next, features(X_next, *box), *box)
+    design = _EdgeDesign(LQ, 0.05, 3, X_prev, features(X_next, *box), *box)
     alphas = rng.normal(size=(5, feature_count(2)))
     y_hat, y_next = benchmark(design.targets, alphas)
     assert y_hat.shape == y_next.shape == (5, B)
@@ -202,7 +206,7 @@ def test_chains_forked_csv_write(benchmark, tmp_path):
     assert (tmp_path / "01.rollouts.csv").read_bytes().count(b"\n") == 257
 
 
-def _replay_schedules():
+def _draw_schedules():
     """(widths, eps_rrt, eps_opt) of one iteration of a fresh and of a
     pruned di-tree tree."""
     grid = TimeGrid.from_horizon(DI.horizon, 30)
@@ -212,21 +216,18 @@ def _replay_schedules():
     forward_expand(tree, None, ForwardConfig(target_width=B), np.random.default_rng(0))
     pruned = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3).layer_sizes
     return {
-        "fresh": (expansion_schedule(fresh, B)[1].tolist(), 1.0, None),
-        "pruned": (expansion_schedule(pruned, B)[1].tolist(), 0.7, 0.7),
+        "fresh": (expansion_schedule(fresh, B)[1], 1.0, None),
+        "pruned": (expansion_schedule(pruned, B)[1], 0.7, 0.7),
     }
 
 
-REPLAY_SCHEDULES = _replay_schedules()
+DRAW_SCHEDULES = _draw_schedules()
 
 
-@pytest.mark.benchmark(group="forward_replay")
+@pytest.mark.benchmark(group="forward_draws")
 @pytest.mark.parametrize("layers", ["fresh", "pruned"])
-@pytest.mark.parametrize("replay", [draws.replay, draws.replay_scalar], ids=["bulk", "scalar"])
-def test_forward_replay(benchmark, layers, replay):
-    widths, eps_rrt, eps_opt = REPLAY_SCHEDULES[layers]
-    draws.replay(np.random.default_rng(0), [1], 2, eps_rrt, eps_opt, 3)  # tables read before timing
-    pos, *_ = benchmark(
-        lambda: replay(np.random.default_rng(0), widths, 2, eps_rrt, eps_opt, len(DI.random_controls))
-    )
+def test_forward_draws(benchmark, layers):
+    widths, eps_rrt, eps_opt = DRAW_SCHEDULES[layers]
+    dt = DI.horizon / 30
+    pos, *_ = benchmark(lambda: _draw_expansions(np.random.default_rng(0), DI, widths, eps_rrt, eps_opt, dt))
     assert len(pos) == len(widths)

@@ -1,7 +1,9 @@
-"""The forward pass's random draws, replayed in bulk from PCG64 words.
+"""A model of numpy's scalar draw order, replayed in bulk from PCG64 words.
 
-Per expansion, in pass order, `forward_expand` needs what these scalar
-`Generator` calls return (`replay_scalar` spells them out):
+Nothing in `fbrrt` uses it: the forward pass draws each variable with one
+bulk `Generator` call (`forward._draw_expansions`).  `tests/test_draws.py`
+checks it against numpy's scalar calls.  Per expansion, it returns what
+these scalar calls return (`replay_scalar` spells them out):
 
     coin = eps_rrt > rng.random()
     target: rng.random(out=row of n)      if coin

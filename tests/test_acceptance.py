@@ -97,7 +97,7 @@ def refit_initial_value(tree: BranchTree, rng=None) -> float:
     """
     problem, N = tree.problem, tree.grid.steps
     lo, hi = problem.roi_lower, problem.roi_upper
-    ridge = 1e-8 * tree.layer_size(N)
+    ridge = 0.0
     X_N = tree.layer_states(N)
     idx = rng.integers(len(X_N), size=len(X_N)) if rng is not None else slice(None)
     phi = features(X_N[idx], lo, hi)

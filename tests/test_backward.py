@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,13 @@ from fbrrt.basis import (
     ValueCoefficients,
     feature_count,
     features,
+    noise_feature_shift,
     quadratic_to_coefficients,
     value_eval,
     value_grad,
     weighted_least_squares,
 )
-from fbrrt.forward import ForwardConfig, forward_expand
+from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
@@ -223,18 +226,24 @@ def bsde_target(problem, dt, i, x_i, k_i, x_next, alpha_next, lower, upper):
 
 
 def test_bsde_target_on_policy_edge():
+    # the target is the mean over the edge's noise of the value at the
+    # state the policy's drift reaches: neither the sampled drift nor the
+    # child state enters it
     p = make_double_integrator_l1()
     rng = np.random.default_rng(3)
-    dt = 0.1
+    dt, box = 0.1, (p.roi_lower, p.roi_upper)
+    shift = noise_feature_shift(p.sigma @ p.sigma.T * dt, *box)
     for _ in range(20):
         x = p.sample_roi(rng)
-        x_next = p.sample_roi(rng)
         alpha = rng.normal(size=feature_count(2))
-        mu = target_policy(p, 0.3 * 10 * dt, x, alpha, p.roi_lower, p.roi_upper)
+        mu = target_policy(p, 3 * dt, x, alpha, *box)
         k = p.drift(3 * dt, x, mu)
-        y_hat, y_next = bsde_target(p, dt, 3, x, k, x_next, alpha, p.roi_lower, p.roi_upper)
         ell = float(p.running_cost(3 * dt, x, mu))
-        assert y_hat == pytest.approx(y_next + ell * dt, abs=1e-12)
+        want = value_eval(x + k * dt, alpha, *box) + shift @ alpha + ell * dt
+        for k_i, x_next in ((k, x + k * dt + p.sigma @ rng.normal(size=2)), (-k, p.sample_roi(rng))):
+            y_hat, y_next = bsde_target(p, dt, 3, x, k_i, x_next, alpha, *box)
+            assert y_hat == pytest.approx(want, abs=1e-12)
+            assert y_next == pytest.approx(value_eval(x_next, alpha, *box), abs=1e-12)
 
 
 def test_bsde_target_constant_value_zero_cost():
@@ -244,36 +253,35 @@ def test_bsde_target_constant_value_zero_cost():
         p, 0.05, 2, np.array([0.3]), np.array([1.0]), np.array([0.5]), alpha, p.roi_lower, p.roi_upper
     )
     assert y_next == pytest.approx(4.0)
-    assert y_hat == pytest.approx(4.0)  # gradient 0 kills the drift correction
+    assert y_hat == pytest.approx(4.0)  # the noise does not move a constant
 
 
 def test_bsde_target_correction_arithmetic():
-    # sigma=2, dV/dx=0.5 so z=1; off-policy drift gap 0.4 gives
-    # z * (0.4 / 2) * dt = 0.02 at dt=0.1
+    # V = x^2 under sigma = 2 and the zero policy: the target at x = 0.5 is
+    # E[(0.5 + 2 w)^2] = 0.25 + 4 dt = 0.65 at dt = 0.1, whatever drift was
+    # sampled and wherever the child landed
     p = make_uncontrolled_heat(noise=2.0)
-    alpha = np.array([0.0, 1.5, 0.0])  # linear over box [-3, 3]: slope 1.5 * (2/6) = 0.5
-    x_next = np.array([0.0])
-    grad = value_grad(x_next, alpha, p.roi_lower, p.roi_upper)
-    assert grad[0] == pytest.approx(0.5)
+    alpha = quadratic_to_coefficients(np.eye(1), np.zeros(1), 0.0, p.roi_lower, p.roi_upper)
     y_hat, y_next = bsde_target(
-        p, 0.1, 0, np.array([0.0]), np.array([-0.4]), x_next, alpha, p.roi_lower, p.roi_upper
+        p, 0.1, 0, np.array([0.5]), np.array([-0.4]), np.array([1.0]), alpha, p.roi_lower, p.roi_upper
     )
-    assert y_hat - y_next == pytest.approx(0.02)
+    assert y_next == pytest.approx(1.0)
+    assert y_hat == pytest.approx(0.65)
 
 
 def edge_targets_reference(problem, dt, i, X_prev, K, X_next, alpha_next, lower, upper):
-    """Reference for `_edge_targets`: picks mu with the target policy, then
-    evaluates the drift and running cost again at mu."""
+    """Reference for `_edge_targets`: picks mu with the target policy,
+    evaluates the drift and running cost again at mu, and adds to the value
+    at the mean next state x + f(mu) dt the noise's shift of the feature
+    means; K does not enter."""
     t = i * dt
     y_next = value_eval(X_next, alpha_next, lower, upper)
-    grad_next = value_grad(X_next, alpha_next, lower, upper)
     mu = policy_controls(problem, t, X_prev, alpha_next, lower, upper)
     f_mu = problem.drift(t, X_prev, mu)
     ell_mu = problem.running_cost(t, X_prev, mu)
-    sigma, sigma_inv = problem.sigma, np.linalg.inv(problem.sigma)
-    Z = grad_next @ sigma
-    D = (f_mu - K) @ sigma_inv.T
-    return y_next + (ell_mu + np.sum(Z * D, axis=1)) * dt, y_next
+    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
+    y_mean = value_eval(X_prev + f_mu * dt, alpha_next, lower, upper) + shift @ alpha_next
+    return y_mean + ell_mu * dt, y_next
 
 
 @pytest.mark.parametrize("name", list(policy_problems()))
@@ -299,7 +307,7 @@ def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
     K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
     X_next = p.sample_roi(rng, size=50)
     box = (p.roi_lower, p.roi_upper)
-    design = _EdgeDesign(p, 0.05, 3, X_prev, K, X_next, features(X_next, *box), *box)
+    design = _EdgeDesign(p, 0.05, 3, X_prev, features(X_next, *box), *box)
     alphas = np.array(random_alphas(p, rng) + random_alphas(p, rng))
     y_hat, y_next = design.targets(alphas)
     assert y_hat.shape == y_next.shape == (len(alphas), 50)
@@ -431,6 +439,22 @@ def test_backward_pass_singular_fit_reports_layer():
     with pytest.raises(BackwardPassError) as err:
         backward_pass(tree, lam=1.0, ridge=0.0)  # one sample cannot determine 3 coefficients
     assert err.value.layer == 3
+
+
+def test_heat_initial_value_is_exact_under_any_sampling_drift():
+    # V(t, x) = x^2 + (T - t) lies in the basis, so with ridge 0 every fit
+    # of a tree is exact whatever drift sampled it: a bang tree and a
+    # zero-drift tree both give V(0, 0) = 1
+    p = make_uncontrolled_heat()
+    grid = TimeGrid.from_horizon(p.horizon, 10)
+    bang = BranchTree(p, grid)
+    bang.add_root()
+    forward_expand(bang, None, ForwardConfig(target_width=64, eps_rrt=1.0, eps_opt=0.0), np.random.default_rng(2))
+    still = dataclasses.replace(p, random_controls=np.array([[0.0]]))
+    zero = parallel_forward_baseline(still, grid, 64, None, ForwardConfig(target_width=64), np.random.default_rng(3))
+    v_bang, v_zero = (backward_pass(tree, lam=1.0, ridge=0.0).initial_value for tree in (bang, zero))
+    assert abs(v_bang - v_zero) < 1e-10
+    assert abs(v_bang - 1.0) < 1e-10 and abs(v_zero - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------

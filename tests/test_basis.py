@@ -9,13 +9,14 @@ from fbrrt.basis import (
     feature_count,
     feature_grad,
     features,
+    noise_feature_shift,
     quadratic_to_coefficients,
     value_eval,
     value_grad,
     weighted_least_squares,
 )
 
-from conftest import policy_problems
+from conftest import correlated_noise_lq_problem, policy_problems
 
 BOX1 = (np.array([-1.0]), np.array([1.0]))
 BOX2 = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -39,6 +40,20 @@ def test_features_1d_known_values():
 
 def test_features_2d_known_values():
     assert np.allclose(features(np.array([0.0, 0.0]), *BOX2), [1.0, 0.0, 0.0, -1.0, -1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", [*policy_problems(), "correlated_noise_lq"])
+def test_noise_feature_shift_matches_sigma_points(name):
+    # the 2n points m +- sqrt(n) L_k, with L L' = cov, have the mean and
+    # covariance of m + w, w ~ N(0, cov), so they average any degree-2
+    # feature exactly
+    p = correlated_noise_lq_problem() if name == "correlated_noise_lq" else policy_problems()[name]
+    n, dt, box = p.state_dim, 0.05, (p.roi_lower, p.roi_upper)
+    L = p.sigma * np.sqrt(dt)
+    shift = noise_feature_shift(L @ L.T, *box)
+    for m in p.sample_roi(np.random.default_rng(5), size=10):
+        points = m + np.sqrt(n) * np.concatenate([L.T, -L.T])
+        assert np.allclose(features(points, *box).mean(axis=0), features(m, *box) + shift, rtol=0, atol=1e-12)
 
 
 def test_feature_count_matches():

@@ -199,22 +199,45 @@ def test_forward_expand_deterministic():
 
 
 def grow_node_by_node(tree, coeffs, config, rng):
-    """forward_expand's schedule spelled out with the per-node helpers."""
+    """forward_expand's schedule spelled out with the per-node helpers.
+
+    Every expansion's random numbers are drawn up front, one Generator call
+    per variable over all of them, in forward_expand's order; then each
+    expansion, in pass order, selects its node (the nearest to its ROI
+    target, or its uniformly drawn position), its control and its
+    Euler-Maruyama step on its own."""
     problem, grid = tree.problem, tree.grid
-    box = (coeffs.lower, coeffs.upper) if coeffs is not None else None
     M = config.target_width
+    # each expansion's layer, and that layer's width at its turn
+    sizes, turns = list(tree.layer_sizes), []
     for _ in range(M):
         for i in range(grid.steps):
-            if tree.layer_size(i + 1) >= M:
-                continue
-            t = i * grid.dt
-            node_id = select_expansion_node(tree, i, config, rng)
-            x = tree.nodes[node_id].state
-            alpha_next = coeffs.alpha(i + 1) if coeffs is not None else None
-            u = select_control(problem, t, x, alpha_next, box, config, rng)
-            k = problem.drift(t, x, u)
-            w = rng.normal(size=problem.state_dim) * np.sqrt(grid.dt)
-            tree.add_edge(node_id, u, k, euler_maruyama_step(problem, grid.dt, t, x, k, w))
+            if sizes[i + 1] < M:
+                turns.append((i, sizes[i]))
+                sizes[i + 1] += 1
+    E = len(turns)
+    explore = np.asarray(problem.random_controls, dtype=float)
+    rrt = config.eps_rrt > rng.random(E)
+    target = problem.sample_roi(rng, E)
+    pos = rng.integers(np.array([width for _, width in turns], dtype=int))
+    pick = rng.integers(len(explore), size=E)
+    exploit = np.zeros(E, dtype=bool)
+    if coeffs is not None:
+        exploit = config.eps_opt > rng.random(E)
+    W = rng.normal(0.0, np.sqrt(grid.dt), (E, problem.state_dim))
+    for e, (i, _) in enumerate(turns):
+        t = i * grid.dt
+        if rrt[e]:
+            node_id = tree.nearest(i, target[e], default_metric_weights(problem))[1]
+        else:
+            node_id = tree.layers[i][pos[e]]
+        x = tree.nodes[node_id].state
+        if exploit[e]:
+            u = policy_control(problem, t, x, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
+        else:
+            u = explore[pick[e]]
+        k = problem.drift(t, x, u)
+        tree.add_edge(node_id, u, k, euler_maruyama_step(problem, grid.dt, t, x, k, W[e]))
     return tree
 
 
@@ -258,20 +281,17 @@ GROWTH_PROBLEMS = [
 @pytest.mark.parametrize("with_coeffs", [False, True])
 def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
     # the batched pass must draw the same numbers in the same order and
-    # grow exactly the tree the per-node helpers grow.  Each case starts from one root with a fresh generator, from one root
-    # with a generator that holds a buffered 32-bit half (integers() takes
-    # it first), and from three roots, so that layer 0 is wider than 1.
+    # grow exactly the tree the per-node helpers grow.  Each case starts
+    # from one root and from three roots, so that layer 0 is wider than 1.
     p = make_problem()
     grid = TimeGrid.from_horizon(p.horizon, 8)
     coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
-    for roots, buffered in ((1, False), (1, True), (3, False)):
+    for roots in (1, 3):
         trees, rng_states = [], []
         for grow in (forward_expand, grow_node_by_node):
             tree = BranchTree(p, grid)
             tree.add_roots(p.initial_state + 0.1 * np.arange(roots)[:, None])
             rng = np.random.default_rng(21)
-            if buffered:
-                rng.integers(5)
             grow(tree, coeffs, ForwardConfig(target_width=16, eps_rrt=0.5, eps_opt=0.6), rng)
             grow(tree, coeffs, ForwardConfig(target_width=40), rng)
             trees.append(tree)
@@ -297,13 +317,22 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
         assert rng_states[0] == rng_states[1]
 
 
-def test_forward_expand_requires_pcg64():
-    # the pass replays PCG64 words; there is no scalar fallback
-    p = scalar_problem()
-    tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 2))
-    tree.add_root()
-    with pytest.raises(TypeError, match="PCG64"):
-        forward_expand(tree, None, ForwardConfig(target_width=4), np.random.Generator(np.random.MT19937(0)))
+def test_forward_expand_grows_from_any_bit_generator():
+    # the draws are plain Generator calls, so an MT19937 stream drives the
+    # batched pass and the per-node helpers alike
+    p = make_double_integrator_l1()
+    grid = TimeGrid.from_horizon(p.horizon, 6)
+    coeffs = quadratic_value(p, grid.steps)
+    trees, after = [], []
+    for grow in (forward_expand, grow_node_by_node):
+        tree = BranchTree(p, grid)
+        tree.add_root()
+        rng = np.random.Generator(np.random.MT19937(0))
+        trees.append(grow(tree, coeffs, ForwardConfig(target_width=24, eps_rrt=0.5, eps_opt=0.6), rng))
+        after.append(rng.random(4))
+    assert trees[0].layer_sizes == [1] + [24] * 6
+    assert_same_tree(*trees)
+    assert np.array_equal(*after)
 
 
 @pytest.mark.parametrize("with_coeffs, eps_opt", [(False, 1.0), (True, 1.0), (True, 0.0)])

@@ -35,19 +35,19 @@ SMALL = dict(steps=10, M=32, rollout_count=32)
 REPORTS = {
     "double-integrator-tree": (
         dict(problem="double_integrator", iterations=3, seed=3, **SMALL),
-        "27bc79336e75f2c350797e02024ade5f3344612f20bd9c0c88509f2e7074620a",
+        "5a6c93e65f12626426c6bedabb73fba9bf550867d4d0ff94fb4fba59a7e3dcb8",
     ),
     "double-integrator-chains": (
         dict(problem="double_integrator", iterations=3, seed=3, mode="parallel-baseline", **SMALL),
-        "a14762579c816263f64274f8853f2e9cd04b10f53e3f05486c828665fbae8592",
+        "155457b0975eac780cce91b6bfedc344683e2bf1e7947b3b1d453777a15b43ea",
     ),
     "lq-lambda-search": (
         dict(problem="lq", problem_overrides=LQ_PROBLEM, iterations=2, lambda_search=True, seed=5, **SMALL),
-        "3310ad575703218a351946e667c3a39ee55925ce354cc5a6593641334b0ffd80",
+        "88fb0e72b0fc547bfcbf3da772054d4f15a5f8eedd04bf39c02e8086cadcfd0b",
     ),
     "heat": (
         dict(problem="heat", iterations=3, seed=7, **SMALL),
-        "a78b920c71ada5e864e88e3585de9eb07e757a7423cc51d08bfc795335e458c6",
+        "66bba03b9d1ee79939e7c2f39acd1ec55271fa5a380bab6c785291c40f457848",
     ),
 }
 
@@ -56,12 +56,12 @@ REPORTS = {
 RUN_CONFIG = "problem = double_integrator\nsteps = 10\nM = 32\niterations = 2\nrollout_count = 32\nseed = 3\n"
 RUN_FILES = {
     "fbrrt": {
-        "02.tree.csv": "9707598dd3677f0c9a4264a76acc56be499a18fd566f366d3cbb006305f390fc",
-        "02.rollouts.csv": "d923d8641542d485a6fcaa31caaefd4e95ccf2c295f036228e8d78363705b956",
+        "02.tree.csv": "b14c7f5ed982767214e43cba6788b9538727aab2cf56461a07d59ea7e6071a5a",
+        "02.rollouts.csv": "dd6a82f986a69cc7324da1cc59f7a5a469c68ffee3042ff740b174bce2007cca",
     },
     "parallel-baseline": {
-        "02.tree.csv": "961f7ad7770e417090910d466bc65bfbca4e5f3cbd60a645a5a0d0221ffcfed9",
-        "02.rollouts.csv": "336210453f726b43a3428eb16bb22b37dfbfd420953101fd850b6b7d1e9959e1",
+        "02.tree.csv": "0080a881aad2054d12ef7a1b31cfce53c54d5fda83dcc847c8e77085e12c4aee",
+        "02.rollouts.csv": "0fda34473b0fab59c23ec51e43834fda2e7248b9de7d2cb6b03104b1557af4ac",
     },
 }
 
