@@ -65,8 +65,9 @@ def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.nd
     (see the vectorization convention of `fbrrt.problem`)."""
     B, C = X.shape[0], len(controls)
     Xg, Ug = X[:, None, :], controls[None, :, :]
-    ells = np.broadcast_to(problem.running_cost(t, Xg, Ug), (B, C))
-    return ells, np.broadcast_to(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
+    ells, F = problem.running_cost(t, Xg, Ug), problem.drift(t, Xg, Ug)
+    ells = ells if np.shape(ells) == (B, C) else np.broadcast_to(ells, (B, C))
+    return ells, F if np.shape(F) == (B, C, X.shape[1]) else np.broadcast_to(F, (B, C, X.shape[1]))
 
 
 def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -80,9 +81,9 @@ def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.nd
         dot += F[..., k] * grad[..., None, k]
     scores = ells + dot
     first = scores.argmin(axis=-1)
-    best = np.take_along_axis(scores, first[..., None], axis=-1)
-    # argmin stops at a NaN, so a NaN best means a NaN row; otherwise each
-    # row matches its best once, and a larger count means a tie somewhere
+    # each row's entry at `first`, gathered flat; argmin stops at a NaN, so a NaN best means
+    # a NaN row; otherwise each row matches its best once, and a larger count means a tie
+    best = np.take(scores, first + np.arange(0, scores.size, scores.shape[-1]).reshape(first.shape))[..., None]
     if not np.isnan(best).any() and np.count_nonzero(scores == best) == first.size:
         return first
     tie_ell = np.where(scores == best, ells, np.inf)
@@ -136,13 +137,12 @@ class _EdgeDesign:
     """What every coefficient vector shares on the edges into layer i+1:
     the parent states X_prev, the child features phi_next, the drift and
     cost grid of every candidate on the parents, and the noise's shift c
-    of the feature means."""
+    of the feature means, the same on every layer."""
 
-    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper):
+    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper, shift):
         self.dt, self.X_prev, self.phi_next = dt, X_prev, phi_next
-        self.lower, self.upper = lower, upper
+        self.lower, self.upper, self.shift = lower, upper, shift
         self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
-        self.shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
 
     def targets(self, alphas):
         """(y_hat_i, y_next), each (L, B), of every edge under each row
@@ -177,7 +177,8 @@ def _edge_targets(
     y_hat_i no longer depends on the sampled drifts K (nor on X_next): it
     is a function of the parent states alone.
     """
-    design = _EdgeDesign(problem, dt, i, X_prev, features(X_next, lower, upper), lower, upper)
+    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
+    design = _EdgeDesign(problem, dt, i, X_prev, features(X_next, lower, upper), lower, upper, shift)
     y_hat, y_next = design.targets(np.asarray(alpha_next, dtype=float)[None, :])
     return y_hat[0], y_next[0]
 
@@ -259,6 +260,7 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     if ridge is None:
         ridge = 1e-8 * tree.layer_size(N)
     fits = [_LambdaFit(float(value), N) for value in np.atleast_1d(lam)]
+    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * grid.dt, lower, upper)
 
     X_N = tree.layer_states(N)
     phi_next = features(X_N, lower, upper)
@@ -279,7 +281,7 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         if not live:
             break
         X_prev, _, _, run_costs = _layer_edge_arrays(tree, i + 1)
-        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper)
+        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper, shift)
         if i > 0:
             phi_next = features(tree.layer_states(i), lower, upper)
             phi_prev = phi_next[tree.layer(i + 1).parents]

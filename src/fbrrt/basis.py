@@ -41,14 +41,20 @@ def _scale(x, lower, upper):
 
 def features(x, lower, upper) -> np.ndarray:
     """Feature map; accepts x of shape (n,) or (B, n), returns (p,) or (B, p)."""
-    z = _scale(x, lower, upper)
-    squeeze = z.ndim == 1
-    z = np.atleast_2d(z)
-    B, n = z.shape
-    cols = [np.ones(B), *(z[:, k] for k in range(n)), *(2.0 * z[:, k] ** 2 - 1.0 for k in range(n))]
-    cols.extend(z[:, j] * z[:, k] for j, k in _cross_pairs(n))
-    out = np.stack(cols, axis=1)
-    return out[0] if squeeze else out
+    x, lower, upper = (np.asarray(a, dtype=float) for a in (x, lower, upper))
+    B, n = np.atleast_2d(x).shape
+    out = np.empty((feature_count(n), B))  # feature-major, so every block is contiguous rows
+    out[0] = 1.0
+    z, t2 = out[1 : 1 + n], out[1 + n : 1 + 2 * n]
+    np.multiply(np.atleast_2d(x).T, 2.0, out=z)  # each entry rounds as _scale and 2 z^2 - 1 round it
+    z -= (upper + lower)[:, None]
+    z /= (upper - lower)[:, None]
+    np.multiply(z, z, out=t2)
+    t2 *= 2.0
+    t2 -= 1.0
+    for c, (j, k) in enumerate(_cross_pairs(n), 1 + 2 * n):
+        np.multiply(z[j], z[k], out=out[c])
+    return out[:, 0] if x.ndim == 1 else out.T.copy()
 
 
 def noise_feature_shift(cov, lower, upper) -> np.ndarray:
@@ -136,13 +142,14 @@ def weighted_least_squares(phi: np.ndarray, targets: np.ndarray, weights: np.nda
         raise ValueError("weights must be nonnegative with at least one positive")
     if not 0 <= ridge < np.inf:  # also refuses NaN, which every comparison below would let through
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
-    p = phi.shape[1]
+    B, p = phi.shape
     sw = np.sqrt(weights)
-    A = phi * sw[:, None]
-    b = targets * sw
+    # the sqrt(w)-scaled rows, and with a ridge the rows sqrt(ridge) I of zero target
+    A, b = np.zeros((B + p * (ridge > 0), p)), np.zeros(B + p * (ridge > 0))
+    np.multiply(phi, sw[:, None], out=A[:B])
+    np.multiply(targets, sw, out=b[:B])
     if ridge > 0:
-        A = np.vstack([A, np.sqrt(ridge) * np.eye(p)])
-        b = np.concatenate([b, np.zeros(p)])
+        np.fill_diagonal(A[B:], np.sqrt(ridge))
     alpha, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if ridge == 0 and rank < p:
         raise SingularRegressionError(f"weighted design has rank {rank} < {p} and ridge is zero")

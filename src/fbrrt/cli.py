@@ -121,6 +121,8 @@ def _cmd_compare(args) -> int:
     print(f"comparison CSV written to {args.out}")
     for state, medians in sorted(report.final_bucket_medians().items()):
         print(f"state {state}: " + "  ".join(f"{m}={v:.4f}" for m, v in medians.items()))
+        for method, curve in report.iteration_medians[state].items():
+            print(f"  {method} by iteration: " + " ".join(f"{v:.4f}" for v in curve))
     return 0
 
 

@@ -40,26 +40,30 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
 
     `pick` holds each row's exploration control index, or -1 for a row
     that follows the target policy of `coeffs` (alpha_{i+1}, row i of
-    `alphas`).  Drift and cost are read off the grid that chose the
-    control, whose drifts must all be finite, as must the next states
-    (ValueError).  `noise` (B, n) enters as `problem.apply_diffusion`.
+    `alphas`).  Policy rows read drift and cost off the candidate grid that
+    scored them, all of whose drifts must be finite; an exploring row takes
+    its own (state, control) pair, rounding as on a grid (`fbrrt.problem`),
+    whose drift must be finite, as must the next states (ValueError).
+    `noise` (B, n) enters as `problem.apply_diffusion`.
     """
     t = i * grid.dt
     controls, K, ells = np.empty((len(X), problem.control_dim)), np.empty(X.shape), np.empty(len(X))
-    for rows in (np.flatnonzero(pick < 0), np.flatnonzero(pick >= 0)):
-        if not len(rows):
-            continue
-        if pick[rows[0]] < 0:
-            choice, cands, grid_ells, F = backward._candidate_scores(
-                problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
-            )
-        else:
-            cands, choice = np.asarray(problem.random_controls, dtype=float), pick[rows]
-            grid_ells, F = backward._drifts_and_costs(problem, t, X[rows], cands)
+    rows = np.flatnonzero(pick < 0)
+    if len(rows):
+        choice, cands, grid_ells, F = backward._candidate_scores(
+            problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
+        )
         if not np.isfinite(F).all():
             raise ValueError("drift must be finite")
         k = np.arange(len(rows))
         controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
+    rows = np.flatnonzero(pick >= 0)
+    if len(rows):
+        U, X_rows = np.asarray(problem.random_controls, dtype=float)[pick[rows]], X[rows]
+        F = problem.drift(t, X_rows, U)
+        if not np.isfinite(F).all():
+            raise ValueError("drift must be finite")
+        controls[rows], K[rows], ells[rows] = U, F, problem.running_cost(t, X_rows, U)
     X_next = X + K * grid.dt + problem.apply_diffusion(noise)
     if not np.isfinite(X_next).all():
         raise ValueError(f"non-finite state in layer {i + 1}")
@@ -166,10 +170,10 @@ def parallel_forward_baseline(
     expansion's `sampling_step`, so both passes choose controls, record
     drifts and costs and add noise alike.  The chains are appended node by
     node through `add_edge` (about 3 µs per node on a 2-vCPU x86-64 host),
-    not a layer at a time: the equal-runtime tree-vs-chains acceptance test
-    fails against whole-layer appends, which make a chains solve faster
-    than a tree solve (README; ROADMAP item 4).  Raises ValueError on a
-    non-finite drift or state.
+    not a layer at a time: whole-layer appends make a chains solve faster
+    than a tree solve, and the equal-runtime tree-vs-chains acceptance test
+    then passes only now and then (README; ROADMAP item 3).  Raises
+    ValueError on a non-finite drift or state.
     """
     tree = BranchTree(problem, grid)
     X = np.tile(problem.initial_state, (M, 1))

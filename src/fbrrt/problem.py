@@ -158,7 +158,10 @@ def _second_order_l1(
     def drift(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return np.stack(np.broadcast_arrays(x[..., 1], acceleration(x, u)), axis=-1)
+        rate, accel = x[..., 1], acceleration(x, u)
+        out = np.empty(np.broadcast_shapes(rate.shape, accel.shape) + (2,))
+        out[..., 0], out[..., 1] = rate, accel
+        return out
 
     def running_cost(t, x, u):
         u = np.asarray(u, dtype=float)

@@ -489,6 +489,7 @@ class ComparisonReport:
 
     bucket_times: np.ndarray
     rows: list
+    iteration_medians: dict  # state -> {method: median normalized acc-min after each iteration}
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -528,7 +529,7 @@ def comparison_report(runs_a: dict, runs_b: dict, label_a="fbrrt", label_b="base
     all_runs = [r for runs in (*runs_a.values(), *runs_b.values()) for r in runs]
     shared_total = min(r.cumulative_times()[-1] for r in all_runs)
     bucket_times = np.linspace(shared_total / buckets, shared_total, buckets)
-    rows = []
+    rows, iteration_medians = [], {}
     for state in sorted(runs_a):
         state_max = max(
             float(np.max(r.accumulated_min_curve())) for r in (*runs_a[state], *runs_b[state])
@@ -537,4 +538,7 @@ def comparison_report(runs_a: dict, runs_b: dict, label_a="fbrrt", label_b="base
             for run_idx, report in enumerate(runs):
                 for tau in bucket_times:
                     rows.append((state, label, run_idx, float(tau), _acc_min_at(report, tau) / state_max))
-    return ComparisonReport(bucket_times=bucket_times, rows=rows)
+            count = min(len(r.iterations) for r in runs)
+            curves = [r.accumulated_min_curve()[:count] / state_max for r in runs]
+            iteration_medians.setdefault(state, {})[label] = np.median(curves, axis=0)
+    return ComparisonReport(bucket_times=bucket_times, rows=rows, iteration_medians=iteration_medians)

@@ -223,14 +223,14 @@ class BranchTree:
         out = np.empty(len(widths), dtype=np.intp)
         for start in range(0, len(widths), 32):  # (32, width) temporaries
             q, w = queries[start : start + 32], widths[start : start + 32]
-            X = self._state[i, : w.max()]
-            dist = np.zeros((len(q), len(X)))
+            X, narrow = self._state[i, : w.max()], w.min()
             for k, weight in enumerate(weights):
                 diff = X[:, k] - q[:, k, None]
                 diff *= diff
                 diff *= weight
-                dist += diff
-            dist[np.arange(len(X)) >= w[:, None]] = np.inf
+                dist = np.add(dist, diff, out=dist) if k else diff  # rounds as 0 + diff would
+            if narrow < len(X):  # every query sees the columns before `narrow`
+                dist[:, narrow:][np.arange(narrow, len(X)) >= w[:, None]] = np.inf
             out[start : start + 32] = dist.argmin(axis=1)
         return out
 

@@ -15,7 +15,11 @@ as the lambda search fits five lambdas.  The LQ grid drift is the drift of
 draws are one iteration's random numbers for the di-tree workload's tree
 (M = B, 30 steps), drawn in bulk as `forward_expand` draws them: a fresh
 tree (7680 expansions, pure exploration, as in iteration 1) and one
-pruned to 0.3 (exploiting, as in later iterations).  The chains kernels are those of the
+pruned to 0.3 (exploiting, as in later iterations).  The nearest search
+takes the expansions of one layer of the same two schedules, each query
+against the prefix of the layer that existed at its turn, and a tree
+sampling step is one layer of that tree with about 70% of the rows
+following the policy.  The chains kernels are those of the
 di-chains-out workload (M = 512, 30 steps): one `sampling_step` of 512
 chains with coefficients and eps_opt = 0.7 (about 70% of the rows follow
 the policy), one layer of 512 chains appended node by node through
@@ -30,7 +34,14 @@ import numpy as np
 import pytest
 
 from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
-from fbrrt.basis import ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
+from fbrrt.basis import (
+    ValueCoefficients,
+    feature_count,
+    features,
+    noise_feature_shift,
+    value_grad,
+    weighted_least_squares,
+)
 from fbrrt.forward import (
     ForwardConfig,
     _draw_expansions,
@@ -75,6 +86,12 @@ def test_candidate_scores(benchmark, problem):
 
 
 @pytest.mark.benchmark(group="basis")
+def test_features(benchmark):
+    X, _ = _inputs(DI)
+    assert benchmark(features, X, DI.roi_lower, DI.roi_upper).shape == (B, feature_count(2))
+
+
+@pytest.mark.benchmark(group="basis")
 def test_value_grad(benchmark):
     X, alpha = _inputs(DI)
     assert benchmark(value_grad, X, alpha, DI.roi_lower, DI.roi_upper).shape == (B, 2)
@@ -95,7 +112,8 @@ def test_layer_targets(benchmark):
     rng = np.random.default_rng(0)
     X_prev, X_next = LQ.sample_roi(rng, size=B), LQ.sample_roi(rng, size=B)
     box = (LQ.roi_lower, LQ.roi_upper)
-    design = _EdgeDesign(LQ, 0.05, 3, X_prev, features(X_next, *box), *box)
+    shift = noise_feature_shift(LQ.sigma @ LQ.sigma.T * 0.05, *box)
+    design = _EdgeDesign(LQ, 0.05, 3, X_prev, features(X_next, *box), *box, shift)
     alphas = rng.normal(size=(5, feature_count(2)))
     y_hat, y_next = benchmark(design.targets, alphas)
     assert y_hat.shape == y_next.shape == (5, B)
@@ -207,27 +225,52 @@ def test_chains_forked_csv_write(benchmark, tmp_path):
 
 
 def _draw_schedules():
-    """(widths, eps_rrt, eps_opt) of one iteration of a fresh and of a
-    pruned di-tree tree."""
+    """(layers, widths, eps_rrt, eps_opt) of one iteration of a fresh and of
+    a pruned di-tree tree, and the grown tree."""
     grid = TimeGrid.from_horizon(DI.horizon, 30)
     tree = BranchTree(DI, grid)
     tree.add_root()
     fresh = tree.layer_sizes
     forward_expand(tree, None, ForwardConfig(target_width=B), np.random.default_rng(0))
     pruned = tree.prune([None] + [tree.layer(i).states[:, 0] for i in range(1, grid.steps + 1)], 0.3).layer_sizes
-    return {
-        "fresh": (expansion_schedule(fresh, B)[1], 1.0, None),
-        "pruned": (expansion_schedule(pruned, B)[1], 0.7, 0.7),
+    return tree, {
+        "fresh": (*expansion_schedule(fresh, B), 1.0, None),
+        "pruned": (*expansion_schedule(pruned, B), 0.7, 0.7),
     }
 
 
-DRAW_SCHEDULES = _draw_schedules()
+TREE, DRAW_SCHEDULES = _draw_schedules()
+
+
+@pytest.mark.benchmark(group="tree")
+@pytest.mark.parametrize("layers", ["fresh", "pruned"])
+def test_nearest_positions_on_prefixes(benchmark, layers):
+    # the expansions of layer 15 in one iteration: a fresh tree's prefix
+    # widths grow 1..B, a pruned tree's from the kept nodes up to B
+    layer, widths, *_ = DRAW_SCHEDULES[layers]
+    widths = widths[layer == 15]
+    queries = DI.sample_roi(np.random.default_rng(1), size=len(widths))
+    out = benchmark(TREE.nearest_positions, 15, queries, widths, default_metric_weights(DI))
+    assert (out < widths).all()
+
+
+@pytest.mark.benchmark(group="tree")
+def test_tree_sampling_step(benchmark):
+    # layer 15 of a grown di-tree tree, about 70% of the rows following the policy
+    rng = np.random.default_rng(0)
+    X = TREE.layer_states(15)
+    coeffs = ValueCoefficients(rng.normal(size=(30, feature_count(2))), DI.roi_lower, DI.roi_upper)
+    pick = rng.integers(len(DI.random_controls), size=B)
+    pick[0.7 > rng.uniform(size=B)] = -1
+    W = rng.normal(size=X.shape) * np.sqrt(CHAINS_GRID.dt)
+    U, K, ells, X_next = benchmark(sampling_step, DI, CHAINS_GRID, 15, X, pick, coeffs, W)
+    assert X_next.shape == (B, 2) and np.isfinite(ells).all()
 
 
 @pytest.mark.benchmark(group="forward_draws")
 @pytest.mark.parametrize("layers", ["fresh", "pruned"])
 def test_forward_draws(benchmark, layers):
-    widths, eps_rrt, eps_opt = DRAW_SCHEDULES[layers]
+    _, widths, eps_rrt, eps_opt = DRAW_SCHEDULES[layers]
     dt = DI.horizon / 30
     pos, *_ = benchmark(lambda: _draw_expansions(np.random.default_rng(0), DI, widths, eps_rrt, eps_opt, dt))
     assert len(pos) == len(widths)

@@ -66,3 +66,9 @@ def correlated_noise_lq_problem():
         np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([[0.1], [1.0]]), 0.1 * np.eye(2), np.eye(1), np.eye(2),
         noise=np.array([[0.3, 0.07], [-0.11, 0.25]]), grid_points=5,
     )
+
+
+def same_bits(got, want) -> bool:
+    """Equal shape, dtype and bytes: NaN payloads and signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()

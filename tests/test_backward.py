@@ -36,7 +36,7 @@ from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, 
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
 
-from conftest import policy_problems, scalar_problem
+from conftest import policy_problems, same_bits, scalar_problem
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +214,59 @@ def test_best_candidates_match_the_reference(seed):
         assert np.array_equal(got, ref)
 
 
+def drifts_and_costs_reference(problem, t, X, controls):
+    """`_drifts_and_costs` broadcasting both grids whatever their shape."""
+    Xg, Ug = X[:, None, :], controls[None, :, :]
+    shape = (X.shape[0], len(controls))
+    return np.broadcast_to(problem.running_cost(t, Xg, Ug), shape), np.broadcast_to(
+        problem.drift(t, Xg, Ug), shape + (X.shape[1],)
+    )
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_drifts_and_costs_round_like_broadcast_grids(name):
+    p = policy_problems()[name]
+    X = p.sample_roi(np.random.default_rng(3), size=33)
+    for controls in (p.control_candidates, p.random_controls):
+        controls = np.asarray(controls, dtype=float)
+        for got, want in zip(_drifts_and_costs(p, 0.3, X, controls), drifts_and_costs_reference(p, 0.3, X, controls)):
+            assert same_bits(got, want)
+
+
+def best_candidates_gather_reference(ells, F, grad):
+    """`_best_candidates` with each row's best taken by take_along_axis."""
+    dot = F[..., 0] * grad[..., None, 0]
+    for k in range(1, F.shape[2]):
+        dot += F[..., k] * grad[..., None, k]
+    scores = ells + dot
+    first = scores.argmin(axis=-1)
+    best = np.take_along_axis(scores, first[..., None], axis=-1)
+    if not np.isnan(best).any() and np.count_nonzero(scores == best) == first.size:
+        return first
+    return np.argmin(np.where(scores == best, ells, np.inf), axis=-1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    B=st.integers(1, 40),
+    C=st.integers(1, 6),
+    n=st.integers(1, 4),
+    L=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+    nan_rows=st.integers(0, 3),
+)
+def test_best_candidates_round_like_take_along_axis(B, C, n, L, seed, nan_rows):
+    # small integers tie scores and running costs; NaN rows stop argmin
+    rng = np.random.default_rng(seed)
+    ells = rng.integers(0, 3, size=(B, C)).astype(float)
+    F = rng.integers(-1, 2, size=(B, C, n)).astype(float)
+    ells[rng.integers(B, size=nan_rows), rng.integers(C, size=nan_rows)] = np.nan
+    grad = rng.integers(-2, 3, size=(B, n) if L is None else (L, B, n)).astype(float)
+    got = _best_candidates(ells, F, grad)
+    assert same_bits(got, best_candidates_gather_reference(ells, F, grad))
+    assert np.array_equal(got, best_candidates_reference(ells, F, grad))
+
+
 # ---------------------------------------------------------------------------
 # regression targets
 
@@ -307,7 +360,8 @@ def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
     K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
     X_next = p.sample_roi(rng, size=50)
     box = (p.roi_lower, p.roi_upper)
-    design = _EdgeDesign(p, 0.05, 3, X_prev, features(X_next, *box), *box)
+    shift = noise_feature_shift(p.sigma @ p.sigma.T * 0.05, *box)
+    design = _EdgeDesign(p, 0.05, 3, X_prev, features(X_next, *box), *box, shift)
     alphas = np.array(random_alphas(p, rng) + random_alphas(p, rng))
     y_hat, y_next = design.targets(alphas)
     assert y_hat.shape == y_next.shape == (len(alphas), 50)

@@ -16,7 +16,7 @@ from fbrrt.basis import (
     weighted_least_squares,
 )
 
-from conftest import correlated_noise_lq_problem, policy_problems
+from conftest import correlated_noise_lq_problem, policy_problems, same_bits
 
 BOX1 = (np.array([-1.0]), np.array([1.0]))
 BOX2 = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -257,3 +257,64 @@ def test_value_coefficients_rejects_nonfinite():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         ValueCoefficients(alphas=bad, lower=np.array([-1.0]), upper=np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels round as the formulas they replaced
+
+
+def features_reference(x, lower, upper):
+    """`features` as a list of columns stacked into (B, p)."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    z = (2.0 * np.asarray(x, dtype=float) - (upper + lower)) / (upper - lower)
+    squeeze = z.ndim == 1
+    z = np.atleast_2d(z)
+    B, n = z.shape
+    cols = [np.ones(B), *(z[:, k] for k in range(n)), *(2.0 * z[:, k] ** 2 - 1.0 for k in range(n))]
+    cols.extend(z[:, j] * z[:, k] for j in range(n) for k in range(j + 1, n))
+    out = np.stack(cols, axis=1)
+    return out[0] if squeeze else out
+
+
+def weighted_least_squares_reference(phi, targets, weights, ridge):
+    """`weighted_least_squares`'s lstsq on a design built by vstack and
+    concatenate."""
+    sw = np.sqrt(weights)
+    A, b = phi * sw[:, None], targets * sw
+    if ridge > 0:
+        A = np.vstack([A, np.sqrt(ridge) * np.eye(phi.shape[1])])
+        b = np.concatenate([b, np.zeros(phi.shape[1])])
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def random_box(rng, n):
+    lower = rng.uniform(-5.0, 1.0, size=n)
+    return lower, lower + rng.uniform(0.1, 10.0, size=n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 4), B=st.integers(1, 70), seed=st.integers(0, 2**16), single=st.booleans())
+def test_features_round_like_stacked_columns(n, B, seed, single):
+    rng = np.random.default_rng(seed)
+    lower, upper = random_box(rng, n)
+    x = rng.uniform(lower - 2.0, upper + 2.0, size=(B, n))  # extrapolating rows too
+    if B > 2:
+        x[1, 0], x[2, -1] = np.nan, -np.inf
+    x = x[0] if single else x
+    got = features(x, lower, upper)
+    assert same_bits(got, features_reference(x, lower, upper))
+    assert got.flags.c_contiguous
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 4), extra=st.integers(0, 60), seed=st.integers(0, 2**16), ridge=st.sampled_from([0.0, 1e-8, 0.5]))
+def test_weighted_least_squares_solves_the_stacked_design(n, extra, seed, ridge):
+    rng = np.random.default_rng(seed)
+    box = random_box(rng, n)
+    B = feature_count(n) + extra
+    phi = features(rng.uniform(*box, size=(B, n)), *box)
+    targets, weights = rng.normal(size=B), rng.uniform(0.0, 3.0, size=B)
+    weights[rng.integers(B)] = 1.0  # at least one positive weight
+    assert same_bits(
+        weighted_least_squares(phi, targets, weights, ridge), weighted_least_squares_reference(phi, targets, weights, ridge)
+    )

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores
-from fbrrt.basis import ValueCoefficients, quadratic_to_coefficients
-from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline
+from fbrrt.backward import _candidate_scores, _drifts_and_costs
+from fbrrt.basis import ValueCoefficients, feature_count, quadratic_to_coefficients
+from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline, sampling_step
 from fbrrt.problem import (
     TimeGrid,
     make_double_integrator_l1,
@@ -15,7 +15,7 @@ from fbrrt.problem import (
 )
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import correlated_noise_lq_problem, scalar_problem
+from conftest import correlated_noise_lq_problem, policy_problems, same_bits, scalar_problem
 
 
 # Node-by-node reference of the forward pass: one node selection, control
@@ -33,30 +33,10 @@ def euler_maruyama_step(problem, dt, t, x, k, w):
     return x + np.asarray(k, dtype=float) * dt + noise
 
 
-def select_expansion_node(tree, i, config, rng):
-    """RRT selection with probability eps_rrt, else uniform over the layer."""
-    size = tree.layer_size(i)
-    if not size:
-        raise ValueError(f"layer {i} is empty")
-    if config.eps_rrt > rng.uniform():
-        target = tree.problem.sample_roi(rng)
-        return tree.nearest(i, target, default_metric_weights(tree.problem))[1]
-    return tree.layers[i][rng.integers(size)]
-
-
 def policy_control(problem, t, x, alpha_next, lower, upper):
     """The target policy's control at the one state x."""
     choice, cands, _, _ = _candidate_scores(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)
     return cands[choice[0]]
-
-
-def select_control(problem, t, x, alpha_next, coeffs_box, config, rng):
-    """Exploit the target policy with probability eps_opt (when coefficients
-    exist), otherwise draw uniformly from the exploration control set."""
-    if alpha_next is not None and config.eps_opt > rng.uniform():
-        return policy_control(problem, t, x, alpha_next, *coeffs_box)
-    cands = np.asarray(problem.random_controls)
-    return cands[rng.integers(len(cands))]
 
 
 def test_euler_step_values():
@@ -65,87 +45,6 @@ def test_euler_step_values():
     assert euler_maruyama_step(p, 0.1, 0.0, np.zeros(1), np.array([2.0]), np.zeros(1)) == pytest.approx(0.2)
     # pure diffusion: sigma * w = 0.5 * 0.3
     assert euler_maruyama_step(p, 0.1, 0.0, np.zeros(1), np.zeros(1), np.array([0.3])) == pytest.approx(0.15)
-
-
-def frequencies(draws, count):
-    return np.bincount(draws, minlength=count) / len(draws)
-
-
-def test_select_node_uniform_when_rrt_off():
-    p = make_double_integrator_l1()
-    grid = TimeGrid.from_horizon(p.horizon, 5)
-    tree = BranchTree(p, grid)
-    tree.add_root()
-    rng = np.random.default_rng(0)
-    ids = [tree.add_edge(0, np.array([0.0]), np.zeros(2), s) for s in p.sample_roi(rng, size=4)]
-    cfg = ForwardConfig(target_width=4, eps_rrt=0.0)
-    draws = np.array([select_expansion_node(tree, 1, cfg, rng) for _ in range(4000)]) - ids[0]
-    assert np.max(np.abs(frequencies(draws, 4) - 0.25)) < 0.03
-
-
-def test_select_node_voronoi_bias():
-    # layer {0.0, 0.9} on roi [0, 1]: the midpoint 0.45 splits the cells
-    p = scalar_problem(roi=(0.0, 1.0), x0=0.0)
-    grid = TimeGrid.from_horizon(p.horizon, 5)
-    tree = BranchTree(p, grid)
-    tree.add_root()
-    a = tree.add_edge(0, np.array([0.0]), np.zeros(1), np.array([0.0]))
-    tree.add_edge(0, np.array([0.0]), np.zeros(1), np.array([0.9]))
-    rng = np.random.default_rng(1)
-    cfg = ForwardConfig(target_width=4, eps_rrt=1.0)
-    draws = np.array([select_expansion_node(tree, 1, cfg, rng) for _ in range(4000)])
-    assert np.mean(draws == a) == pytest.approx(0.45, abs=0.03)
-
-
-def test_select_node_singleton():
-    p = scalar_problem()
-    tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 2))
-    tree.add_root()
-    cfg = ForwardConfig(target_width=1, eps_rrt=1.0)
-    rng = np.random.default_rng(2)
-    assert all(select_expansion_node(tree, 0, cfg, rng) == 0 for _ in range(10))
-
-
-def test_select_node_empty_layer():
-    p = scalar_problem()
-    tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 2))
-    tree.add_root()
-    with pytest.raises(ValueError):
-        select_expansion_node(tree, 1, ForwardConfig(target_width=1), np.random.default_rng(0))
-
-
-def test_select_control_explores_without_coefficients():
-    p = scalar_problem()
-    rng = np.random.default_rng(3)
-    cfg = ForwardConfig(target_width=1, eps_opt=1.0)
-    draws = np.array([select_control(p, 0.0, p.initial_state, None, None, cfg, rng)[0] for _ in range(4000)])
-    freqs = frequencies((draws + 1).astype(int), 3)
-    assert np.max(np.abs(freqs - 1 / 3)) < 0.03
-
-
-def test_select_control_uniform_when_opt_off():
-    p = scalar_problem()
-    alpha = quadratic_to_coefficients(np.array([[1.0]]), np.zeros(1), 0.0, p.roi_lower, p.roi_upper)
-    rng = np.random.default_rng(4)
-    cfg = ForwardConfig(target_width=1, eps_opt=0.0)
-    box = (p.roi_lower, p.roi_upper)
-    draws = np.array([select_control(p, 0.0, p.initial_state, alpha, box, cfg, rng)[0] for _ in range(4000)])
-    freqs = frequencies((draws + 1).astype(int), 3)
-    assert np.max(np.abs(freqs - 1 / 3)) < 0.03
-
-
-def test_select_control_exploits_against_gradient():
-    # V = x^2, x = 0.7: dV/dx = 1.4 dominates the fuel weight 0.5, so the
-    # policy picks the bang control opposing the gradient
-    p = scalar_problem(fuel_weight=0.5)
-    alpha = quadratic_to_coefficients(np.array([[1.0]]), np.zeros(1), 0.0, p.roi_lower, p.roi_upper)
-    cfg = ForwardConfig(target_width=1, eps_opt=1.0)
-    rng = np.random.default_rng(5)
-    box = (p.roi_lower, p.roi_upper)
-    u = select_control(p, 0.0, np.array([0.7]), alpha, box, cfg, rng)
-    assert u[0] == -1.0
-    u = select_control(p, 0.0, np.array([-0.7]), alpha, box, cfg, rng)
-    assert u[0] == 1.0
 
 
 def test_forward_expand_single_chain():
@@ -458,3 +357,54 @@ def test_rrt_spreads_at_least_as_wide_as_baseline():
         base_std = np.std(base.layer_states(10))
         wins += rrt_std >= base_std
     assert wins == 5
+
+
+def sampling_step_reference(problem, grid, i, X, pick, coeffs, noise):
+    """`sampling_step` reading every row's drift and cost off a grid: the
+    candidate grid for policy rows, the grid of every exploration control
+    for exploring rows."""
+    t = i * grid.dt
+    controls, K, ells = np.empty((len(X), problem.control_dim)), np.empty(X.shape), np.empty(len(X))
+    for rows in (np.flatnonzero(pick < 0), np.flatnonzero(pick >= 0)):
+        if not len(rows):
+            continue
+        if pick[rows[0]] < 0:
+            choice, cands, grid_ells, F = _candidate_scores(
+                problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
+            )
+        else:
+            cands, choice = np.asarray(problem.random_controls, dtype=float), pick[rows]
+            grid_ells, F = _drifts_and_costs(problem, t, X[rows], cands)
+        k = np.arange(len(rows))
+        controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
+    return controls, K, ells, X + K * grid.dt + problem.apply_diffusion(noise)
+
+
+@pytest.mark.parametrize("name", list(policy_problems()) + ["correlated_lq"])
+@pytest.mark.parametrize("explore", [0.0, 0.4, 1.0])
+def test_sampling_step_rounds_like_the_grids(name, explore):
+    # an exploring row's (state, control) pair rounds as its grid entry
+    p = correlated_noise_lq_problem() if name == "correlated_lq" else policy_problems()[name]
+    grid = TimeGrid.from_horizon(p.horizon, 6)
+    rng = np.random.default_rng(9)
+    X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(70, p.state_dim))
+    coeffs = ValueCoefficients(rng.normal(size=(6, feature_count(p.state_dim))), p.roi_lower, p.roi_upper)
+    pick = rng.integers(len(p.random_controls), size=70)
+    pick[explore <= rng.uniform(size=70)] = -1
+    noise = rng.normal(size=X.shape) * np.sqrt(grid.dt)
+    got = sampling_step(p, grid, 2, X, pick, coeffs, noise)
+    want = sampling_step_reference(p, grid, 2, X, pick, coeffs, noise)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_sampling_step_checks_only_the_chosen_exploration_drifts():
+    # a NaN drift under u = +1 stops only a step where an exploring row chose it
+    base = scalar_problem()
+    p = dataclasses.replace(base, drift=lambda t, x, u: base.drift(t, x, u) / (np.asarray(u)[..., :1] != 1.0))
+    grid = TimeGrid.from_horizon(p.horizon, 2)
+    X = np.zeros((4, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        *_, X_next = sampling_step(p, grid, 0, X, np.array([0, 1, 0, 1]), None, np.zeros((4, 1)))
+        assert np.array_equal(X_next, [[-grid.dt], [0.0], [-grid.dt], [0.0]])
+        with pytest.raises(ValueError, match="drift must be finite"):
+            sampling_step(p, grid, 0, X, np.array([0, 2, 1, 0]), None, np.zeros((4, 1)))

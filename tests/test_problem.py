@@ -13,7 +13,7 @@ from fbrrt.problem import (
 )
 from fbrrt.solver import SolverConfig, fbrrt_solve
 
-from conftest import correlated_noise_lq_problem
+from conftest import correlated_noise_lq_problem, same_bits
 
 ALL_FACTORIES = [make_double_integrator_l1, make_pendulum_l1, make_uncontrolled_heat]
 
@@ -160,3 +160,25 @@ def test_batched_drift_matches_scalar():
     batched = p.drift(0.3, X, U)
     rows = np.array([p.drift(0.3, x, u) for x, u in zip(X, U)])
     assert np.allclose(batched, rows)
+
+
+# the accelerations of the default second-order problems, as their factories define them
+ACCELERATIONS = {
+    make_double_integrator_l1: lambda x, u: u[..., 0],
+    make_pendulum_l1: lambda x, u: 9.81 * np.sin(x[..., 0]) - 0.1 * x[..., 1] + u[..., 0],
+}
+
+
+@pytest.mark.parametrize("factory", list(ACCELERATIONS))
+def test_second_order_drift_rounds_like_stacked_channels(factory):
+    # (rate, acceleration) written into one array rounds as np.stack of the
+    # broadcast channels: on a grid, on pairs, at one pair and with a bare
+    # (m,) candidate
+    p, accel = factory(), ACCELERATIONS[factory]
+    rng = np.random.default_rng(6)
+    X = rng.uniform(p.roi_lower - 1.0, p.roi_upper + 1.0, size=(9, 2))
+    cands = np.asarray(p.control_candidates)
+    U = cands[rng.integers(len(cands), size=9)]
+    for x, u in ((X[:, None, :], cands[None, :, :]), (X, U), (X[0], U[0]), (X, cands[2])):
+        want = np.stack(np.broadcast_arrays(x[..., 1], accel(x, u)), axis=-1)
+        assert same_bits(p.drift(0.3, x, u), want)

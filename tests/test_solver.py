@@ -550,6 +550,17 @@ def test_comparison_has_no_cost_before_the_first_iteration():
     assert cmp.final_bucket_medians() == {0: {"fbrrt": 1 / 3, "baseline": 1.0}}
 
 
+def test_comparison_iteration_medians():
+    # per state and method, the median normalized acc-min after each
+    # iteration, cut to the method's shortest run
+    a = [make_report([4.0, 2.0, 2.0]), make_report([2.0, 2.0, 1.0]), make_report([3.0, 1.0, 1.0])]
+    b = [make_report([8.0, 4.0]), make_report([6.0, 6.0, 6.0])]
+    cmp = comparison_report({0: a}, {0: b}, buckets=2)
+    medians = cmp.iteration_medians[0]
+    np.testing.assert_array_equal(medians["fbrrt"], np.array([3.0, 2.0, 1.0]) / 8.0)
+    np.testing.assert_array_equal(medians["baseline"], np.array([7.0, 5.0]) / 8.0)
+
+
 def test_comparison_rejects_mismatched_states():
     r = make_report([1.0])
     with pytest.raises(ValueError):
@@ -676,3 +687,21 @@ def test_cli_compare_small(tmp_path, capsys):
     assert lines[0] == "state,method,run,bucket_time,normalized_acc_min"
     # 2 states x 2 methods x 1 run x 10 buckets
     assert len(lines) == 1 + 40
+
+
+def test_cli_compare_prints_medians_by_iteration(tmp_path, capsys):
+    cfg_text = "problem = heat\nsteps = 3\nM = 8\niterations = 3\nrollout_count = 8\n"
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text(cfg_text)
+    b.write_text(cfg_text + "mode = parallel-baseline\n")
+    argv = ["compare", str(a), str(b), "--states", "2", "--seeds", "2", "--out", str(tmp_path / "cmp.csv")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for state in (0, 1):
+        at = lines.index(next(line for line in lines if line.startswith(f"state {state}: fbrrt=")))
+        for line, method in zip(lines[at + 1 : at + 3], ("fbrrt", "parallel-baseline")):
+            label, values = line.split(":")
+            assert label == f"  {method} by iteration"
+            curve = [float(v) for v in values.split()]
+            assert len(curve) == 3 and all(0 < v <= 1 for v in curve)
+            assert curve == sorted(curve, reverse=True)  # a median of running minima never rises

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbrrt.forward import ForwardConfig, parallel_forward_baseline
-from fbrrt.problem import TimeGrid, make_double_integrator_l1
+from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
+
+from conftest import same_bits
 
 
 @pytest.fixture
@@ -196,6 +200,49 @@ def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
         on_node = np.flatnonzero((states[:width] == q).all(axis=1))
         if len(on_node):
             assert pos == on_node[0]
+
+
+def nearest_positions_reference(states, queries, widths, weights):
+    """`nearest_positions` on a zero-started distance with every column past
+    a query's width masked."""
+    out = np.empty(len(widths), dtype=np.intp)
+    for start in range(0, len(widths), 32):
+        q, w = queries[start : start + 32], widths[start : start + 32]
+        X = states[: w.max()]
+        dist = np.zeros((len(q), len(X)))
+        for k, weight in enumerate(weights):
+            diff = X[:, k] - q[:, k, None]
+            diff *= diff
+            diff *= weight
+            dist += diff
+        dist[np.arange(len(X)) >= w[:, None]] = np.inf
+        out[start : start + 32] = dist.argmin(axis=1)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 3),
+    size=st.integers(1, 90),
+    count=st.integers(1, 100),
+    equal_widths=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_nearest_positions_match_the_fully_masked_scan(n, size, count, equal_widths, seed):
+    # integer states and queries make exact distance ties; a chunk of 32
+    # queries sees one width or several
+    rng = np.random.default_rng(seed)
+    p = make_lq_problem(np.zeros((n, n)), np.zeros((n, 1)), np.eye(n), np.eye(1), np.eye(n), noise=1.0, grid_points=2)
+    states = rng.integers(-2, 3, size=(size, n)).astype(float)
+    queries = rng.integers(-2, 3, size=(count, n)).astype(float)
+    if not equal_widths:
+        queries[::2] += rng.uniform(-0.5, 0.5, size=queries[::2].shape)
+    widths = np.full(count, rng.integers(1, size + 1)) if equal_widths else rng.integers(1, size + 1, size=count)
+    weights = rng.uniform(0.1, 2.0, size=n)
+    tree = BranchTree(p, TimeGrid(dt=0.1, steps=1))
+    tree.add_roots(states)
+    got = tree.nearest_positions(0, queries, widths, weights)
+    assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
 
 
 def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
