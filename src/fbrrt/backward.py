@@ -18,13 +18,19 @@ run_cost + V_{i+1}(x_{i+1}), and per-timestep coefficients are fit by
 weighted ridge least squares.
 
 Several temperatures lambda are fit in lockstep: one walk down the tree
-computes what no lambda changes (the edge arrays, the features, the drift
-and cost grid on the parents, the terminal fit) once per layer, and the
-policy and targets of every lambda in one pass over an (L, p) stack of
-their coefficients; only the weights and the fit run per lambda.  The
-lambda search then rolls every fitted policy out in one stacked loop on
-shared noise; `rollout_policies` is that loop, and a single policy's
-rollout is the case of one.
+computes what no lambda changes (the parents of the layer's edges, the
+features, the drift and cost grid on those parents, the terminal fit)
+once per layer, and the policy and targets of every lambda in one pass
+over an (L, p) stack of their coefficients.  A target depends on the
+parent state alone, so with two or more coefficient vectors each
+distinct parent is scored once, and its policy's mean-state features are
+gathered to the edges for the value products.  The fits run on stacks
+too: (L, B) softmin weights, an (L, B + p, p) sqrt-weighted design with
+its ridge rows, and the residual norms and effective sample sizes; only
+the lstsq solve and its rank check run per lambda, and every lambda
+rounds as it does alone.  The lambda search then rolls every fitted
+policy out in one stacked loop on shared noise; `rollout_policies` is
+that loop, and a single policy's rollout is the case of one.
 """
 
 from __future__ import annotations
@@ -37,10 +43,13 @@ import numpy as np
 from .basis import (
     SingularRegressionError,
     ValueCoefficients,
+    check_ridge,
     features,
     noise_feature_shift,
+    solve_weighted_design,
     value_grad,
-    weighted_least_squares,
+    weighted_design,
+    weighted_least_squares,  # noqa: F401 - perfbench/tracer.py wraps the fit by this name
 )
 from .problem import ControlProblem, TimeGrid
 from .tree import BranchTree
@@ -106,19 +115,22 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, low
     return _best_candidates(ells, F, grad), cands, ells, F
 
 
-def softmin_weights(rho: np.ndarray, lam: float) -> np.ndarray:
+def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:
     """Theta_j = exp(-(rho_j - min rho)/lam) / mean_k exp(-(rho_k - min rho)/lam).
 
-    The min shift only improves exponential conditioning; it cancels in the
-    normalization.  mean(Theta) == 1 up to float rounding.
+    Along the last axis: rho (B,) with one lambda, or an (L, B) stack with
+    an (L, 1) column of lambdas, whose row l rounds as
+    softmin_weights(rho[l], lam[l]) alone.  The min shift only improves
+    exponential conditioning; it cancels in the normalization.
+    mean(Theta) == 1 up to float rounding.
     """
-    if lam <= 0:
+    if not np.min(lam) > 0:  # also refuses NaN
         raise ValueError("lambda must be positive")
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise ValueError("heuristic scores must be finite")
-    w = np.exp(-(rho - rho.min()) / lam)
-    return w / w.mean()
+    w = np.exp(-(rho - rho.min(axis=-1, keepdims=True)) / lam)
+    return w / w.mean(axis=-1, keepdims=True)
 
 
 def path_heuristic(run_cost, value_next) -> np.ndarray:
@@ -128,36 +140,62 @@ def path_heuristic(run_cost, value_next) -> np.ndarray:
 
 def _layer_edge_arrays(tree: BranchTree, i_next: int):
     """Edge arrays for layer i_next: parent states, drifts, child states, run
-    costs (the last three are views of the tree's storage)."""
+    costs (the last three are views of the tree's storage).  `backward_pass`
+    reads the layer itself; this stays for the drift-invariance refit of
+    `tests/test_acceptance.py`, which imports it."""
     layer = tree.layer(i_next)
     return tree.layer_states(i_next - 1)[layer.parents], layer.drifts, layer.states, layer.run_costs
+
+
+def _distinct_parents(X: np.ndarray, parents: np.ndarray):
+    """(states, inverse) of the edges from layer states X by `parents`: the
+    states of the distinct parents in position order, and each edge's row
+    among them; when no two edges share a parent, the edges' own parent
+    states and None."""
+    seen = np.zeros(len(X), dtype=bool)
+    seen[parents] = True
+    if np.count_nonzero(seen) == len(parents):
+        return X[parents], None
+    return X[seen], np.cumsum(seen)[parents] - 1
 
 
 class _EdgeDesign:
     """What every coefficient vector shares on the edges into layer i+1:
     the parent states X_prev, the child features phi_next, the drift and
     cost grid of every candidate on the parents, and the noise's shift c
-    of the feature means, the same on every layer."""
+    of the feature means, the same on every layer.
 
-    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper, shift):
-        self.dt, self.X_prev, self.phi_next = dt, X_prev, phi_next
+    A target depends on the parent state alone, so X_prev may hold each
+    distinct parent once, with `inverse` giving each edge's row of X_prev
+    (see `_distinct_parents`); None means one row per edge."""
+
+    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper, shift, inverse=None):
+        self.dt, self.X_prev, self.phi_next, self.inverse = dt, X_prev, phi_next, inverse
         self.lower, self.upper, self.shift = lower, upper, shift
         self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
 
     def targets(self, alphas):
-        """(y_hat_i, y_next), each (L, B), of every edge under each row
+        """(y_hat_i, y_next), each (L, B) over the B edges, under each row
         alpha_{i+1} of the (L, p) stack `alphas`; row l equals the targets
         of alphas[l] alone."""
-        # one product per row: a stacked product could round differently
-        y_next = np.stack([self.phi_next @ alpha for alpha in alphas])
+        # np.matmul on the (L, p, 1) stack takes one matrix-vector product
+        # per row, which rounds as phi @ alpha alone; alphas @ phi.T could not
+        y_next = (self.phi_next @ alphas[:, :, None])[..., 0]
         grad = value_grad(self.X_prev, alphas[:, None, :], self.lower, self.upper)
         choice = _best_candidates(self.ells, self.F, grad)
         k = np.arange(choice.shape[1])
         f_mu, ell_mu = self.F[k, choice], self.ells[k, choice]
-        X_mean = self.X_prev + f_mu * self.dt  # (L, B, n) next states without the noise
+        X_mean = self.X_prev + f_mu * self.dt  # next states without the noise, per row of X_prev
         phi_mean = features(X_mean.reshape(-1, X_mean.shape[-1]), self.lower, self.upper).reshape(*choice.shape, -1)
-        y_mean = np.stack([phi @ alpha + self.shift @ alpha for phi, alpha in zip(phi_mean, alphas)])
-        return y_mean + ell_mu * self.dt, y_next
+        ell_dt = ell_mu * self.dt
+        if self.inverse is not None:
+            # the products run on every edge's row: BLAS may round a row of
+            # phi @ alpha by its place in the matrix, and a one-row product
+            # is a dot product, which rounds unlike a matrix-vector product
+            phi_mean, ell_dt = phi_mean[:, self.inverse], ell_dt[:, self.inverse]
+        # shift @ alpha is a dot product per row: the product alphas @ shift rounds unlike it
+        shift = np.array([self.shift @ alpha for alpha in alphas])[:, None]
+        return (phi_mean @ alphas[:, :, None])[..., 0] + shift + ell_dt, y_next
 
 
 def _edge_targets(
@@ -175,7 +213,10 @@ def _edge_targets(
 
     Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
     y_hat_i no longer depends on the sampled drifts K (nor on X_next): it
-    is a function of the parent states alone.
+    is a function of the parent states alone, scored once per edge here.
+    `backward_pass` builds `_EdgeDesign` itself; this stays for the
+    drift-invariance refit of `tests/test_acceptance.py`, which imports it
+    with this signature.
     """
     shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
     design = _EdgeDesign(problem, dt, i, X_prev, features(X_next, lower, upper), lower, upper, shift)
@@ -197,14 +238,52 @@ class BackwardArtifacts:
         return float(np.mean(self.initial_value_samples))
 
 
-def _weighted_fit(layer: int, phi, targets, weights, ridge: float):
-    """(alpha, weighted residual norm, effective sample size) of one fit."""
+def _stacked_softmin_weights(rho: np.ndarray, lams: list):
+    """(weights, errors): row l of the (L, B) weights is
+    softmin_weights(rho[l], lams[l]) and errors[l] None, or, where that
+    raises, ones (which keep the residuals and ESS of the stack finite)
+    and its ValueError."""
     try:
-        alpha = weighted_least_squares(phi, targets, weights, ridge)
-    except (SingularRegressionError, np.linalg.LinAlgError) as exc:
-        raise BackwardPassError(str(exc), layer=layer) from exc
-    resid = targets - phi @ alpha
-    return alpha, float(np.sqrt(np.sum(weights * resid**2))), float(np.sum(weights) ** 2 / np.sum(weights**2))
+        return softmin_weights(rho, np.array([[lam] for lam in lams])), [None] * len(lams)
+    except ValueError:
+        pass
+    weights, errors = np.ones_like(rho), [None] * len(lams)
+    for l, lam in enumerate(lams):
+        try:
+            weights[l] = softmin_weights(rho[l], lam)
+        except ValueError as exc:
+            errors[l] = exc
+    return weights, errors
+
+
+def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float):
+    """Fit row l of the (L, B) stacks `targets` and `weights` on the shared
+    features `phi`, as weighted_least_squares(phi, targets[l], weights[l],
+    ridge) does, unless errors[l] already stops it; the weights of the
+    other rows are nonnegative with a positive entry.  Returns the (L, p)
+    coefficients, the (L,) weighted residual norms and effective sample
+    sizes, and the errors, where a failed solve adds a BackwardPassError
+    naming `layer`.  Rows with an error hold junk.
+
+    The design, the residuals and the reductions run once on the stacks;
+    only the lstsq solve and its rank check run per row.  Every row rounds
+    as its fit alone: the products are elementwise, phi @ alpha is one
+    matrix-vector product per row, and a reduction over the contiguous
+    last axis sums each row as it sums a vector."""
+    A, b = weighted_design(phi, targets, weights, ridge)
+    alphas = np.zeros((len(targets), phi.shape[1]))
+    errors = list(errors)
+    for l, error in enumerate(errors):
+        if error is None:
+            try:
+                alphas[l] = solve_weighted_design(A[l], b[l], ridge)
+            except (SingularRegressionError, np.linalg.LinAlgError) as exc:
+                errors[l] = BackwardPassError(str(exc), layer=layer)
+    resid = targets - (phi @ alphas[:, :, None])[..., 0]
+    residuals = np.sqrt(np.sum(weights * resid**2, axis=1))
+    # float_power squares as a scalar's ** 2 does (libm pow); an array's ** 2 rounds as x * x
+    ess = np.float_power(np.sum(weights, axis=1), 2) / np.sum(weights**2, axis=1)
+    return alphas, residuals, ess, errors
 
 
 class _LambdaFit:
@@ -217,9 +296,12 @@ class _LambdaFit:
         self.initial_value_samples: Optional[np.ndarray] = None
         self.error: Optional[Exception] = None  # what stopped this lambda
 
-    def add(self, layer: int, fit) -> None:
-        alpha, self.residuals[layer - 1], self.ess[layer - 1] = fit
+    def add(self, layer: int, alpha, residual, ess, error) -> None:
+        if error is not None:
+            self.error = error
+            return
         self.alphas.append(alpha)
+        self.residuals[layer - 1], self.ess[layer - 1] = residual, ess
 
     def result(self, lower, upper):
         if self.error is not None:
@@ -250,8 +332,8 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     lockstep: the result is then a list in the order given, holding per
     lambda its BackwardArtifacts or the BackwardPassError that stopped it.
     Each entry equals what a pass with that lambda alone gives.  A
-    ValueError (a bad lambda, non-finite scores or coefficients) raises
-    either way, the first in lambda order.
+    ValueError (a bad lambda or ridge, non-finite scores or coefficients)
+    raises either way, the first in lambda order.
     """
     single = np.ndim(lam) == 0
     problem, grid = tree.problem, tree.grid
@@ -259,20 +341,16 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     lower, upper = problem.roi_lower, problem.roi_upper
     if ridge is None:
         ridge = 1e-8 * tree.layer_size(N)
+    check_ridge(ridge)
     fits = [_LambdaFit(float(value), N) for value in np.atleast_1d(lam)]
     shift = noise_feature_shift(problem.sigma @ problem.sigma.T * grid.dt, lower, upper)
 
     X_N = tree.layer_states(N)
     phi_next = features(X_N, lower, upper)
-    y_N = problem.terminal_cost(X_N)
-    try:
-        terminal = _weighted_fit(N, phi_next, y_N, np.ones(len(y_N)), ridge)
-    except BackwardPassError as exc:
-        for f in fits:
-            f.error = exc
-    else:
-        for f in fits:
-            f.add(N, terminal)
+    y_N = np.asarray(problem.terminal_cost(X_N), dtype=float)
+    terminal = [fit[0] for fit in _weighted_fits(N, phi_next, y_N[None], np.ones((1, len(y_N))), [None], ridge)]
+    for f in fits:
+        f.add(N, *terminal)
 
     # layers N-1..1 fit alpha_i; the root edges (i = 0) give the layer-1
     # heuristic (for pruning) and the initial-value estimator
@@ -280,27 +358,35 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         live = [f for f in fits if f.error is None]
         if not live:
             break
-        X_prev, _, _, run_costs = _layer_edge_arrays(tree, i + 1)
-        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper, shift)
-        if i > 0:
-            phi_next = features(tree.layer_states(i), lower, upper)
-            phi_prev = phi_next[tree.layer(i + 1).parents]
         # lambdas that hold the same alpha_{i+1} (all of them at layer N-1,
         # where it is alpha_N) share one row of the stacked targets
         alphas = {id(f.alphas[-1]): f.alphas[-1] for f in live}
-        row = {key: r for r, key in enumerate(alphas)}
+        layer, X = tree.layer(i + 1), tree.layer_states(i)
+        # scoring only the distinct parents pays for finding them with two or
+        # more coefficient vectors (timed on lq-lsearch lockstep passes), but
+        # not with one (timed on single-lambda di-tree passes)
+        X_prev, inverse = _distinct_parents(X, layer.parents) if len(alphas) > 1 else (X[layer.parents], None)
+        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper, shift, inverse)
+        if i > 0:
+            phi_next = features(X, lower, upper)
+            phi_prev = phi_next[layer.parents]
         y_hats, y_nexts = design.targets(np.array(list(alphas.values())))
-        for f in live:
-            r = row[id(f.alphas[-1])]
-            y_hat = y_hats[r]
-            f.rho[i + 1] = path_heuristic(run_costs, y_nexts[r])
-            if i == 0:
-                f.initial_value_samples = y_hat
-                continue
-            try:
-                f.add(i, _weighted_fit(i, phi_prev, y_hat, softmin_weights(f.rho[i + 1], f.lam), ridge))
-            except (BackwardPassError, ValueError) as exc:
-                f.error = exc
+        if len(alphas) < len(live):
+            row = {key: r for r, key in enumerate(alphas)}
+            rows = [row[id(f.alphas[-1])] for f in live]
+            y_hats, y_nexts = y_hats[rows], y_nexts[rows]
+        rho = path_heuristic(layer.run_costs, y_nexts)
+        # with several lambdas each keeps a copy of its row: a view would keep
+        # the rows of every lambda alive along with the one the search keeps
+        for f, rho_f in zip(live, rho):
+            f.rho[i + 1] = rho_f if len(live) == 1 else rho_f.copy()
+        if i == 0:
+            for f, y_hat in zip(live, y_hats):
+                f.initial_value_samples = y_hat if len(live) == 1 else y_hat.copy()
+            break
+        weights, errors = _stacked_softmin_weights(rho, [f.lam for f in live])
+        for f, *fit in zip(live, *_weighted_fits(i, phi_prev, y_hats, weights, errors, ridge)):
+            f.add(i, *fit)
 
     results = [f.result(lower, upper) for f in fits]
     raised = [r for r in results if isinstance(r, ValueError) or (single and isinstance(r, Exception))]
@@ -367,6 +453,7 @@ def rollout_policies(
     control_counts = np.zeros((L, N, len(cands)), dtype=int)
     sqrt_dt = np.sqrt(grid.dt)
     rows = np.arange(L * count)
+    block_offsets = len(cands) * (rows // count)  # block b's choices count in bins b C .. b C + C - 1
     blocks = [slice(b * count, (b + 1) * count) for b in range(L)]
     # (L, 1, .) stacks: block b's states take policy b's coefficients and box
     alphas = np.stack([c.alphas[:N] for c in coefficients])[:, None]
@@ -377,8 +464,7 @@ def rollout_policies(
         ells, F = _drifts_and_costs(problem, t, X, cands)
         grad = value_grad(X.reshape(L, count, n), alphas[:, :, i], lower, upper).reshape(-1, n)
         choice = _best_candidates(ells, F, grad)
-        for b, block in enumerate(blocks):
-            control_counts[b, i] = np.bincount(choice[block], minlength=len(cands))
+        control_counts[:, i] = np.bincount(choice + block_offsets, minlength=L * len(cands)).reshape(L, -1)
         costs += ells[rows, choice] * grid.dt
         W = rng.normal(size=(count, n)) * sqrt_dt
         X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + problem.apply_diffusion(W)).reshape(-1, n)

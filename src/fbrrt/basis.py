@@ -127,6 +127,39 @@ def value_grad(x, alpha, lower, upper) -> np.ndarray:
     return grad
 
 
+def check_ridge(ridge: float) -> None:
+    if not 0 <= ridge < np.inf:  # also refuses NaN, which every comparison would let through
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+
+
+def weighted_design(phi: np.ndarray, targets: np.ndarray, weights: np.ndarray, ridge: float):
+    """The least-squares system (A, b) of `weighted_least_squares`: the
+    sqrt(w)-scaled rows, and with a ridge the rows sqrt(ridge) I of zero
+    target.  `targets` and `weights` are (B,) or (L, B) stacks on the same
+    (B, p) features, giving (B [+ p], p) and (B [+ p],), or (L, B [+ p], p)
+    and (L, B [+ p]) whose rows round as each one alone."""
+    B, p = phi.shape
+    sw = np.sqrt(weights)
+    stack = sw.shape[:-1]
+    A, b = np.zeros(stack + (B + p * (ridge > 0), p)), np.zeros(stack + (B + p * (ridge > 0),))
+    np.multiply(phi, sw[..., None], out=A[..., :B, :])
+    np.multiply(targets, sw, out=b[..., :B])
+    if ridge > 0:
+        # the diagonal of each ridge block, flat: entry (B + k, k) sits at (B + k) p + k
+        A.reshape(stack + (-1,))[..., B * p :: p + 1] = np.sqrt(ridge)
+    return A, b
+
+
+def solve_weighted_design(A: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
+    """alpha of one system from `weighted_design`, by SVD lstsq; raises
+    SingularRegressionError when ridge == 0 and A is rank deficient."""
+    alpha, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    p = A.shape[1]
+    if ridge == 0 and rank < p:
+        raise SingularRegressionError(f"weighted design has rank {rank} < {p} and ridge is zero")
+    return alpha
+
+
 def weighted_least_squares(phi: np.ndarray, targets: np.ndarray, weights: np.ndarray, ridge: float) -> np.ndarray:
     """Minimize sum_j w_j (y_j - phi_j @ a)^2 + ridge * |a|^2 via SVD lstsq.
 
@@ -140,20 +173,8 @@ def weighted_least_squares(phi: np.ndarray, targets: np.ndarray, weights: np.nda
         raise ValueError("row counts of features, targets, and weights must agree")
     if np.any(weights < 0) or not np.any(weights > 0):
         raise ValueError("weights must be nonnegative with at least one positive")
-    if not 0 <= ridge < np.inf:  # also refuses NaN, which every comparison below would let through
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
-    B, p = phi.shape
-    sw = np.sqrt(weights)
-    # the sqrt(w)-scaled rows, and with a ridge the rows sqrt(ridge) I of zero target
-    A, b = np.zeros((B + p * (ridge > 0), p)), np.zeros(B + p * (ridge > 0))
-    np.multiply(phi, sw[:, None], out=A[:B])
-    np.multiply(targets, sw, out=b[:B])
-    if ridge > 0:
-        np.fill_diagonal(A[B:], np.sqrt(ridge))
-    alpha, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if ridge == 0 and rank < p:
-        raise SingularRegressionError(f"weighted design has rank {rank} < {p} and ridge is zero")
-    return alpha
+    check_ridge(ridge)
+    return solve_weighted_design(*weighted_design(phi, targets, weights, ridge), ridge)
 
 
 @dataclass

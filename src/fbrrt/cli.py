@@ -100,6 +100,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _method_labels(path_a, path_b) -> tuple[str, str]:
+    """Each compared method's label: its config file's stem, with a `-a`
+    or `-b` suffix when the two stems are equal."""
+    stem_a, stem_b = Path(path_a).stem, Path(path_b).stem
+    return (stem_a, stem_b) if stem_a != stem_b else (f"{stem_a}-a", f"{stem_b}-b")
+
+
 def _cmd_compare(args) -> int:
     config_a = parse_config_file(args.config_a)
     config_b = parse_config_file(args.config_b)
@@ -109,14 +116,15 @@ def _cmd_compare(args) -> int:
     runs_a: dict = {}
     runs_b: dict = {}
     for s_idx, x0 in enumerate(states):
-        for label, cfg, runs in (("a", config_a, runs_a), ("b", config_b, runs_b)):
+        for cfg, runs in ((config_a, runs_a), (config_b, runs_b)):
             runs[s_idx] = []
             for trial in range(args.seeds):
                 trial_cfg = apply_overrides(cfg, [f"seed={args.seed + 1000 * trial}"])
                 trial_cfg.problem_overrides["initial_state"] = tuple(float(v) for v in x0)
                 runs[s_idx].append(fbrrt_solve(trial_cfg))
         print(f"state {s_idx}: done")
-    report = comparison_report(runs_a, runs_b, label_a=config_a.mode, label_b=config_b.mode)
+    label_a, label_b = _method_labels(args.config_a, args.config_b)
+    report = comparison_report(runs_a, runs_b, label_a=label_a, label_b=label_b)
     report.to_csv(args.out)
     print(f"comparison CSV written to {args.out}")
     for state, medians in sorted(report.final_bucket_medians().items()):

@@ -19,10 +19,15 @@ pruned to 0.3 (exploiting, as in later iterations).  The nearest search
 takes the expansions of one layer of the same two schedules, each query
 against the prefix of the layer that existed at its turn, and a tree
 sampling step is one layer of that tree with about 70% of the rows
-following the policy.  The chains kernels are those of the
-di-chains-out workload (M = 512, 30 steps): one `sampling_step` of 512
-chains with coefficients and eps_opt = 0.7 (about 70% of the rows follow
-the policy), one layer of 512 chains appended node by node through
+following the policy.  A whole backward pass runs on a freshly grown
+tree (M = B, 30 steps): in lockstep over the 5 lambdas of
+`default_lambda_grid` on a 21-control LQ tree, as the lq-lsearch workload
+fits them (L = 5 fits per layer), and for one lambda on the double
+integrator's tree above (L = 1), as the di-tree workload fits it.  The
+chains kernels are those of the di-chains-out workload (M = 512, 30
+steps): one `sampling_step` of 512 chains with coefficients and eps_opt =
+0.7 (about 70% of the rows follow the policy), one layer of 512 chains
+appended node by node through
 `add_edge`, `dump_csv` of one iteration's chains tree (15,360 edges,
 15,872 rows with the roots), and one fork, write
 and reap of that tree's and a 256-trajectory rollout's CSV files, as
@@ -33,7 +38,7 @@ exists.
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores, _EdgeDesign, rollout_policies
+from fbrrt.backward import _candidate_scores, _EdgeDesign, backward_pass, default_lambda_grid, rollout_policies
 from fbrrt.basis import (
     ValueCoefficients,
     feature_count,
@@ -265,6 +270,21 @@ def test_tree_sampling_step(benchmark):
     W = rng.normal(size=X.shape) * np.sqrt(CHAINS_GRID.dt)
     U, K, ells, X_next = benchmark(sampling_step, DI, CHAINS_GRID, 15, X, pick, coeffs, W)
     assert X_next.shape == (B, 2) and np.isfinite(ells).all()
+
+
+@pytest.mark.benchmark(group="backward")
+@pytest.mark.parametrize("case", ["lq-C21-lockstep-L5", "di-single-L1"])
+def test_backward_pass(benchmark, case):
+    if case.startswith("lq"):
+        tree = BranchTree(LQ, TimeGrid.from_horizon(LQ.horizon, 30))
+        tree.add_root()
+        forward_expand(tree, None, ForwardConfig(target_width=B), np.random.default_rng(0))
+        lam = list(default_lambda_grid(tree))
+    else:
+        tree = TREE
+        lam = float(default_lambda_grid(tree)[2])
+    result = benchmark(backward_pass, tree, lam)
+    assert len(result) == 5 if case.endswith("L5") else result.coefficients.steps == 30
 
 
 @pytest.mark.benchmark(group="forward_draws")

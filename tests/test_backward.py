@@ -10,10 +10,12 @@ from fbrrt.backward import (
     BackwardPassError,
     _best_candidates,
     _candidate_scores,
+    _distinct_parents,
     _drifts_and_costs,
     _edge_targets,
     _EdgeDesign,
     _layer_edge_arrays,
+    _stacked_softmin_weights,
     backward_pass,
     default_lambda_grid,
     lambda_search,
@@ -370,6 +372,28 @@ def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
         assert np.array_equal(got_hat, want_hat) and np.array_equal(got_next, want_next)
 
 
+@pytest.mark.parametrize("name", list(policy_problems()))
+def test_targets_on_distinct_parents_match_every_edge(name):
+    # the edges of a grown tree share parents (at the root, all of them):
+    # scoring each distinct parent once and gathering by the inverse index
+    # gives every edge the target `_edge_targets` scores for it alone
+    p = policy_problems()[name]
+    tree = grown_tree(p, 4, 32, seed=15)
+    dt, box = tree.grid.dt, (p.roi_lower, p.roi_upper)
+    shift = noise_feature_shift(p.sigma @ p.sigma.T * dt, *box)
+    rng = np.random.default_rng(16)
+    for i in range(tree.grid.steps):
+        layer = tree.layer(i + 1)
+        X_prev, inverse = _distinct_parents(tree.layer_states(i), layer.parents)
+        assert inverse is not None and len(np.unique(X_prev, axis=0)) < len(layer.parents)
+        design = _EdgeDesign(p, dt, i, X_prev, features(layer.states, *box), *box, shift, inverse)
+        alphas = np.array(random_alphas(p, rng))
+        y_hat, y_next = design.targets(alphas)
+        for alpha, got_hat, got_next in zip(alphas, y_hat, y_next):
+            want_hat, want_next = _edge_targets(p, dt, i, *_layer_edge_arrays(tree, i + 1)[:3], alpha, *box)
+            assert same_bits(got_hat, want_hat) and same_bits(got_next, want_next)
+
+
 # ---------------------------------------------------------------------------
 # softmin weights and heuristic
 
@@ -392,6 +416,8 @@ def test_softmin_sharp_limit():
 def test_softmin_rejects_bad_inputs():
     with pytest.raises(ValueError):
         softmin_weights(np.array([1.0, 2.0]), lam=0.0)
+    with pytest.raises(ValueError):
+        softmin_weights(np.array([1.0, 2.0]), lam=float("nan"))
     with pytest.raises(ValueError):
         softmin_weights(np.array([1.0, np.inf]), lam=1.0)
 
@@ -694,6 +720,80 @@ def test_backward_pass_raises_a_bad_lambda_in_a_grid():
     tree = grown_tree(make_double_integrator_l1(), 4, 16, seed=13)
     with pytest.raises(ValueError, match="lambda must be positive"):
         backward_pass(tree, [1.0, -1.0])
+
+
+def test_lockstep_on_chains_scores_each_edge_once():
+    # no two chain edges share a parent: the edges' own parent states are
+    # the distinct ones, and the lockstep pass still matches each lambda alone
+    p = make_double_integrator_l1()
+    grid = TimeGrid.from_horizon(p.horizon, 4)
+    chains = parallel_forward_baseline(p, grid, 24, None, ForwardConfig(target_width=24), np.random.default_rng(18))
+    for i in range(grid.steps):
+        parents = chains.layer(i + 1).parents
+        X_prev, inverse = _distinct_parents(chains.layer_states(i), parents)
+        assert inverse is None and same_bits(X_prev, chains.layer_states(i)[parents])
+    lambdas = list(default_lambda_grid(chains))
+    for got, lam in zip(backward_pass(chains, lambdas), lambdas, strict=True):
+        assert_same_artifacts(got, backward_pass_reference(chains, lam))
+
+
+def test_backward_pass_raises_a_bad_lambda_between_good_ones():
+    tree = grown_tree(make_double_integrator_l1(), 4, 16, seed=13)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        backward_pass(tree, [1.0, -1.0, 2.0])
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        backward_pass(tree, [1.0, float("nan"), 2.0])
+
+
+def solo_pass(tree, lam, ridge):
+    """backward_pass with lam alone, or the BackwardPassError it raises."""
+    try:
+        return backward_pass(tree, lam, ridge=ridge)
+    except BackwardPassError as exc:
+        return exc
+
+
+def test_lockstep_collapse_at_ridge_zero_leaves_the_other_lambdas_alone():
+    # lambda = 1e-300 puts all weight on one path, and without a ridge its
+    # layer N-1 fit is singular; the lambdas around it in the grid get what
+    # a pass with each alone gives
+    tree = grown_tree(make_double_integrator_l1(), 6, 32, seed=13)
+    grid = list(default_lambda_grid(tree))
+    lambdas = [*grid[:2], 1e-300, *grid[2:], 1e6]
+    results = backward_pass(tree, lambdas, ridge=0.0)
+    for lam, got in zip(lambdas, results, strict=True):
+        want = solo_pass(tree, lam, 0.0)
+        if isinstance(want, BackwardPassError):
+            assert_same_error(got, want)
+        else:
+            assert_same_artifacts(got, want)
+    assert isinstance(results[2], BackwardPassError) and results[2].layer == 5
+    assert sum(isinstance(r, BackwardArtifacts) for r in results) >= 3
+
+
+def test_stacked_softmin_weights_match_each_row():
+    # each row equals softmin_weights alone; a row that softmin_weights
+    # refuses carries that ValueError
+    rng = np.random.default_rng(17)
+    rho = rng.normal(size=(7, 40)) * 3.0
+    rho[3, 5] = np.inf
+    lams = [1.5, 1e-300, np.inf, 2.0, 0.0, -1.0, float("nan")]
+    weights, errors = _stacked_softmin_weights(rho, lams)
+    refused = 0
+    for r, lam, w, error in zip(rho, lams, weights, errors, strict=True):
+        try:
+            want = softmin_weights(r, lam)
+        except ValueError as exc:
+            refused += 1
+            assert type(error) is ValueError and str(error) == str(exc)
+        else:
+            assert error is None and same_bits(w, want)
+    assert refused == 4
+    # with every row accepted the stack is weighted in one call, and still row by row
+    weights, errors = _stacked_softmin_weights(rho[:3], lams[:3])
+    assert errors == [None] * 3
+    for r, lam, w in zip(rho[:3], lams[:3], weights, strict=True):
+        assert same_bits(w, softmin_weights(r, lam))
 
 
 def test_rollout_policy_is_one_block_of_a_stacked_rollout():

@@ -11,8 +11,10 @@ from fbrrt.basis import (
     features,
     noise_feature_shift,
     quadratic_to_coefficients,
+    solve_weighted_design,
     value_eval,
     value_grad,
+    weighted_design,
     weighted_least_squares,
 )
 
@@ -318,3 +320,31 @@ def test_weighted_least_squares_solves_the_stacked_design(n, extra, seed, ridge)
     assert same_bits(
         weighted_least_squares(phi, targets, weights, ridge), weighted_least_squares_reference(phi, targets, weights, ridge)
     )
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 3), L=st.integers(1, 5), seed=st.integers(0, 2**16), ridge=st.sampled_from([0.0, 1e-8, 0.5]))
+def test_weighted_design_stacks_round_like_each_system(n, L, seed, ridge):
+    # an (L, B) stack of targets and weights on shared features gives, row
+    # for row, the system and the fit of that row alone
+    rng = np.random.default_rng(seed)
+    box = random_box(rng, n)
+    B = feature_count(n) + int(rng.integers(0, 40))
+    phi = features(rng.uniform(*box, size=(B, n)), *box)
+    targets, weights = rng.normal(size=(L, B)), rng.uniform(0.0, 3.0, size=(L, B))
+    weights[:, 0] = 1.0
+    A, b = weighted_design(phi, targets, weights, ridge)
+    assert A.shape == (L, B + feature_count(n) * (ridge > 0), feature_count(n)) and b.shape == A.shape[:2]
+    for l in range(L):
+        A_l, b_l = weighted_design(phi, targets[l], weights[l], ridge)
+        assert same_bits(A[l], A_l) and same_bits(b[l], b_l)
+        assert same_bits(
+            solve_weighted_design(A[l], b[l], ridge), weighted_least_squares_reference(phi, targets[l], weights[l], ridge)
+        )
+
+
+def test_solve_weighted_design_refuses_a_rank_deficient_system_without_ridge():
+    phi = features(np.array([[0.1, 0.2], [0.3, 0.4]]), np.zeros(2), np.ones(2))  # 2 rows, 6 features
+    with pytest.raises(SingularRegressionError, match="rank 2 < 6"):
+        solve_weighted_design(*weighted_design(phi, np.ones(2), np.ones(2), 0.0), 0.0)
+    assert np.all(np.isfinite(solve_weighted_design(*weighted_design(phi, np.ones(2), np.ones(2), 1e-8), 1e-8)))

@@ -10,7 +10,7 @@ import pytest
 
 from fbrrt.backward import BackwardPassError, _candidate_scores
 from fbrrt.basis import ValueCoefficients, feature_count
-from fbrrt.cli import apply_overrides, main, parse_config_text
+from fbrrt.cli import _method_labels, apply_overrides, main, parse_config_text
 from fbrrt.problem import TimeGrid, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import (
     IterationStats,
@@ -691,7 +691,7 @@ def test_cli_compare_small(tmp_path, capsys):
 
 def test_cli_compare_prints_medians_by_iteration(tmp_path, capsys):
     cfg_text = "problem = heat\nsteps = 3\nM = 8\niterations = 3\nrollout_count = 8\n"
-    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a, b = tmp_path / "fbrrt.cfg", tmp_path / "parallel-baseline.cfg"  # methods are labelled by file name
     a.write_text(cfg_text)
     b.write_text(cfg_text + "mode = parallel-baseline\n")
     argv = ["compare", str(a), str(b), "--states", "2", "--seeds", "2", "--out", str(tmp_path / "cmp.csv")]
@@ -705,3 +705,31 @@ def test_cli_compare_prints_medians_by_iteration(tmp_path, capsys):
             curve = [float(v) for v in values.split()]
             assert len(curve) == 3 and all(0 < v <= 1 for v in curve)
             assert curve == sorted(curve, reverse=True)  # a median of running minima never rises
+
+
+def test_cli_compare_labels_same_mode_configs_apart(tmp_path, capsys):
+    # two tree configs of one mode that differ in M, in files of one name
+    cfg_text = "problem = heat\nsteps = 3\niterations = 3\nrollout_count = 8\n"
+    paths = []
+    for folder, M in (("small", 8), ("large", 16)):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "heat.cfg")
+        paths[-1].write_text(cfg_text + f"M = {M}\n")
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", *map(str, paths), "--states", "2", "--seeds", "2", "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {"heat-a", "heat-b"}
+    assert len(rows) == 2 * 2 * 2 * 10  # states x methods x runs x buckets
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("state 0: heat", "state 1: heat", "  heat"))]
+    medians = [float(v.split("=")[-1]) for line in printed for v in line.split(":", 1)[1].split()]
+    assert len(printed) == 2 * 3 and len(medians) == 2 * (2 + 2 * 3)
+    assert all(np.isfinite(medians))
+
+
+def test_compare_labels_are_config_stems():
+    assert _method_labels("configs/double_integrator.cfg", "x/double_integrator_baseline.cfg") == (
+        "double_integrator",
+        "double_integrator_baseline",
+    )
+    assert _method_labels("a/heat.cfg", "b/heat.cfg") == ("heat-a", "heat-b")
