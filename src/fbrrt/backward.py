@@ -17,20 +17,18 @@ Paths are weighted by the softmin of the path-integral heuristic rho =
 run_cost + V_{i+1}(x_{i+1}), and per-timestep coefficients are fit by
 weighted ridge least squares.
 
-Several temperatures lambda are fit in lockstep: one walk down the tree
-computes what no lambda changes (the parents of the layer's edges, the
-features, the drift and cost grid on those parents, the terminal fit)
-once per layer, and the policy and targets of every lambda in one pass
-over an (L, p) stack of their coefficients.  A target depends on the
-parent state alone, so with two or more coefficient vectors each
-distinct parent is scored once, and its policy's mean-state features are
-gathered to the edges for the value products.  The fits run on stacks
-too: (L, B) softmin weights, an (L, B + p, p) sqrt-weighted design with
-its ridge rows, and the residual norms and effective sample sizes; only
-the lstsq solve and its rank check run per lambda, and every lambda
-rounds as it does alone.  The lambda search then rolls every fitted
-policy out in one stacked loop on shared noise; `rollout_policies` is
-that loop, and a single policy's rollout is the case of one.
+Several temperatures lambda are fit in lockstep, one being the case L = 1
+of the same code.  What no layer changes is worked out once per pass (the
+feature box, the candidate controls, the noise shift c), and each layer
+step scores the policy and targets of the live lambdas' alpha_{i+1} in
+one pass over their (L, p) stack; with two or more rows, each distinct
+parent is scored once and its mean-state features are gathered to the
+edges.  The fits run on (L, B) stacks too: softmin weights, an
+(L, B + p, p) sqrt-weighted design with its ridge rows, and the residual
+norms and effective sample sizes; only the lstsq solve and its rank check
+run per lambda, and every lambda rounds as it does alone.  The lambda
+search rolls every fitted policy out in one stacked loop on shared noise
+(`rollout_policies`).
 """
 
 from __future__ import annotations
@@ -41,10 +39,12 @@ from typing import Optional
 import numpy as np
 
 from .basis import (
+    FeatureBox,
     SingularRegressionError,
     ValueCoefficients,
     check_ridge,
-    features,
+    last_axis_first,
+    features,  # noqa: F401 - perfbench/tracer.py wraps the feature map by this name
     noise_feature_shift,
     solve_weighted_design,
     value_grad,
@@ -72,11 +72,18 @@ def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.nd
     """(B, C) running costs and (B, C, n) drifts of B states at time t under
     C controls, from one call each on the grid x (B, 1, n) by u (1, C, m)
     (see the vectorization convention of `fbrrt.problem`)."""
-    B, C = X.shape[0], len(controls)
     Xg, Ug = X[:, None, :], controls[None, :, :]
-    ells, F = problem.running_cost(t, Xg, Ug), problem.drift(t, Xg, Ug)
-    ells = ells if np.shape(ells) == (B, C) else np.broadcast_to(ells, (B, C))
-    return ells, F if np.shape(F) == (B, C, X.shape[1]) else np.broadcast_to(F, (B, C, X.shape[1]))
+    B, C = len(X), len(controls)
+    return _full(problem.running_cost(t, Xg, Ug), (B, C)), _full(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
+
+
+def _full(values, shape: tuple) -> np.ndarray:
+    """`values` copied out to `shape` (cheaper than np.broadcast_to, and contiguous)."""
+    if np.shape(values) == shape:
+        return values
+    out = np.empty(shape)
+    out[...] = values
+    return out
 
 
 def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -85,14 +92,14 @@ def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.nd
     the smallest running cost, then the lowest index.  `grad` is (B, n), or
     an (L, B, n) stack of gradients scored on the same grid, giving (L, B)."""
     # one state dimension at a time; for n < 8 this rounds exactly like np.sum
-    dot = F[..., 0] * grad[..., None, 0]
+    scores = F[..., 0] * grad[..., None, 0]
     for k in range(1, F.shape[2]):
-        dot += F[..., k] * grad[..., None, k]
-    scores = ells + dot
+        scores += F[..., k] * grad[..., None, k]
+    scores += ells  # addition commutes: this rounds as ells + (f' grad)
     first = scores.argmin(axis=-1)
     # each row's entry at `first`, gathered flat; argmin stops at a NaN, so a NaN best means
     # a NaN row; otherwise each row matches its best once, and a larger count means a tie
-    best = np.take(scores, first + np.arange(0, scores.size, scores.shape[-1]).reshape(first.shape))[..., None]
+    best = scores.take(first + np.arange(0, scores.size, scores.shape[-1]).reshape(first.shape))[..., None]
     if not np.isnan(best).any() and np.count_nonzero(scores == best) == first.size:
         return first
     tie_ell = np.where(scores == best, ells, np.inf)
@@ -127,10 +134,14 @@ def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:
     if not np.min(lam) > 0:  # also refuses NaN
         raise ValueError("lambda must be positive")
     rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValueError("heuristic scores must be finite")
-    w = np.exp(-(rho - rho.min(axis=-1, keepdims=True)) / lam)
-    return w / w.mean(axis=-1, keepdims=True)
+    w = rho - rho.min(axis=-1, keepdims=True)
+    np.negative(w, out=w)
+    w /= lam
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True) / w.shape[-1]  # the mean, as np.mean sums and divides
+    return w
 
 
 def path_heuristic(run_cost, value_next) -> np.ndarray:
@@ -147,81 +158,92 @@ def _layer_edge_arrays(tree: BranchTree, i_next: int):
     return tree.layer_states(i_next - 1)[layer.parents], layer.drifts, layer.states, layer.run_costs
 
 
-def _distinct_parents(X: np.ndarray, parents: np.ndarray):
-    """(states, inverse) of the edges from layer states X by `parents`: the
-    states of the distinct parents in position order, and each edge's row
-    among them; when no two edges share a parent, the edges' own parent
-    states and None."""
-    seen = np.zeros(len(X), dtype=bool)
+def _distinct_parents(parents: np.ndarray, width: int):
+    """(positions, inverse) of edges whose parents sit at `parents` of a
+    layer `width` wide: the distinct parent positions in order, and each
+    edge's row among them; when no two edges share a parent, `parents`
+    itself and None."""
+    seen = np.zeros(width, dtype=bool)
     seen[parents] = True
     if np.count_nonzero(seen) == len(parents):
-        return X[parents], None
-    return X[seen], np.cumsum(seen)[parents] - 1
+        return parents, None
+    return np.flatnonzero(seen), np.cumsum(seen)[parents] - 1
 
 
-class _EdgeDesign:
-    """What every coefficient vector shares on the edges into layer i+1:
-    the parent states X_prev, the child features phi_next, the drift and
-    cost grid of every candidate on the parents, and the noise's shift c
-    of the feature means, the same on every layer.
+def _grid_fault(ells: np.ndarray, F: np.ndarray) -> Optional[str]:
+    """What stops a policy-scoring grid from being scored, or None: a row
+    holding a NaN score would go to `_best_candidates`' tie path and pick
+    the wrong candidate, so every drift and running cost must be finite."""
+    if not np.isfinite(F).all():
+        return "drift must be finite"
+    if not np.isfinite(ells).all():
+        return "running cost must be finite"
+    return None
 
-    A target depends on the parent state alone, so X_prev may hold each
-    distinct parent once, with `inverse` giving each edge's row of X_prev
-    (see `_distinct_parents`); None means one row per edge."""
 
-    def __init__(self, problem: ControlProblem, dt: float, i: int, X_prev, phi_next, lower, upper, shift, inverse=None):
-        self.dt, self.X_prev, self.phi_next, self.inverse = dt, X_prev, phi_next, inverse
-        self.lower, self.upper, self.shift = lower, upper, shift
-        self.ells, self.F = _drifts_and_costs(problem, i * dt, X_prev, _control_candidates(problem))
+def _matvecs(phi: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(K, B) rows phi @ alphas[k], or phi[k] @ alphas[k] for a (K, B, p)
+    stack: np.matmul on the (K, p, 1) stack takes one matrix-vector product
+    per row, which rounds as phi @ alpha alone (alphas @ phi.T could not)."""
+    return (phi @ alphas[:, :, None])[..., 0]
 
-    def targets(self, alphas):
-        """(y_hat_i, y_next), each (L, B) over the B edges, under each row
-        alpha_{i+1} of the (L, p) stack `alphas`; row l equals the targets
-        of alphas[l] alone."""
-        # np.matmul on the (L, p, 1) stack takes one matrix-vector product
-        # per row, which rounds as phi @ alpha alone; alphas @ phi.T could not
-        y_next = (self.phi_next @ alphas[:, :, None])[..., 0]
-        grad = value_grad(self.X_prev, alphas[:, None, :], self.lower, self.upper)
-        choice = _best_candidates(self.ells, self.F, grad)
-        k = np.arange(choice.shape[1])
-        f_mu, ell_mu = self.F[k, choice], self.ells[k, choice]
-        X_mean = self.X_prev + f_mu * self.dt  # next states without the noise, per row of X_prev
-        phi_mean = features(X_mean.reshape(-1, X_mean.shape[-1]), self.lower, self.upper).reshape(*choice.shape, -1)
-        ell_dt = ell_mu * self.dt
-        if self.inverse is not None:
+
+class _Targets:
+    """The regress-later targets of a backward pass's layers, with what no
+    layer changes worked out once: the feature box, the candidate controls
+    and the noise's shift c of the feature means."""
+
+    def __init__(self, problem: ControlProblem, dt: float, box: FeatureBox):
+        self.problem, self.dt, self.box = problem, dt, box
+        self.cands = _control_candidates(problem)
+        self.shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, box.lower, box.upper)
+
+    def __call__(self, i: int, X_prev: np.ndarray, z_prev: np.ndarray, alphas: np.ndarray, inverse=None) -> np.ndarray:
+        """y_hat_i (K, E) on the E edges from layer i under each row
+        alpha_{i+1} of the (K, p) stack `alphas`; row k equals the targets
+        of alphas[k] alone.  z_prev (n, B) holds the box coordinates of the
+        parent states X_prev (B, n), one row per dimension.  A target
+        depends on the parent state alone, so X_prev may hold each distinct
+        parent once, with `inverse` giving each edge's row of X_prev (see
+        `_distinct_parents`); None means one row per edge.  A non-finite
+        drift or running cost on the parents' candidate grid raises
+        BackwardPassError naming layer i."""
+        ells, F = _drifts_and_costs(self.problem, i * self.dt, X_prev, self.cands)
+        fault = _grid_fault(ells, F)
+        if fault is not None:
+            raise BackwardPassError(f"{fault} on the policy grid", layer=i)
+        choice = _best_candidates(ells, F, self.box.grad_from(z_prev, alphas.T[:, :, None]))
+        B, C, n = F.shape
+        chosen = choice + np.arange(0, B * C, C)  # each choice's entry of the flattened grid
+        X_mean = X_prev + F.reshape(-1, n).take(chosen, axis=0) * self.dt  # next states without the noise
+        phi_mean = self.box.features(X_mean.reshape(-1, n)).reshape(*choice.shape, -1)
+        ell_dt = ells.take(chosen) * self.dt
+        if inverse is not None:
             # the products run on every edge's row: BLAS may round a row of
             # phi @ alpha by its place in the matrix, and a one-row product
             # is a dot product, which rounds unlike a matrix-vector product
-            phi_mean, ell_dt = phi_mean[:, self.inverse], ell_dt[:, self.inverse]
-        # shift @ alpha is a dot product per row: the product alphas @ shift rounds unlike it
-        shift = np.array([self.shift @ alpha for alpha in alphas])[:, None]
-        return (phi_mean @ alphas[:, :, None])[..., 0] + shift + ell_dt, y_next
+            phi_mean, ell_dt = phi_mean[:, inverse], ell_dt[:, inverse]
+        y_hat = _matvecs(phi_mean, alphas)
+        for row, alpha in zip(y_hat, alphas):
+            row += self.shift @ alpha  # a dot product: alphas @ shift rounds unlike it
+        y_hat += ell_dt
+        return y_hat
 
 
-def _edge_targets(
-    problem: ControlProblem,
-    dt: float,
-    i: int,
-    X_prev: np.ndarray,
-    K: np.ndarray,
-    X_next: np.ndarray,
-    alpha_next,
-    lower,
-    upper,
-):
+def _edge_targets(problem: ControlProblem, dt: float, i: int, X_prev, K, X_next, alpha_next, lower, upper):
     """Vectorized regress-later targets for all edges into layer i+1.
 
     Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
     y_hat_i no longer depends on the sampled drifts K (nor on X_next): it
     is a function of the parent states alone, scored once per edge here.
-    `backward_pass` builds `_EdgeDesign` itself; this stays for the
+    `backward_pass` scores its layers itself; this stays for the
     drift-invariance refit of `tests/test_acceptance.py`, which imports it
     with this signature.
     """
-    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
-    design = _EdgeDesign(problem, dt, i, X_prev, features(X_next, lower, upper), lower, upper, shift)
-    y_hat, y_next = design.targets(np.asarray(alpha_next, dtype=float)[None, :])
-    return y_hat[0], y_next[0]
+    box = FeatureBox(lower, upper)
+    alpha = np.asarray(alpha_next, dtype=float)
+    z_prev = box.feature_rows(X_prev)[1 : 1 + box.n]
+    return _Targets(problem, dt, box)(i, X_prev, z_prev, alpha[None])[0], box.features(X_next) @ alpha
 
 
 @dataclass
@@ -238,17 +260,17 @@ class BackwardArtifacts:
         return float(np.mean(self.initial_value_samples))
 
 
-def _stacked_softmin_weights(rho: np.ndarray, lams: list):
+def _stacked_softmin_weights(rho: np.ndarray, lams: np.ndarray):
     """(weights, errors): row l of the (L, B) weights is
-    softmin_weights(rho[l], lams[l]) and errors[l] None, or, where that
-    raises, ones (which keep the residuals and ESS of the stack finite)
-    and its ValueError."""
+    softmin_weights(rho[l], lams[l, 0]) of the (L, 1) column `lams` and
+    errors[l] None, or, where that raises, ones (which keep the residuals
+    and ESS of the stack finite) and its ValueError."""
     try:
-        return softmin_weights(rho, np.array([[lam] for lam in lams])), [None] * len(lams)
+        return softmin_weights(rho, lams), [None] * len(lams)
     except ValueError:
         pass
     weights, errors = np.ones_like(rho), [None] * len(lams)
-    for l, lam in enumerate(lams):
+    for l, lam in enumerate(lams[:, 0]):
         try:
             weights[l] = softmin_weights(rho[l], lam)
         except ValueError as exc:
@@ -267,9 +289,9 @@ def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float
 
     The design, the residuals and the reductions run once on the stacks;
     only the lstsq solve and its rank check run per row.  Every row rounds
-    as its fit alone: the products are elementwise, phi @ alpha is one
-    matrix-vector product per row, and a reduction over the contiguous
-    last axis sums each row as it sums a vector."""
+    as its fit alone: the products are elementwise or `_matvecs`, and a
+    reduction over the contiguous last axis sums each row as it sums a
+    vector."""
     A, b = weighted_design(phi, targets, weights, ridge)
     alphas = np.zeros((len(targets), phi.shape[1]))
     errors = list(errors)
@@ -279,45 +301,11 @@ def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float
                 alphas[l] = solve_weighted_design(A[l], b[l], ridge)
             except (SingularRegressionError, np.linalg.LinAlgError) as exc:
                 errors[l] = BackwardPassError(str(exc), layer=layer)
-    resid = targets - (phi @ alphas[:, :, None])[..., 0]
-    residuals = np.sqrt(np.sum(weights * resid**2, axis=1))
+    resid = targets - _matvecs(phi, alphas)
+    residuals = np.sqrt((weights * resid**2).sum(axis=1))
     # float_power squares as a scalar's ** 2 does (libm pow); an array's ** 2 rounds as x * x
-    ess = np.float_power(np.sum(weights, axis=1), 2) / np.sum(weights**2, axis=1)
+    ess = np.float_power(weights.sum(axis=1), 2) / (weights**2).sum(axis=1)
     return alphas, residuals, ess, errors
-
-
-class _LambdaFit:
-    """One lambda's share of a lockstep backward pass."""
-
-    def __init__(self, lam: float, steps: int):
-        self.lam, self.alphas = lam, []  # alpha_N, alpha_{N-1}, ...
-        self.rho = [None] * (steps + 1)
-        self.residuals, self.ess = np.zeros(steps), np.zeros(steps)
-        self.initial_value_samples: Optional[np.ndarray] = None
-        self.error: Optional[Exception] = None  # what stopped this lambda
-
-    def add(self, layer: int, alpha, residual, ess, error) -> None:
-        if error is not None:
-            self.error = error
-            return
-        self.alphas.append(alpha)
-        self.residuals[layer - 1], self.ess[layer - 1] = residual, ess
-
-    def result(self, lower, upper):
-        if self.error is not None:
-            return self.error
-        try:
-            coeffs = ValueCoefficients(alphas=np.array(self.alphas[::-1]), lower=lower, upper=upper)
-        except ValueError as exc:
-            return exc
-        return BackwardArtifacts(
-            coefficients=coeffs,
-            lam=self.lam,
-            rho=self.rho,
-            residual_norms=self.residuals,
-            ess=self.ess,
-            initial_value_samples=self.initial_value_samples,
-        )
 
 
 def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
@@ -338,57 +326,77 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     single = np.ndim(lam) == 0
     problem, grid = tree.problem, tree.grid
     N = grid.steps
-    lower, upper = problem.roi_lower, problem.roi_upper
     if ridge is None:
         ridge = 1e-8 * tree.layer_size(N)
     check_ridge(ridge)
-    fits = [_LambdaFit(float(value), N) for value in np.atleast_1d(lam)]
-    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * grid.dt, lower, upper)
+    lams = [float(value) for value in np.atleast_1d(lam)]
+    L = len(lams)
+    box = FeatureBox(problem.roi_lower, problem.roi_upper)
+    targets = _Targets(problem, grid.dt, box)
+    # per lambda: alpha_i in row i - 1, the residual norm and ESS of that fit
+    alphas, residuals, ess = np.zeros((L, N, box.p)), np.zeros((L, N)), np.zeros((L, N))
+    rho, initial = [[None] * (N + 1) for _ in lams], [None] * L
 
-    X_N = tree.layer_states(N)
-    phi_next = features(X_N, lower, upper)
-    y_N = np.asarray(problem.terminal_cost(X_N), dtype=float)
-    terminal = [fit[0] for fit in _weighted_fits(N, phi_next, y_N[None], np.ones((1, len(y_N))), [None], ridge)]
-    for f in fits:
-        f.add(N, *terminal)
+    X = tree.layer_states(N)
+    phi_next = box.features(X)
+    y_N = np.asarray(problem.terminal_cost(X), dtype=float)
+    terminal = _weighted_fits(N, phi_next, y_N[None], np.ones((1, len(y_N))), [None], ridge)
+    (alpha_N,), (residual_N,), (ess_N,), (error,) = terminal
+    alphas[:, N - 1], residuals[:, N - 1], ess[:, N - 1], errors = alpha_N, residual_N, ess_N, [error] * L
+    # the live lambdas' rows of the stacks, and their (L, 1) lambda column
+    live = [] if error is not None else list(range(L))
+    rows, lam_col = slice(None), np.array(lams)[:, None]
 
     # layers N-1..1 fit alpha_i; the root edges (i = 0) give the layer-1
     # heuristic (for pruning) and the initial-value estimator
     for i in range(N - 1, -1, -1):
-        live = [f for f in fits if f.error is None]
         if not live:
             break
-        # lambdas that hold the same alpha_{i+1} (all of them at layer N-1,
-        # where it is alpha_N) share one row of the stacked targets
-        alphas = {id(f.alphas[-1]): f.alphas[-1] for f in live}
-        layer, X = tree.layer(i + 1), tree.layer_states(i)
+        # every lambda holds the terminal fit at layer N-1: one row scores them all
+        A = alphas[:1, i] if i == N - 1 else alphas[rows, i]
+        X = tree.layer_states(i)
+        phi_rows = box.feature_rows(X)  # feature-major: rows 1..n are the box coordinates z
+        parents, run_costs = tree.layer_edges(i + 1)
         # scoring only the distinct parents pays for finding them with two or
         # more coefficient vectors (timed on lq-lsearch lockstep passes), but
         # not with one (timed on single-lambda di-tree passes)
-        X_prev, inverse = _distinct_parents(X, layer.parents) if len(alphas) > 1 else (X[layer.parents], None)
-        design = _EdgeDesign(problem, grid.dt, i, X_prev, phi_next, lower, upper, shift, inverse)
-        if i > 0:
-            phi_next = features(X, lower, upper)
-            phi_prev = phi_next[layer.parents]
-        y_hats, y_nexts = design.targets(np.array(list(alphas.values())))
-        if len(alphas) < len(live):
-            row = {key: r for r, key in enumerate(alphas)}
-            rows = [row[id(f.alphas[-1])] for f in live]
-            y_hats, y_nexts = y_hats[rows], y_nexts[rows]
-        rho = path_heuristic(layer.run_costs, y_nexts)
+        positions, inverse = _distinct_parents(parents, len(X)) if len(A) > 1 else (parents, None)
+        z_prev = phi_rows[1 : 1 + box.n].take(positions, axis=1)
+        try:
+            y_hats = targets(i, X[positions], z_prev, A, inverse)
+        except BackwardPassError as exc:
+            errors = [exc if l in live else error for l, error in enumerate(errors)]
+            break
+        y_nexts = _matvecs(phi_next, A)
+        if len(A) < len(live):
+            y_hats, y_nexts = y_hats[[0] * len(live)], y_nexts[[0] * len(live)]
+        rho_live = path_heuristic(run_costs, y_nexts)
         # with several lambdas each keeps a copy of its row: a view would keep
         # the rows of every lambda alive along with the one the search keeps
-        for f, rho_f in zip(live, rho):
-            f.rho[i + 1] = rho_f if len(live) == 1 else rho_f.copy()
+        for l, rho_l in zip(live, rho_live):
+            rho[l][i + 1] = rho_l if len(live) == 1 else rho_l.copy()
         if i == 0:
-            for f, y_hat in zip(live, y_hats):
-                f.initial_value_samples = y_hat if len(live) == 1 else y_hat.copy()
+            for l, y_hat in zip(live, y_hats):
+                initial[l] = y_hat if len(live) == 1 else y_hat.copy()
             break
-        weights, errors = _stacked_softmin_weights(rho, [f.lam for f in live])
-        for f, *fit in zip(live, *_weighted_fits(i, phi_prev, y_hats, weights, errors, ridge)):
-            f.add(i, *fit)
+        phi_next = phi_rows.T.copy()
+        weights, fit_errors = _stacked_softmin_weights(rho_live, lam_col)
+        fit = _weighted_fits(i, phi_next[parents], y_hats, weights, fit_errors, ridge)
+        alphas[rows, i - 1], residuals[rows, i - 1], ess[rows, i - 1], fit_errors = fit
+        if any(error is not None for error in fit_errors):
+            for l, error in zip(live, fit_errors):
+                errors[l] = error
+            live = [l for l in live if errors[l] is None]
+            rows, lam_col = live, lam_col[[error is None for error in fit_errors]]
 
-    results = [f.result(lower, upper) for f in fits]
+    results = list(errors)
+    for l in (l for l, error in enumerate(errors) if error is None):
+        try:
+            coeffs = ValueCoefficients(alphas=alphas[l], lower=box.lower, upper=box.upper)
+        except ValueError as exc:
+            results[l] = exc
+        else:
+            results[l] = BackwardArtifacts(coeffs, lams[l], rho[l], residuals[l], ess[l], initial[l])
     raised = [r for r in results if isinstance(r, ValueError) or (single and isinstance(r, Exception))]
     if raised:
         raise raised[0]
@@ -454,20 +462,26 @@ def rollout_policies(
     sqrt_dt = np.sqrt(grid.dt)
     rows = np.arange(L * count)
     block_offsets = len(cands) * (rows // count)  # block b's choices count in bins b C .. b C + C - 1
+    grid_offsets = len(cands) * rows  # each row's first entry of the flattened grid
     blocks = [slice(b * count, (b + 1) * count) for b in range(L)]
-    # (L, 1, .) stacks: block b's states take policy b's coefficients and box
-    alphas = np.stack([c.alphas[:N] for c in coefficients])[:, None]
-    lower = np.stack([c.lower for c in coefficients])[:, None]
-    upper = np.stack([c.upper for c in coefficients])[:, None]
+    # block b's states take policy b's coefficients and box: (L, 1, .) boxes,
+    # and the coefficients of step i as alphas[..., i], one (L, 1) row per index
+    alphas = last_axis_first(np.stack([c.alphas[:N] for c in coefficients]))[:, :, None]
+    lower, upper = (np.stack([getattr(c, side) for c in coefficients])[:, None] for side in ("lower", "upper"))
+    box = FeatureBox(lower, upper)
     for i in range(N):
-        t = i * grid.dt
-        ells, F = _drifts_and_costs(problem, t, X, cands)
-        grad = value_grad(X.reshape(L, count, n), alphas[:, :, i], lower, upper).reshape(-1, n)
-        choice = _best_candidates(ells, F, grad)
+        ells, F = _drifts_and_costs(problem, i * grid.dt, X, cands)
+        fault = _grid_fault(ells, F)
+        if fault is not None:
+            raise ValueError(f"{fault} on the rollouts' policy grid at step {i}")
+        grad = box.grad_from(last_axis_first(box.z(X.reshape(L, count, n))), alphas[..., i])
+        choice = _best_candidates(ells, F, grad.reshape(-1, n))
         control_counts[:, i] = np.bincount(choice + block_offsets, minlength=L * len(cands)).reshape(L, -1)
-        costs += ells[rows, choice] * grid.dt
+        chosen = choice + grid_offsets
+        costs += ells.take(chosen) * grid.dt
         W = rng.normal(size=(count, n)) * sqrt_dt
-        X = ((X + F[rows, choice] * grid.dt).reshape(L, count, n) + problem.apply_diffusion(W)).reshape(-1, n)
+        f_mu = F.reshape(-1, n).take(chosen, axis=0)
+        X = ((X + f_mu * grid.dt).reshape(L, count, n) + problem.apply_diffusion(W)).reshape(-1, n)
     costs += problem.terminal_cost(X)
     return [RolloutReport(costs[block], X[block], control_counts[b]) for b, block in enumerate(blocks)]
 

@@ -32,29 +32,74 @@ def _cross_pairs(n: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
-def _scale(x, lower, upper):
-    x = np.asarray(x, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    return (2.0 * x - (upper + lower)) / (upper - lower)
+def last_axis_first(a: np.ndarray) -> np.ndarray:
+    """A view of `a` with its last axis moved to the front, as np.moveaxis(a, -1, 0) gives it."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+class FeatureBox:
+    """The box constants of the feature map, worked out once for many calls:
+    u + l and u - l of the affine map z = (2 x - (u + l)) / (u - l) onto
+    [-1, 1]^n, and its scale dz/dx = 2 / (u - l).  `lower` and `upper` are
+    (n,), or for `z` and `grad_from` stacks (..., n) that broadcast against
+    the states."""
+
+    def __init__(self, lower, upper):
+        self.lower, self.upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        self.center, self.width = self.upper + self.lower, self.upper - self.lower
+        self.scale = 2.0 / self.width
+        self._scale_rows = last_axis_first(self.scale)
+        self.n = self.lower.shape[-1]
+        self.p = feature_count(self.n)
+        self._pairs = _cross_pairs(self.n)
+
+    def feature_rows(self, X: np.ndarray) -> np.ndarray:
+        """Features of the states X (B, n), feature-major: (p, B)."""
+        n = self.n
+        out = np.empty((self.p, len(X)))  # feature-major, so every block is contiguous rows
+        out[0] = 1.0
+        z, t2 = out[1 : 1 + n], out[1 + n : 1 + 2 * n]
+        np.multiply(X.T, 2.0, out=z)  # each entry rounds as `z` and 2 z^2 - 1 round it
+        z -= self.center[:, None]
+        z /= self.width[:, None]
+        np.multiply(z, z, out=t2)
+        t2 *= 2.0
+        t2 -= 1.0
+        for c, (j, k) in enumerate(self._pairs, 1 + 2 * n):
+            np.multiply(z[j], z[k], out=out[c])
+        return out
+
+    def features(self, X: np.ndarray) -> np.ndarray:
+        """Features of the states X (B, n), as contiguous rows (B, p)."""
+        return self.feature_rows(X).T.copy()
+
+    def z(self, x: np.ndarray) -> np.ndarray:
+        """The box coordinates of the states x (..., n)."""
+        return (2.0 * x - self.center) / self.width
+
+    def grad_from(self, z, alpha) -> np.ndarray:
+        """dV/dx stacked along a new last axis, from box coordinates z and
+        coefficients alpha with the dimension and the coefficient index
+        leading (z[k], alpha[j] and the box broadcast): z (n, B) and
+        alpha (p, K, 1) give the (K, B, n) gradients of B states under K
+        coefficient vectors.  Every entry rounds as in `value_grad`."""
+        n, scale = self.n, self._scale_rows
+        grad = [(alpha[1 + k] + alpha[1 + n + k] * 4.0 * z[k]) * scale[k] for k in range(n)]
+        for c, (j, k) in enumerate(self._pairs):
+            a = alpha[1 + 2 * n + c]
+            grad[j] += a * z[k] * scale[j]
+            grad[k] += a * z[j] * scale[k]
+        out = np.empty(np.shape(grad[0]) + (n,))  # np.stack, without its per-call overhead
+        for k, g in enumerate(grad):
+            out[..., k] = g
+        return out
 
 
 def features(x, lower, upper) -> np.ndarray:
     """Feature map; accepts x of shape (n,) or (B, n), returns (p,) or (B, p)."""
-    x, lower, upper = (np.asarray(a, dtype=float) for a in (x, lower, upper))
-    B, n = np.atleast_2d(x).shape
-    out = np.empty((feature_count(n), B))  # feature-major, so every block is contiguous rows
-    out[0] = 1.0
-    z, t2 = out[1 : 1 + n], out[1 + n : 1 + 2 * n]
-    np.multiply(np.atleast_2d(x).T, 2.0, out=z)  # each entry rounds as _scale and 2 z^2 - 1 round it
-    z -= (upper + lower)[:, None]
-    z /= (upper - lower)[:, None]
-    np.multiply(z, z, out=t2)
-    t2 *= 2.0
-    t2 -= 1.0
-    for c, (j, k) in enumerate(_cross_pairs(n), 1 + 2 * n):
-        np.multiply(z[j], z[k], out=out[c])
-    return out[:, 0] if x.ndim == 1 else out.T.copy()
+    x = np.asarray(x, dtype=float)
+    rows = FeatureBox(lower, upper).feature_rows(np.atleast_2d(x))
+    return rows[:, 0] if x.ndim == 1 else rows.T.copy()
 
 
 def noise_feature_shift(cov, lower, upper) -> np.ndarray:
@@ -75,12 +120,9 @@ def noise_feature_shift(cov, lower, upper) -> np.ndarray:
 
 def feature_grad(x, lower, upper) -> np.ndarray:
     """Exact gradient of the feature map at a single x; shape (p, n)."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    z = _scale(x, lower, upper)
-    n = z.shape[0]
-    scale = 2.0 / (upper - lower)  # dz/dx per dimension
-    p = feature_count(n)
+    box = FeatureBox(lower, upper)
+    z = box.z(np.asarray(x, dtype=float))
+    n, scale, p = box.n, box.scale, box.p  # scale: dz/dx per dimension
     grad = np.zeros((p, n))
     for k in range(n):
         grad[1 + k, k] = scale[k]
@@ -110,21 +152,10 @@ def value_grad(x, alpha, lower, upper) -> np.ndarray:
     entry rounds as it does for one state and one coefficient vector.
     """
     alpha = np.asarray(alpha, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    z = _scale(x, lower, upper)
-    n = z.shape[-1]
-    if alpha.shape[-1] != feature_count(n):
-        raise ValueError(f"coefficient dimension {alpha.shape[-1]} != feature dimension {feature_count(n)}")
-    scale = 2.0 / (upper - lower)
-    grad = np.empty(np.broadcast_shapes(z.shape, alpha.shape[:-1] + (n,)))
-    for k in range(n):
-        grad[..., k] = (alpha[..., 1 + k] + alpha[..., 1 + n + k] * 4.0 * z[..., k]) * scale[..., k]
-    for c, (j, k) in enumerate(_cross_pairs(n)):
-        a = alpha[..., 1 + 2 * n + c]
-        grad[..., j] += a * z[..., k] * scale[..., j]
-        grad[..., k] += a * z[..., j] * scale[..., k]
-    return grad
+    box = FeatureBox(lower, upper)
+    if alpha.shape[-1] != box.p:
+        raise ValueError(f"coefficient dimension {alpha.shape[-1]} != feature dimension {box.p}")
+    return box.grad_from(last_axis_first(box.z(np.asarray(x, dtype=float))), last_axis_first(alpha))
 
 
 def check_ridge(ridge: float) -> None:

@@ -41,9 +41,10 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
     `pick` holds each row's exploration control index, or -1 for a row
     that follows the target policy of `coeffs` (alpha_{i+1}, row i of
     `alphas`).  Policy rows read drift and cost off the candidate grid that
-    scored them, all of whose drifts must be finite; an exploring row takes
-    its own (state, control) pair, rounding as on a grid (`fbrrt.problem`),
-    whose drift must be finite, as must the next states (ValueError).
+    scored them, all of whose drifts and running costs must be finite; an
+    exploring row takes its own (state, control) pair, rounding as on a
+    grid (`fbrrt.problem`), whose drift must be finite, as must the next
+    states (ValueError).
     `noise` (B, n) enters as `problem.apply_diffusion`.
     """
     t = i * grid.dt
@@ -53,8 +54,9 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
         choice, cands, grid_ells, F = backward._candidate_scores(
             problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
         )
-        if not np.isfinite(F).all():
-            raise ValueError("drift must be finite")
+        fault = backward._grid_fault(grid_ells, F)
+        if fault is not None:
+            raise ValueError(fault)
         k = np.arange(len(rows))
         controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
     rows = np.flatnonzero(pick >= 0)

@@ -179,6 +179,10 @@ class BranchTree:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
 
+    def layer_edges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(M_i,) parent positions and run costs of layer i (views)."""
+        return self._parent[i, : self._size[i]], self._run_cost[i, : self._size[i]]
+
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")

@@ -9,11 +9,12 @@ Inputs are fixed: B = 256 states drawn from the region of interest (the
 width M of the acceptance trees), coefficients drawn once from a seeded
 generator.  A rollout step is a one-step rollout of B chains per policy,
 alone (L=1) and stacked as the lambda search runs it (L=5).  A backward
-layer's targets score B edges under L=5 coefficient vectors in one pass,
-as the lambda search fits five lambdas.  The LQ grid drift is the drift of
-5 x B rollout states under every one of the 21 controls.  The forward
-draws are one iteration's random numbers for the di-tree workload's tree
-(M = B, 30 steps), drawn in bulk as `forward_expand` draws them: a fresh
+layer's targets score B parent states under L=5 coefficient vectors in
+one pass, as the lambda search fits five lambdas.  The LQ grid drift is
+the drift of 5 x B rollout states under every one of the 21 controls.
+The forward draws are one iteration's random numbers for the di-tree
+workload's tree (M = B, 30 steps), drawn in bulk as `forward_expand`
+draws them: a fresh
 tree (7680 expansions, pure exploration, as in iteration 1) and one
 pruned to 0.3 (exploiting, as in later iterations).  The nearest search
 takes the expansions of one layer of the same two schedules, each query
@@ -23,10 +24,12 @@ following the policy.  A whole backward pass runs on a freshly grown
 tree (M = B, 30 steps): in lockstep over the 5 lambdas of
 `default_lambda_grid` on a 21-control LQ tree, as the lq-lsearch workload
 fits them (L = 5 fits per layer), and for one lambda on the double
-integrator's tree above (L = 1), as the di-tree workload fits it.  The
-chains kernels are those of the di-chains-out workload (M = 512, 30
-steps): one `sampling_step` of 512 chains with coefficients and eps_opt =
-0.7 (about 70% of the rows follow the policy), one layer of 512 chains
+integrator's tree above (L = 1), as the di-tree workload fits it, and on
+one grown at M = 64, where the per-layer cost that does not grow with M
+shows.  The chains kernels are those of the di-chains-out workload
+(M = 512, 30 steps): one `sampling_step` of 512 chains with
+coefficients and eps_opt = 0.7 (about 70% of the rows follow the
+policy), one layer of 512 chains
 appended node by node through
 `add_edge`, `dump_csv` of one iteration's chains tree (15,360 edges,
 15,872 rows with the roots), and one fork, write
@@ -38,15 +41,8 @@ exists.
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores, _EdgeDesign, backward_pass, default_lambda_grid, rollout_policies
-from fbrrt.basis import (
-    ValueCoefficients,
-    feature_count,
-    features,
-    noise_feature_shift,
-    value_grad,
-    weighted_least_squares,
-)
+from fbrrt.backward import _candidate_scores, _Targets, backward_pass, default_lambda_grid, rollout_policies
+from fbrrt.basis import FeatureBox, ValueCoefficients, feature_count, features, value_grad, weighted_least_squares
 from fbrrt.forward import (
     ForwardConfig,
     _draw_expansions,
@@ -115,13 +111,11 @@ def test_weighted_least_squares(benchmark):
 @pytest.mark.benchmark(group="backward")
 def test_layer_targets(benchmark):
     rng = np.random.default_rng(0)
-    X_prev, X_next = LQ.sample_roi(rng, size=B), LQ.sample_roi(rng, size=B)
-    box = (LQ.roi_lower, LQ.roi_upper)
-    shift = noise_feature_shift(LQ.sigma @ LQ.sigma.T * 0.05, *box)
-    design = _EdgeDesign(LQ, 0.05, 3, X_prev, features(X_next, *box), *box, shift)
+    X_prev = LQ.sample_roi(rng, size=B)
+    box = FeatureBox(LQ.roi_lower, LQ.roi_upper)
     alphas = rng.normal(size=(5, feature_count(2)))
-    y_hat, y_next = benchmark(design.targets, alphas)
-    assert y_hat.shape == y_next.shape == (5, B)
+    y_hat = benchmark(_Targets(LQ, 0.05, box), 3, X_prev, box.feature_rows(X_prev)[1:3], alphas)
+    assert y_hat.shape == (5, B)
 
 
 @pytest.mark.benchmark(group="problem")
@@ -273,7 +267,7 @@ def test_tree_sampling_step(benchmark):
 
 
 @pytest.mark.benchmark(group="backward")
-@pytest.mark.parametrize("case", ["lq-C21-lockstep-L5", "di-single-L1"])
+@pytest.mark.parametrize("case", ["lq-C21-lockstep-L5", "di-single-L1", "di-single-L1-M64"])
 def test_backward_pass(benchmark, case):
     if case.startswith("lq"):
         tree = BranchTree(LQ, TimeGrid.from_horizon(LQ.horizon, 30))
@@ -281,7 +275,12 @@ def test_backward_pass(benchmark, case):
         forward_expand(tree, None, ForwardConfig(target_width=B), np.random.default_rng(0))
         lam = list(default_lambda_grid(tree))
     else:
-        tree = TREE
+        if case.endswith("M64"):
+            tree = BranchTree(DI, TimeGrid.from_horizon(DI.horizon, 30))
+            tree.add_root()
+            forward_expand(tree, None, ForwardConfig(target_width=64), np.random.default_rng(0))
+        else:
+            tree = TREE
         lam = float(default_lambda_grid(tree)[2])
     result = benchmark(backward_pass, tree, lam)
     assert len(result) == 5 if case.endswith("L5") else result.coefficients.steps == 30

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from fbrrt.problem import (
@@ -57,6 +59,21 @@ def policy_problems():
         ),
         "scalar_no_fuel": scalar_problem(fuel_weight=0.0),
     }
+
+
+def nan_under_plus_one(problem, field, t=None):
+    """`problem` whose `field`, "drift" or "running_cost", is NaN under the
+    control u = +1, at every time or at time `t` alone."""
+    base = getattr(problem, field)
+
+    def values(time, x, u):
+        out = base(time, x, u)
+        if t is not None and time != t:
+            return out
+        nan = np.asarray(u, dtype=float)[..., 0] == 1.0
+        return np.where(nan[..., None] if field == "drift" else nan, np.nan, out)
+
+    return dataclasses.replace(problem, **{field: values})
 
 
 def correlated_noise_lq_problem():

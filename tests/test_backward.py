@@ -13,9 +13,10 @@ from fbrrt.backward import (
     _distinct_parents,
     _drifts_and_costs,
     _edge_targets,
-    _EdgeDesign,
     _layer_edge_arrays,
+    _matvecs,
     _stacked_softmin_weights,
+    _Targets,
     backward_pass,
     default_lambda_grid,
     lambda_search,
@@ -24,6 +25,7 @@ from fbrrt.backward import (
     softmin_weights,
 )
 from fbrrt.basis import (
+    FeatureBox,
     ValueCoefficients,
     feature_count,
     features,
@@ -38,7 +40,7 @@ from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, 
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
 
-from conftest import policy_problems, same_bits, scalar_problem
+from conftest import nan_under_plus_one, policy_problems, same_bits, scalar_problem
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +363,13 @@ def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
     X_prev = p.sample_roi(rng, size=50)
     K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
     X_next = p.sample_roi(rng, size=50)
-    box = (p.roi_lower, p.roi_upper)
-    shift = noise_feature_shift(p.sigma @ p.sigma.T * 0.05, *box)
-    design = _EdgeDesign(p, 0.05, 3, X_prev, features(X_next, *box), *box, shift)
+    box = FeatureBox(p.roi_lower, p.roi_upper)
     alphas = np.array(random_alphas(p, rng) + random_alphas(p, rng))
-    y_hat, y_next = design.targets(alphas)
+    y_hat = _Targets(p, 0.05, box)(3, X_prev, box.feature_rows(X_prev)[1 : 1 + box.n], alphas)
+    y_next = _matvecs(features(X_next, p.roi_lower, p.roi_upper), alphas)
     assert y_hat.shape == y_next.shape == (len(alphas), 50)
     for alpha, got_hat, got_next in zip(alphas, y_hat, y_next):
-        want_hat, want_next = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, *box)
+        want_hat, want_next = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
         assert np.array_equal(got_hat, want_hat) and np.array_equal(got_next, want_next)
 
 
@@ -376,22 +377,22 @@ def test_stacked_edge_targets_match_one_alpha_at_a_time(name):
 def test_targets_on_distinct_parents_match_every_edge(name):
     # the edges of a grown tree share parents (at the root, all of them):
     # scoring each distinct parent once and gathering by the inverse index
-    # gives every edge the target `_edge_targets` scores for it alone
+    # gives every edge the target the reference scores for it alone
     p = policy_problems()[name]
     tree = grown_tree(p, 4, 32, seed=15)
-    dt, box = tree.grid.dt, (p.roi_lower, p.roi_upper)
-    shift = noise_feature_shift(p.sigma @ p.sigma.T * dt, *box)
+    dt, box = tree.grid.dt, FeatureBox(p.roi_lower, p.roi_upper)
     rng = np.random.default_rng(16)
     for i in range(tree.grid.steps):
-        layer = tree.layer(i + 1)
-        X_prev, inverse = _distinct_parents(tree.layer_states(i), layer.parents)
-        assert inverse is not None and len(np.unique(X_prev, axis=0)) < len(layer.parents)
-        design = _EdgeDesign(p, dt, i, X_prev, features(layer.states, *box), *box, shift, inverse)
+        X, (parents, _) = tree.layer_states(i), tree.layer_edges(i + 1)
+        positions, inverse = _distinct_parents(parents, len(X))
+        assert inverse is not None and len(positions) < len(parents)
+        z_prev = box.feature_rows(X)[1 : 1 + box.n, positions]
         alphas = np.array(random_alphas(p, rng))
-        y_hat, y_next = design.targets(alphas)
-        for alpha, got_hat, got_next in zip(alphas, y_hat, y_next):
-            want_hat, want_next = _edge_targets(p, dt, i, *_layer_edge_arrays(tree, i + 1)[:3], alpha, *box)
-            assert same_bits(got_hat, want_hat) and same_bits(got_next, want_next)
+        y_hat = _Targets(p, dt, box)(i, X[positions], z_prev, alphas, inverse)
+        edges = _layer_edge_arrays(tree, i + 1)[:3]
+        for alpha, got_hat in zip(alphas, y_hat):
+            want_hat, _ = edge_targets_reference(p, dt, i, *edges, alpha, p.roi_lower, p.roi_upper)
+            assert same_bits(got_hat, want_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +522,34 @@ def test_backward_pass_singular_fit_reports_layer():
     assert err.value.layer == 3
 
 
+@pytest.mark.parametrize("field, message", [("drift", "drift"), ("running_cost", "running cost")])
+def test_backward_pass_refuses_a_nonfinite_policy_grid(field, message):
+    # a NaN under u = +1 on the candidate grid of layer 3 alone: its edges'
+    # scores would go to the tie path of `_best_candidates` and pick the
+    # wrong control, so the pass stops there and names the layer
+    p = make_double_integrator_l1()
+    tree = grown_tree(p, 6, 32, seed=20)
+    tree.problem = nan_under_plus_one(p, field, t=3 * tree.grid.dt)
+    with pytest.raises(BackwardPassError, match=f"{message} must be finite") as err:
+        backward_pass(tree, lam=1.0)
+    assert err.value.layer == 3
+    # in lockstep every lambda stops there, and the search has no survivor
+    for got in backward_pass(tree, [0.5, 1.0]):
+        assert_same_error(got, err.value)
+    with pytest.raises(BackwardPassError, match="every lambda candidate failed"):
+        lambda_search(tree, [0.5, 1.0], rollout_count=8, seed=0)
+
+
+@pytest.mark.parametrize("field, message", [("drift", "drift"), ("running_cost", "running cost")])
+def test_rollout_refuses_a_nonfinite_policy_grid(field, message):
+    p = make_double_integrator_l1()
+    grid = TimeGrid.from_horizon(p.horizon, 6)
+    coeffs = ValueCoefficients(np.random.default_rng(21).normal(size=(6, 6)), p.roi_lower, p.roi_upper)
+    poisoned = nan_under_plus_one(p, field, t=3 * grid.dt)
+    with pytest.raises(ValueError, match=f"{message} must be finite .* at step 3"):
+        rollout_policies(poisoned, grid, [coeffs, coeffs], p.initial_state, 16, np.random.default_rng(0))
+
+
 def test_heat_initial_value_is_exact_under_any_sampling_drift():
     # V(t, x) = x^2 + (T - t) lies in the basis, so with ridge 0 every fit
     # of a tree is exact whatever drift sampled it: a bang tree and a
@@ -596,10 +625,22 @@ def test_lambda_search_empty_grid_rejected():
 # lockstep lambda search against one lambda at a time
 
 
+def regress_later_targets(problem, dt, i, X_prev, alpha_next, lower, upper):
+    """Reference for the targets of `backward_pass`, from the kernels: the
+    target policy's drift and running cost off the candidate grid of each
+    parent state, and the value at the mean next state plus the noise's
+    shift of the feature means."""
+    ells, F = _drifts_and_costs(problem, i * dt, X_prev, np.asarray(problem.control_candidates))
+    choice = _best_candidates(ells, F, value_grad(X_prev, alpha_next, lower, upper))
+    k = np.arange(len(X_prev))
+    shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
+    return features(X_prev + F[k, choice] * dt, lower, upper) @ alpha_next + shift @ alpha_next + ells[k, choice] * dt
+
+
 def backward_pass_reference(tree, lam, ridge=None):
     """Reference for one lambda of `backward_pass`: every layer recomputes
     its features, targets and drift grid from the tree."""
-    problem, N = tree.problem, tree.grid.steps
+    problem, N, dt = tree.problem, tree.grid.steps, tree.grid.dt
     lower, upper = problem.roi_lower, problem.roi_upper
     ridge = 1e-8 * tree.layer_size(N) if ridge is None else ridge
     rho = [None] * (N + 1)
@@ -619,15 +660,44 @@ def backward_pass_reference(tree, lam, ridge=None):
     y_N = problem.terminal_cost(X_N)
     alphas = [fit(N, features(X_N, lower, upper), y_N, np.ones(len(y_N)))]
     for i in range(N - 1, 0, -1):
-        X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
-        y_hat, y_next = _edge_targets(problem, tree.grid.dt, i, X_prev, K, X_next, alphas[-1], lower, upper)
-        rho[i + 1] = path_heuristic(run_costs, y_next)
+        X_prev, _, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
+        y_hat = regress_later_targets(problem, dt, i, X_prev, alphas[-1], lower, upper)
+        rho[i + 1] = path_heuristic(run_costs, value_eval(X_next, alphas[-1], lower, upper))
         alphas.append(fit(i, features(X_prev, lower, upper), y_hat, softmin_weights(rho[i + 1], lam)))
     coeffs = ValueCoefficients(alphas=np.array(alphas[::-1]), lower=lower, upper=upper)
-    X_prev, K, X_next, run_costs = _layer_edge_arrays(tree, 1)
-    y0_hat, y_1 = _edge_targets(problem, tree.grid.dt, 0, X_prev, K, X_next, coeffs.alpha(1), lower, upper)
-    rho[1] = path_heuristic(run_costs, y_1)
+    X_prev, _, X_next, run_costs = _layer_edge_arrays(tree, 1)
+    y0_hat = regress_later_targets(problem, dt, 0, X_prev, coeffs.alpha(1), lower, upper)
+    rho[1] = path_heuristic(run_costs, value_eval(X_next, coeffs.alpha(1), lower, upper))
     return BackwardArtifacts(coeffs, float(lam), rho, residuals, ess, y0_hat)
+
+
+def pruned_tree(problem, steps, M, seed, regrow):
+    """A grown tree pruned to its 30% lowest-rho paths: layers of unequal
+    widths, or, grown back to M under the fitted policy, layers whose nodes
+    share parents."""
+    tree = grown_tree(problem, steps, M, seed)
+    artifacts = backward_pass(tree, float(default_lambda_grid(tree)[2]))
+    tree = tree.prune(artifacts.rho, 0.3)
+    if regrow:
+        forward_expand(tree, artifacts.coefficients, ForwardConfig(target_width=M), np.random.default_rng(seed + 1))
+    return tree
+
+
+@pytest.mark.parametrize("kind", ["grown", "pruned", "regrown", "chains"])
+def test_backward_pass_matches_the_reference(kind):
+    # one lambda, bit for bit, with the reference scoring every edge on its own
+    p = make_double_integrator_l1()
+    if kind == "grown":
+        tree = grown_tree(p, 8, 48, seed=19)
+    elif kind == "chains":
+        grid = TimeGrid.from_horizon(p.horizon, 8)
+        tree = parallel_forward_baseline(p, grid, 48, None, ForwardConfig(target_width=48), np.random.default_rng(19))
+    else:
+        tree = pruned_tree(p, 8, 48, seed=19, regrow=kind == "regrown")
+        widths = tree.layer_sizes[1:]
+        assert (min(widths) < max(widths)) if kind == "pruned" else widths == [48] * 8
+    lam = float(default_lambda_grid(tree)[2])
+    assert_same_artifacts(backward_pass(tree, lam), backward_pass_reference(tree, lam))
 
 
 def sequential_lambda_search(tree, lambdas, rollout_count, seed, ridge=None):
@@ -673,8 +743,13 @@ LQ_C21 = make_lq_problem(
 
 @pytest.mark.parametrize(
     "problem, steps, M",
-    [(make_double_integrator_l1(), 8, 48), (LQ_C21, 10, 64), (make_uncontrolled_heat(), 6, 32)],
-    ids=["double_integrator", "lq_C21", "heat"],
+    [
+        (make_double_integrator_l1(), 8, 48),
+        (LQ_C21, 10, 64),
+        (make_uncontrolled_heat(), 6, 32),
+        (policy_problems()["lq_3d"], 6, 48),
+    ],
+    ids=["double_integrator", "lq_C21", "heat", "lq_3d"],
 )
 def test_lockstep_lambda_search_matches_sequential(problem, steps, M):
     tree = grown_tree(problem, steps, M, seed=12)
@@ -729,9 +804,9 @@ def test_lockstep_on_chains_scores_each_edge_once():
     grid = TimeGrid.from_horizon(p.horizon, 4)
     chains = parallel_forward_baseline(p, grid, 24, None, ForwardConfig(target_width=24), np.random.default_rng(18))
     for i in range(grid.steps):
-        parents = chains.layer(i + 1).parents
-        X_prev, inverse = _distinct_parents(chains.layer_states(i), parents)
-        assert inverse is None and same_bits(X_prev, chains.layer_states(i)[parents])
+        parents, _ = chains.layer_edges(i + 1)
+        positions, inverse = _distinct_parents(parents, chains.layer_size(i))
+        assert inverse is None and positions is parents
     lambdas = list(default_lambda_grid(chains))
     for got, lam in zip(backward_pass(chains, lambdas), lambdas, strict=True):
         assert_same_artifacts(got, backward_pass_reference(chains, lam))
@@ -778,7 +853,7 @@ def test_stacked_softmin_weights_match_each_row():
     rho = rng.normal(size=(7, 40)) * 3.0
     rho[3, 5] = np.inf
     lams = [1.5, 1e-300, np.inf, 2.0, 0.0, -1.0, float("nan")]
-    weights, errors = _stacked_softmin_weights(rho, lams)
+    weights, errors = _stacked_softmin_weights(rho, np.array(lams)[:, None])
     refused = 0
     for r, lam, w, error in zip(rho, lams, weights, errors, strict=True):
         try:
@@ -790,7 +865,7 @@ def test_stacked_softmin_weights_match_each_row():
             assert error is None and same_bits(w, want)
     assert refused == 4
     # with every row accepted the stack is weighted in one call, and still row by row
-    weights, errors = _stacked_softmin_weights(rho[:3], lams[:3])
+    weights, errors = _stacked_softmin_weights(rho[:3], np.array(lams[:3])[:, None])
     assert errors == [None] * 3
     for r, lam, w in zip(rho[:3], lams[:3], weights, strict=True):
         assert same_bits(w, softmin_weights(r, lam))

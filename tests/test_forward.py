@@ -15,7 +15,7 @@ from fbrrt.problem import (
 )
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import correlated_noise_lq_problem, policy_problems, same_bits, scalar_problem
+from conftest import correlated_noise_lq_problem, nan_under_plus_one, policy_problems, same_bits, scalar_problem
 
 
 # Node-by-node reference of the forward pass: one node selection, control
@@ -395,6 +395,17 @@ def test_sampling_step_rounds_like_the_grids(name, explore):
     got = sampling_step(p, grid, 2, X, pick, coeffs, noise)
     want = sampling_step_reference(p, grid, 2, X, pick, coeffs, noise)
     assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("field, message", [("drift", "drift"), ("running_cost", "running cost")])
+def test_sampling_step_refuses_a_nonfinite_policy_grid(field, message):
+    # policy rows score every candidate: a NaN under u = +1 would send their
+    # scores to the tie path of `_best_candidates`, which picks the wrong one
+    p = nan_under_plus_one(scalar_problem(), field)
+    grid = TimeGrid.from_horizon(p.horizon, 2)
+    X = np.zeros((4, 1))
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        sampling_step(p, grid, 0, X, np.full(4, -1), quadratic_value(p, grid.steps), np.zeros((4, 1)))
 
 
 def test_sampling_step_checks_only_the_chosen_exploration_drifts():

@@ -11,7 +11,7 @@ import pytest
 from fbrrt.backward import BackwardPassError, _candidate_scores
 from fbrrt.basis import ValueCoefficients, feature_count
 from fbrrt.cli import _method_labels, apply_overrides, main, parse_config_text
-from fbrrt.problem import TimeGrid, make_lq_problem, make_uncontrolled_heat
+from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import (
     IterationStats,
     RolloutReport,
@@ -29,7 +29,7 @@ import fbrrt.backward
 import fbrrt.solver
 from fbrrt.tree import BranchTree
 
-from conftest import correlated_noise_lq_problem, policy_problems, scalar_problem
+from conftest import correlated_noise_lq_problem, nan_under_plus_one, policy_problems, scalar_problem
 from test_golden import RUN_CONFIG, RUN_FILES
 
 DI = {
@@ -290,6 +290,16 @@ def test_solve_error_names_the_rollout_phase(monkeypatch):
     with pytest.raises(SolverError, match=r"^iteration 2: non-finite rollout mean cost nan") as err:
         fbrrt_solve(SolverConfig(**TINY))
     assert (err.value.iteration, err.value.phase, err.value.layer) == (2, "rollout", None)
+
+
+def test_solve_error_names_the_rollout_phase_for_a_nonfinite_policy_grid(monkeypatch):
+    # the final rollout refuses a NaN drift on its candidate grid
+    rollout = fbrrt.solver.rollout_policy
+    poisoned = nan_under_plus_one(make_double_integrator_l1(), "drift")
+    monkeypatch.setattr(fbrrt.solver, "rollout_policy", lambda problem, *args: rollout(poisoned, *args))
+    with pytest.raises(SolverError, match=r"^iteration 1: drift must be finite on the rollouts' policy grid") as err:
+        fbrrt_solve(SolverConfig(problem="double_integrator", steps=3, M=8, iterations=1, rollout_count=8, seed=0))
+    assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "rollout", None)
 
 
 def test_solve_report_files(tmp_path):
