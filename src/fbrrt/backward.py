@@ -47,7 +47,7 @@ from .basis import (
     features,  # noqa: F401 - perfbench/tracer.py wraps the feature map by this name
     noise_feature_shift,
     solve_weighted_design,
-    value_grad,
+    value_grad,  # noqa: F401 - forward.sampling_step calls it here, where perfbench/tracer.py wraps it
     weighted_design,
     weighted_least_squares,  # noqa: F401 - perfbench/tracer.py wraps the fit by this name
 )
@@ -59,13 +59,6 @@ class BackwardPassError(RuntimeError):
     def __init__(self, message: str, layer: int):
         super().__init__(f"{message} (layer {layer})")
         self.layer = layer
-
-
-def _control_candidates(problem: ControlProblem) -> np.ndarray:
-    cands = np.asarray(problem.control_candidates)
-    if len(cands) == 0:
-        raise ValueError("control candidate set is empty")
-    return cands
 
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
@@ -106,20 +99,31 @@ def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.nd
     return np.argmin(tie_ell, axis=-1)  # first occurrence = lowest index
 
 
-def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, alpha_next, lower, upper):
-    """The target policy argmin_u { l(t,x,u) + f(t,x,u)' dV(x) } over the
-    candidate set, scored at every state in one vectorized sweep.
+def _check_finite(ells: np.ndarray, F: np.ndarray) -> None:
+    """Refuse (ValueError) a non-finite drift in F, then a non-finite running
+    cost in ells: a NaN score picks a wrong candidate, a NaN cost a NaN lambda."""
+    if not np.isfinite(F).all():
+        raise ValueError("drift must be finite")
+    if not np.isfinite(ells).all():
+        raise ValueError("running cost must be finite")
 
-    `t` is one time and `alpha_next` one coefficient vector for every
-    state.  Returns (choice, cands, ells, F): per-state winning candidate
-    index (ties go to the smallest running cost, then the lowest index),
-    the candidate array, and the (B, C[, n]) running costs and drifts
-    evaluated on the state-candidate grid.
-    """
-    cands = _control_candidates(problem)
-    grad = value_grad(X, alpha_next, lower, upper)
+
+def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, cands: np.ndarray, grad: np.ndarray):
+    """The target policy argmin_u { l(t,x,u) + f(t,x,u)' dV(x) } over the
+    candidates `cands` (C, m) at the states X (B, n) of time t, under the
+    value gradients `grad` (B, n) or an (L, B, n) stack of them: one drift
+    and cost grid, checked by `_check_finite`, scores them all.
+
+    Returns (choice, cands, ells, F): each row's winning candidate index
+    (ties go to the smallest running cost, then the lowest index), the
+    candidates, and the chosen rows' running costs (B,) and drifts (B, n),
+    or (L, B) and (L, B, n)."""
     ells, F = _drifts_and_costs(problem, t, X, cands)
-    return _best_candidates(ells, F, grad), cands, ells, F
+    _check_finite(ells, F)
+    choice = _best_candidates(ells, F, grad)
+    B, C, n = F.shape
+    chosen = choice + np.arange(0, B * C, C)  # each choice's entry of the flattened grid
+    return choice, cands, ells.take(chosen), F.reshape(-1, n).take(chosen, axis=0)
 
 
 def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:
@@ -170,17 +174,6 @@ def _distinct_parents(parents: np.ndarray, width: int):
     return np.flatnonzero(seen), np.cumsum(seen)[parents] - 1
 
 
-def _grid_fault(ells: np.ndarray, F: np.ndarray) -> Optional[str]:
-    """What stops a policy-scoring grid from being scored, or None: a row
-    holding a NaN score would go to `_best_candidates`' tie path and pick
-    the wrong candidate, so every drift and running cost must be finite."""
-    if not np.isfinite(F).all():
-        return "drift must be finite"
-    if not np.isfinite(ells).all():
-        return "running cost must be finite"
-    return None
-
-
 def _matvecs(phi: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """(K, B) rows phi @ alphas[k], or phi[k] @ alphas[k] for a (K, B, p)
     stack: np.matmul on the (K, p, 1) stack takes one matrix-vector product
@@ -195,7 +188,7 @@ class _Targets:
 
     def __init__(self, problem: ControlProblem, dt: float, box: FeatureBox):
         self.problem, self.dt, self.box = problem, dt, box
-        self.cands = _control_candidates(problem)
+        self.cands = problem.control_candidates
         self.shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, box.lower, box.upper)
 
     def __call__(self, i: int, X_prev: np.ndarray, z_prev: np.ndarray, alphas: np.ndarray, inverse=None) -> np.ndarray:
@@ -208,16 +201,14 @@ class _Targets:
         `_distinct_parents`); None means one row per edge.  A non-finite
         drift or running cost on the parents' candidate grid raises
         BackwardPassError naming layer i."""
-        ells, F = _drifts_and_costs(self.problem, i * self.dt, X_prev, self.cands)
-        fault = _grid_fault(ells, F)
-        if fault is not None:
-            raise BackwardPassError(f"{fault} on the policy grid", layer=i)
-        choice = _best_candidates(ells, F, self.box.grad_from(z_prev, alphas.T[:, :, None]))
-        B, C, n = F.shape
-        chosen = choice + np.arange(0, B * C, C)  # each choice's entry of the flattened grid
-        X_mean = X_prev + F.reshape(-1, n).take(chosen, axis=0) * self.dt  # next states without the noise
-        phi_mean = self.box.features(X_mean.reshape(-1, n)).reshape(*choice.shape, -1)
-        ell_dt = ells.take(chosen) * self.dt
+        grad = self.box.grad_from(z_prev, alphas.T[:, :, None])
+        try:
+            choice, _, ells, F = _candidate_scores(self.problem, i * self.dt, X_prev, self.cands, grad)
+        except ValueError as fault:
+            raise BackwardPassError(f"{fault} on the policy grid", layer=i) from fault
+        X_mean = X_prev + F * self.dt  # next states without the noise
+        phi_mean = self.box.features(X_mean.reshape(-1, self.box.n)).reshape(*choice.shape, -1)
+        ell_dt = ells * self.dt
         if inverse is not None:
             # the products run on every edge's row: BLAS may round a row of
             # phi @ alpha by its place in the matrix, and a one-row product
@@ -455,35 +446,29 @@ def rollout_policies(
     for coeffs in coefficients:
         if coeffs.steps < N:
             raise ValueError(f"coefficients cover {coeffs.steps} steps, grid needs {N}")
-    cands = _control_candidates(problem)
+    cands = problem.control_candidates
     X = np.tile(np.asarray(x0, dtype=float), (L * count, 1))
     costs = np.zeros(L * count)
     control_counts = np.zeros((L, N, len(cands)), dtype=int)
     sqrt_dt = np.sqrt(grid.dt)
-    rows = np.arange(L * count)
-    block_offsets = len(cands) * (rows // count)  # block b's choices count in bins b C .. b C + C - 1
-    grid_offsets = len(cands) * rows  # each row's first entry of the flattened grid
-    blocks = [slice(b * count, (b + 1) * count) for b in range(L)]
+    block_offsets = len(cands) * (np.arange(L * count) // count)  # block b's choices count in bins b C .. b C + C - 1
     # block b's states take policy b's coefficients and box: (L, 1, .) boxes,
     # and the coefficients of step i as alphas[..., i], one (L, 1) row per index
     alphas = last_axis_first(np.stack([c.alphas[:N] for c in coefficients]))[:, :, None]
     lower, upper = (np.stack([getattr(c, side) for c in coefficients])[:, None] for side in ("lower", "upper"))
     box = FeatureBox(lower, upper)
     for i in range(N):
-        ells, F = _drifts_and_costs(problem, i * grid.dt, X, cands)
-        fault = _grid_fault(ells, F)
-        if fault is not None:
-            raise ValueError(f"{fault} on the rollouts' policy grid at step {i}")
         grad = box.grad_from(last_axis_first(box.z(X.reshape(L, count, n))), alphas[..., i])
-        choice = _best_candidates(ells, F, grad.reshape(-1, n))
+        try:
+            choice, _, ells, f_mu = _candidate_scores(problem, i * grid.dt, X, cands, grad.reshape(-1, n))
+        except ValueError as fault:
+            raise ValueError(f"{fault} on the rollouts' policy grid at step {i}") from fault
         control_counts[:, i] = np.bincount(choice + block_offsets, minlength=L * len(cands)).reshape(L, -1)
-        chosen = choice + grid_offsets
-        costs += ells.take(chosen) * grid.dt
+        costs += ells * grid.dt
         W = rng.normal(size=(count, n)) * sqrt_dt
-        f_mu = F.reshape(-1, n).take(chosen, axis=0)
         X = ((X + f_mu * grid.dt).reshape(L, count, n) + problem.apply_diffusion(W)).reshape(-1, n)
     costs += problem.terminal_cost(X)
-    return [RolloutReport(costs[block], X[block], control_counts[b]) for b, block in enumerate(blocks)]
+    return [RolloutReport(*block) for block in zip(costs.reshape(L, count), X.reshape(L, count, n), control_counts)]
 
 
 def lambda_search(

@@ -119,18 +119,10 @@ def noise_feature_shift(cov, lower, upper) -> np.ndarray:
 
 
 def feature_grad(x, lower, upper) -> np.ndarray:
-    """Exact gradient of the feature map at a single x; shape (p, n)."""
+    """Exact gradient of the feature map at a single x; shape (p, n): row j
+    is dV/dx under the unit coefficient vector e_j."""
     box = FeatureBox(lower, upper)
-    z = box.z(np.asarray(x, dtype=float))
-    n, scale, p = box.n, box.scale, box.p  # scale: dz/dx per dimension
-    grad = np.zeros((p, n))
-    for k in range(n):
-        grad[1 + k, k] = scale[k]
-        grad[1 + n + k, k] = 4.0 * z[k] * scale[k]
-    for c, (j, k) in enumerate(_cross_pairs(n)):
-        grad[1 + 2 * n + c, j] = z[k] * scale[j]
-        grad[1 + 2 * n + c, k] = z[j] * scale[k]
-    return grad
+    return box.grad_from(box.z(np.asarray(x, dtype=float)), np.eye(box.p))
 
 
 def value_eval(x, alpha, lower, upper):

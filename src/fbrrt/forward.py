@@ -4,8 +4,9 @@ Growth mixes RRT node selection (sample a target uniformly in the region of
 interest, expand the nearest particle) with uniform node selection, and
 mixes exploiting the current policy with uniformly drawn exploration
 controls.  Each edge is an Euler-Maruyama step of the drifted SDE with a
-feasible drift k = f(t, x, u), recorded on the edge so the backward pass can
-compensate for the sampling measure.
+feasible drift k = f(t, x, u), recorded on the edge.  The backward pass
+reads no sampled drift (its targets are regressed later, from the parent
+states alone), so the sampling measure needs no compensation.
 """
 
 from __future__ import annotations
@@ -40,32 +41,26 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
 
     `pick` holds each row's exploration control index, or -1 for a row
     that follows the target policy of `coeffs` (alpha_{i+1}, row i of
-    `alphas`).  Policy rows read drift and cost off the candidate grid that
-    scored them, all of whose drifts and running costs must be finite; an
-    exploring row takes its own (state, control) pair, rounding as on a
-    grid (`fbrrt.problem`), whose drift must be finite, as must the next
-    states (ValueError).
+    `alphas`).  Policy rows take the drift and cost chosen on the grid
+    that scored them (`backward._candidate_scores`); an exploring row
+    takes its own (state, control) pair, rounding as on a grid
+    (`fbrrt.problem`).  Every drift and running cost, a policy row's whole
+    grid included, and every next state must be finite (ValueError).
     `noise` (B, n) enters as `problem.apply_diffusion`.
     """
     t = i * grid.dt
     controls, K, ells = np.empty((len(X), problem.control_dim)), np.empty(X.shape), np.empty(len(X))
     rows = np.flatnonzero(pick < 0)
     if len(rows):
-        choice, cands, grid_ells, F = backward._candidate_scores(
-            problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
-        )
-        fault = backward._grid_fault(grid_ells, F)
-        if fault is not None:
-            raise ValueError(fault)
-        k = np.arange(len(rows))
-        controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
+        X_rows, cands = X[rows], problem.control_candidates
+        grad = backward.value_grad(X_rows, coeffs.alphas[i], coeffs.lower, coeffs.upper)
+        choice, _, ells[rows], K[rows] = backward._candidate_scores(problem, t, X_rows, cands, grad)
+        controls[rows] = cands[choice]
     rows = np.flatnonzero(pick >= 0)
     if len(rows):
-        U, X_rows = np.asarray(problem.random_controls, dtype=float)[pick[rows]], X[rows]
-        F = problem.drift(t, X_rows, U)
-        if not np.isfinite(F).all():
-            raise ValueError("drift must be finite")
-        controls[rows], K[rows], ells[rows] = U, F, problem.running_cost(t, X_rows, U)
+        U, X_rows = problem.random_controls[pick[rows]], X[rows]
+        controls[rows], K[rows], ells[rows] = U, problem.drift(t, X_rows, U), problem.running_cost(t, X_rows, U)
+    backward._check_finite(ells, K)
     X_next = X + K * grid.dt + problem.apply_diffusion(noise)
     if not np.isfinite(X_next).all():
         raise ValueError(f"non-finite state in layer {i + 1}")

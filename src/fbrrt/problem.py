@@ -92,9 +92,11 @@ class ControlProblem:
             raise ValueError("roi bounds must have shape (state_dim,)")
         if not np.all(lo < hi):
             raise ValueError("roi lower bounds must be strictly below upper bounds")
-        for cands in (self.control_candidates, self.random_controls):
-            if np.asarray(cands).ndim != 2 or np.asarray(cands).shape[1] != self.control_dim:
-                raise ValueError("control sets must have shape (count, control_dim)")
+        for field in ("control_candidates", "random_controls"):
+            controls = np.asarray(getattr(self, field), dtype=float)
+            if controls.ndim != 2 or controls.shape[1] != self.control_dim or not len(controls):
+                raise ValueError(f"{field} must have shape (count, control_dim) with count >= 1")
+            object.__setattr__(self, field, controls)
         if np.asarray(self.initial_state).shape != (self.state_dim,):
             raise ValueError("initial_state must have shape (state_dim,)")
 
@@ -128,7 +130,7 @@ def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples:
     ts = rng.uniform(0.0, problem.horizon, size=samples)
     xs = problem.sample_roi(rng, size=samples)
     cand_idx = rng.integers(0, len(problem.control_candidates), size=samples)
-    us = np.asarray(problem.control_candidates)[cand_idx]
+    us = problem.control_candidates[cand_idx]
     for t, x, u in zip(ts, xs, us):
         assert problem.running_cost(t, x, u) >= 0.0
     assert np.all(np.isfinite(problem.sigma))
@@ -343,8 +345,8 @@ def make_uncontrolled_heat(
 
     The candidate set for the policy is {0}, so the on-policy value is the
     uncontrolled heat-semigroup expectation E[g(X_T) | X_t = x]; bang
-    controls appear only in the exploration set, as sampling drifts the
-    backward pass must compensate for.
+    controls appear only in the exploration set.  They move where the tree
+    samples but not its targets: the backward pass reads no sampled drift.
     """
     s = float(noise)
     q = float(terminal_quadratic)

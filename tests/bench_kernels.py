@@ -81,8 +81,14 @@ def _inputs(problem, seed=0):
 @pytest.mark.benchmark(group="candidate_scores")
 @pytest.mark.parametrize("problem", [LQ, DI], ids=["lq-C21", "di-C3"])
 def test_candidate_scores(benchmark, problem):
+    # the gradient and the scoring of a sampling step's policy rows
     X, alpha = _inputs(problem)
-    choice, cands, _, _ = benchmark(_candidate_scores, problem, 0.3, X, alpha, problem.roi_lower, problem.roi_upper)
+
+    def score():
+        grad = value_grad(X, alpha, problem.roi_lower, problem.roi_upper)
+        return _candidate_scores(problem, 0.3, X, problem.control_candidates, grad)
+
+    choice, cands, _, _ = benchmark(score)
     assert choice.shape == (B,) and len(cands) == len(problem.control_candidates)
 
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 
+from fbrrt.backward import _best_candidates, _drifts_and_costs
+from fbrrt.basis import value_grad
 from fbrrt.problem import (
     ControlProblem,
     make_double_integrator_l1,
@@ -61,6 +63,16 @@ def policy_problems():
     }
 
 
+def policy_grid(problem, t, X, alpha_next, lower, upper):
+    """The target policy at the states X (B, n) with its whole candidate
+    grid, as `_candidate_scores` gave it before it took the gradient as an
+    argument and gathered the chosen rows: (choice, cands, ells, F) with
+    the (B, C) running costs and the (B, C, n) drifts, unchecked."""
+    cands = problem.control_candidates
+    ells, F = _drifts_and_costs(problem, t, X, cands)
+    return _best_candidates(ells, F, value_grad(X, alpha_next, lower, upper)), cands, ells, F
+
+
 def nan_under_plus_one(problem, field, t=None):
     """`problem` whose `field`, "drift" or "running_cost", is NaN under the
     control u = +1, at every time or at time `t` alone."""
@@ -74,6 +86,13 @@ def nan_under_plus_one(problem, field, t=None):
         return np.where(nan[..., None] if field == "drift" else nan, np.nan, out)
 
     return dataclasses.replace(problem, **{field: values})
+
+
+def nan_exploration_cost_problem():
+    """The double integrator with a NaN running cost under u = +1, which
+    only the exploration set holds: the policy's candidates are {-1, 0}."""
+    p = nan_under_plus_one(make_double_integrator_l1(), "running_cost")
+    return dataclasses.replace(p, control_candidates=np.array([[-1.0], [0.0]]))
 
 
 def correlated_noise_lq_problem():

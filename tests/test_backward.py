@@ -40,7 +40,7 @@ from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, 
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
 
-from conftest import nan_under_plus_one, policy_problems, same_bits, scalar_problem
+from conftest import nan_under_plus_one, policy_grid, policy_problems, same_bits, scalar_problem
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ from conftest import nan_under_plus_one, policy_problems, same_bits, scalar_prob
 
 def policy_controls(problem, t, X, alpha_next, lower, upper):
     """The target policy's control at every state of X (B, n)."""
-    choice, cands, _, _ = _candidate_scores(problem, t, X, alpha_next, lower, upper)
+    choice, cands, _, _ = policy_grid(problem, t, X, alpha_next, lower, upper)
     return cands[choice]
 
 
@@ -120,7 +120,7 @@ def test_policy_scale_invariant_without_running_cost():
 
 
 def pairwise_scores(problem, t, X, alpha, lower, upper):
-    """Reference for `_candidate_scores`: each (state, control) pair
+    """Reference for the policy grid (`policy_grid`): each (state, control) pair
     evaluated alone, gradient terms summed by np.sum; ties go to the lowest
     running cost, then the lowest candidate index."""
     cands = np.asarray(problem.control_candidates)
@@ -147,11 +147,40 @@ def test_candidate_scores_match_pairwise_evaluation(name):
     rng = np.random.default_rng(5)
     X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
     for alpha in random_alphas(p, rng):
-        choice, _, ells, F = _candidate_scores(p, 0.3, X, alpha, p.roi_lower, p.roi_upper)
+        choice, _, ells, F = policy_grid(p, 0.3, X, alpha, p.roi_lower, p.roi_upper)
         ref_choice, ref_ells, ref_F = pairwise_scores(p, 0.3, X, alpha, p.roi_lower, p.roi_upper)
         assert np.array_equal(ells, ref_ells)
         assert np.array_equal(F, ref_F)
         assert np.array_equal(choice, ref_choice)
+
+
+@pytest.mark.parametrize("name", list(policy_problems()))
+@pytest.mark.parametrize("L", [None, 3])
+def test_candidate_scores_gather_the_chosen_grid_entries(name, L):
+    # the kernel's running costs and drifts are the grid's entries at each
+    # row's choice, for one gradient per state (B) and for a stack (L, B)
+    p = policy_problems()[name]
+    rng = np.random.default_rng(8)
+    X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
+    grad = rng.normal(size=(40, p.state_dim) if L is None else (L, 40, p.state_dim))
+    choice, cands, ells, F = _candidate_scores(p, 0.3, X, p.control_candidates, grad)
+    grid_ells, grid_F = _drifts_and_costs(p, 0.3, X, p.control_candidates)
+    k = np.arange(len(X))
+    assert same_bits(choice, _best_candidates(grid_ells, grid_F, grad))
+    assert cands is p.control_candidates
+    assert same_bits(ells, grid_ells[k, choice])
+    assert same_bits(F, grid_F[k, choice])
+
+
+def test_candidate_scores_refuse_a_nonfinite_drift_first():
+    p = make_double_integrator_l1()
+    X, grad = np.zeros((3, 2)), np.ones((3, 2))
+    both = nan_under_plus_one(nan_under_plus_one(p, "drift"), "running_cost")
+    with pytest.raises(ValueError, match="^drift must be finite$"):
+        _candidate_scores(both, 0.0, X, both.control_candidates, grad)
+    cost = nan_under_plus_one(p, "running_cost")
+    with pytest.raises(ValueError, match="^running cost must be finite$"):
+        _candidate_scores(cost, 0.0, X, cost.control_candidates, grad)
 
 
 @pytest.mark.parametrize("name", list(policy_problems()))

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbrrt.basis import (
+    FeatureBox,
     SingularRegressionError,
     ValueCoefficients,
     feature_count,
@@ -81,6 +84,35 @@ def test_feature_grad_matches_central_differences():
         grad = feature_grad(x, lo, hi)
         fd = central_diff(lambda y: features(y, lo, hi), x).T
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+def feature_grad_reference(x, lower, upper):
+    """`feature_grad` as the Jacobian written out entry by entry."""
+    box = FeatureBox(lower, upper)
+    z = box.z(np.asarray(x, dtype=float))
+    n, scale = box.n, box.scale
+    grad = np.zeros((box.p, n))
+    for k in range(n):
+        grad[1 + k, k] = scale[k]
+        grad[1 + n + k, k] = 4.0 * z[k] * scale[k]
+    for c, (j, k) in enumerate(itertools.combinations(range(n), 2)):
+        grad[1 + 2 * n + c, j] = z[k] * scale[j]
+        grad[1 + 2 * n + c, k] = z[j] * scale[k]
+    return grad
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 4), data=st.data())
+def test_feature_grad_rounds_like_the_written_out_jacobian(n, data):
+    def vector(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    lower = vector(-10.0, 10.0)
+    upper, x = lower + vector(1e-3, 20.0), vector(-40.0, 40.0)
+    # `grad_from` sums each entry's terms, zero terms included, and 0.0 + -0.0
+    # is +0.0: where the written-out Jacobian holds -0.0 (z = -0.0, at the
+    # state -0.0 of a box centred at 0) it holds +0.0; all else rounds alike
+    assert same_bits(feature_grad(x, lower, upper) + 0.0, feature_grad_reference(x, lower, upper) + 0.0)
 
 
 def test_value_eval_constant_coefficient():

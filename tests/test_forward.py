@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fbrrt.backward import _candidate_scores, _drifts_and_costs
+from fbrrt.backward import _drifts_and_costs
 from fbrrt.basis import ValueCoefficients, feature_count, quadratic_to_coefficients
 from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline, sampling_step
 from fbrrt.problem import (
@@ -15,7 +15,15 @@ from fbrrt.problem import (
 )
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import correlated_noise_lq_problem, nan_under_plus_one, policy_problems, same_bits, scalar_problem
+from conftest import (
+    correlated_noise_lq_problem,
+    nan_exploration_cost_problem,
+    nan_under_plus_one,
+    policy_grid,
+    policy_problems,
+    same_bits,
+    scalar_problem,
+)
 
 
 # Node-by-node reference of the forward pass: one node selection, control
@@ -35,7 +43,7 @@ def euler_maruyama_step(problem, dt, t, x, k, w):
 
 def policy_control(problem, t, x, alpha_next, lower, upper):
     """The target policy's control at the one state x."""
-    choice, cands, _, _ = _candidate_scores(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)
+    choice, cands, _, _ = policy_grid(problem, t, np.asarray(x, dtype=float)[None, :], alpha_next, lower, upper)
     return cands[choice[0]]
 
 
@@ -369,9 +377,7 @@ def sampling_step_reference(problem, grid, i, X, pick, coeffs, noise):
         if not len(rows):
             continue
         if pick[rows[0]] < 0:
-            choice, cands, grid_ells, F = _candidate_scores(
-                problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper
-            )
+            choice, cands, grid_ells, F = policy_grid(problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper)
         else:
             cands, choice = np.asarray(problem.random_controls, dtype=float), pick[rows]
             grid_ells, F = _drifts_and_costs(problem, t, X[rows], cands)
@@ -419,3 +425,31 @@ def test_sampling_step_checks_only_the_chosen_exploration_drifts():
         assert np.array_equal(X_next, [[-grid.dt], [0.0], [-grid.dt], [0.0]])
         with pytest.raises(ValueError, match="drift must be finite"):
             sampling_step(p, grid, 0, X, np.array([0, 2, 1, 0]), None, np.zeros((4, 1)))
+
+
+def test_sampling_step_checks_the_chosen_exploration_costs():
+    # a NaN running cost under u = +1, which only the exploration set holds,
+    # stops only a step where an exploring row chose it
+    p = nan_exploration_cost_problem()
+    grid = TimeGrid.from_horizon(p.horizon, 2)
+    X, noise, coeffs = np.zeros((4, 2)), np.zeros((4, 2)), quadratic_value(p, grid.steps)
+    _, _, ells, _ = sampling_step(p, grid, 0, X, np.array([-1, 0, 1, -1]), coeffs, noise)
+    assert np.isfinite(ells).all()
+    with pytest.raises(ValueError, match="running cost must be finite"):
+        sampling_step(p, grid, 0, X, np.array([-1, 0, 2, -1]), coeffs, noise)
+
+
+@pytest.mark.parametrize("chains", [False, True])
+def test_forward_passes_refuse_a_nonfinite_exploration_cost(chains):
+    # before exploring rows' costs were checked, both passes grew every
+    # layer with NaN run costs
+    p = nan_exploration_cost_problem()
+    grid = TimeGrid.from_horizon(p.horizon, 30)
+    config, rng = ForwardConfig(target_width=64), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="running cost must be finite"):
+        if chains:
+            parallel_forward_baseline(p, grid, 64, None, config, rng)
+        else:
+            tree = BranchTree(p, grid)
+            tree.add_root()
+            forward_expand(tree, None, config, rng)

@@ -48,6 +48,20 @@ def test_sigma_of_wrong_shape_refused(sigma):
         dataclasses.replace(make_double_integrator_l1(), sigma=sigma)
 
 
+@pytest.mark.parametrize("field", ["control_candidates", "random_controls"])
+def test_empty_control_set_refused(field):
+    # unchecked, an empty exploration set failed inside numpy ("high <= 0"),
+    # and an empty candidate set only in the backward phase
+    with pytest.raises(ValueError, match=rf"^{field} must have shape \(count, control_dim\) with count >= 1$"):
+        dataclasses.replace(make_double_integrator_l1(), **{field: np.zeros((0, 1))})
+
+
+def test_control_sets_are_stored_as_float_arrays():
+    p = dataclasses.replace(make_double_integrator_l1(), control_candidates=[[-1], [1]], random_controls=[[0]])
+    assert same_bits(p.control_candidates, np.array([[-1.0], [1.0]]))
+    assert same_bits(p.random_controls, np.zeros((1, 1)))
+
+
 def test_diffusion_is_sigma_everywhere():
     p = make_pendulum_l1(noise=0.4)
     assert np.array_equal(p.sigma, np.diag([4e-4, 0.4]))

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fbrrt.backward import BackwardPassError, _candidate_scores
+from fbrrt.backward import BackwardPassError
 from fbrrt.basis import ValueCoefficients, feature_count
 from fbrrt.cli import _method_labels, apply_overrides, main, parse_config_text
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
@@ -29,7 +29,14 @@ import fbrrt.backward
 import fbrrt.solver
 from fbrrt.tree import BranchTree
 
-from conftest import correlated_noise_lq_problem, nan_under_plus_one, policy_problems, scalar_problem
+from conftest import (
+    correlated_noise_lq_problem,
+    nan_exploration_cost_problem,
+    nan_under_plus_one,
+    policy_grid,
+    policy_problems,
+    scalar_problem,
+)
 from test_golden import RUN_CONFIG, RUN_FILES
 
 DI = {
@@ -156,7 +163,7 @@ def rollout_reference(problem, grid, coeffs, x0, count, rng):
     sqrt_dt = np.sqrt(grid.dt)
     for i in range(N):
         t = i * grid.dt
-        choice, _, _, _ = _candidate_scores(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
+        choice, _, _, _ = policy_grid(problem, t, X, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
         U = cands[choice]
         control_counts[i] = np.bincount(choice, minlength=len(cands))
         costs += problem.running_cost(t, X, U) * grid.dt
@@ -252,6 +259,15 @@ def test_solve_error_names_the_forward_phase():
     with pytest.raises(SolverError, match=r"^iteration 1: non-finite state in layer 1") as err:
         fbrrt_solve(SolverConfig(**TINY), problem=p)
     assert (err.value.iteration, err.value.phase, err.value.layer) == (1, "forward", None)
+
+
+def test_solve_stops_in_the_forward_phase_on_a_nonfinite_exploration_cost():
+    # unchecked, the NaN run costs reached `default_lambda_grid`, and the
+    # solve stopped in the backward phase with "lambda must be positive"
+    config = SolverConfig(problem="double_integrator", M=64, iterations=1)
+    with pytest.raises(SolverError, match=r"^iteration 1: running cost must be finite$") as err:
+        fbrrt_solve(config, problem=nan_exploration_cost_problem())
+    assert (err.value.iteration, err.value.phase) == (1, "forward")
 
 
 @pytest.mark.parametrize("mode", ["fbrrt", "parallel-baseline"])
