@@ -154,12 +154,12 @@ def path_heuristic(run_cost, value_next) -> np.ndarray:
 
 
 def _layer_edge_arrays(tree: BranchTree, i_next: int):
-    """Edge arrays for layer i_next: parent states, drifts, child states, run
-    costs (the last three are views of the tree's storage).  `backward_pass`
-    reads the layer itself; this stays for the drift-invariance refit of
-    `tests/test_acceptance.py`, which imports it."""
+    """What the backward pass reads of the edges into layer i_next: the
+    states of layer i_next - 1 (M, n), and each edge's parent position in
+    them and run cost through its child (M_next,); views of the tree's
+    storage."""
     layer = tree.layer(i_next)
-    return tree.layer_states(i_next - 1)[layer.parents], layer.drifts, layer.states, layer.run_costs
+    return tree.layer_states(i_next - 1), layer.parents, layer.run_costs
 
 
 def _distinct_parents(parents: np.ndarray, width: int):
@@ -219,22 +219,6 @@ class _Targets:
             row += self.shift @ alpha  # a dot product: alphas @ shift rounds unlike it
         y_hat += ell_dt
         return y_hat
-
-
-def _edge_targets(problem: ControlProblem, dt: float, i: int, X_prev, K, X_next, alpha_next, lower, upper):
-    """Vectorized regress-later targets for all edges into layer i+1.
-
-    Returns (y_hat_i, y_next) with y_next = Phi(x_{i+1}) alpha_{i+1}.
-    y_hat_i no longer depends on the sampled drifts K (nor on X_next): it
-    is a function of the parent states alone, scored once per edge here.
-    `backward_pass` scores its layers itself; this stays for the
-    drift-invariance refit of `tests/test_acceptance.py`, which imports it
-    with this signature.
-    """
-    box = FeatureBox(lower, upper)
-    alpha = np.asarray(alpha_next, dtype=float)
-    z_prev = box.feature_rows(X_prev)[1 : 1 + box.n]
-    return _Targets(problem, dt, box)(i, X_prev, z_prev, alpha[None])[0], box.features(X_next) @ alpha
 
 
 @dataclass
@@ -345,9 +329,8 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
             break
         # every lambda holds the terminal fit at layer N-1: one row scores them all
         A = alphas[:1, i] if i == N - 1 else alphas[rows, i]
-        X = tree.layer_states(i)
+        X, parents, run_costs = _layer_edge_arrays(tree, i + 1)
         phi_rows = box.feature_rows(X)  # feature-major: rows 1..n are the box coordinates z
-        parents, run_costs = tree.layer_edges(i + 1)
         # scoring only the distinct parents pays for finding them with two or
         # more coefficient vectors (timed on lq-lsearch lockstep passes), but
         # not with one (timed on single-lambda di-tree passes)

@@ -118,22 +118,6 @@ def noise_feature_shift(cov, lower, upper) -> np.ndarray:
     return shift
 
 
-def feature_grad(x, lower, upper) -> np.ndarray:
-    """Exact gradient of the feature map at a single x; shape (p, n): row j
-    is dV/dx under the unit coefficient vector e_j."""
-    box = FeatureBox(lower, upper)
-    return box.grad_from(box.z(np.asarray(x, dtype=float)), np.eye(box.p))
-
-
-def value_eval(x, alpha, lower, upper):
-    """V(x) = features(x) @ alpha; batched when x is (B, n)."""
-    alpha = np.asarray(alpha, dtype=float)
-    phi = features(x, lower, upper)
-    if phi.shape[-1] != alpha.shape[0]:
-        raise ValueError(f"coefficient dimension {alpha.shape[0]} != feature dimension {phi.shape[-1]}")
-    return phi @ alpha
-
-
 def value_grad(x, alpha, lower, upper) -> np.ndarray:
     """Gradient of V at x, of shape (..., n).
 
@@ -231,12 +215,6 @@ class ValueCoefficients:
         if not 1 <= i <= self.steps:
             raise IndexError(f"time index {i} outside 1..{self.steps}")
         return self.alphas[i - 1]
-
-    def value(self, i: int, x):
-        return value_eval(x, self.alpha(i), self.lower, self.upper)
-
-    def grad(self, i: int, x):
-        return value_grad(x, self.alpha(i), self.lower, self.upper)
 
     def to_dict(self) -> dict:
         n = self.lower.shape[0]

@@ -80,8 +80,10 @@ def apply_overrides(config: SolverConfig, overrides: list[str]) -> SolverConfig:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config_file(args.config) if args.config else SolverConfig()
-    overrides = list(args.overrides)
+    path, overrides = args.config, list(args.overrides)
+    if path is not None and "=" in path:  # no config file: the first positional is an override
+        path, overrides = None, [path] + overrides
+    config = parse_config_file(path) if path else SolverConfig()
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.out is not None:

@@ -130,7 +130,7 @@ def forward_expand(
         raise ValueError("tree has no root layer")
     M, N, dt = config.target_width, grid.steps, grid.dt
     weights = default_metric_weights(problem)
-    count = len(tree.nodes)
+    count = sum(tree.layer_sizes)
     layer, width = expansion_schedule(tree.layer_sizes, M)
     eps_opt = config.eps_opt if coeffs is not None else None
     pos, target, control, noise = _draw_expansions(rng, problem, width, config.eps_rrt, eps_opt, dt)
@@ -143,7 +143,7 @@ def forward_expand(
         if len(ev):
             parents = pos[ev]
             rrt = parents < 0
-            parents[rrt] = tree.nearest_positions(i, target[ev[rrt]], width[ev[rrt]], weights)
+            parents[rrt] = tree.nearest(i, target[ev[rrt]], width[ev[rrt]], weights)
             X = tree.layer_states(i)[parents]
             controls, K, ells, X_next = sampling_step(problem, grid, i, X, control[ev], coeffs, noise[ev])
             # ids count the expansions in pass order, as node-by-node growth numbers them
@@ -154,12 +154,11 @@ def forward_expand(
 def parallel_forward_baseline(
     problem: ControlProblem,
     grid: TimeGrid,
-    M: int,
     coeffs: Optional[ValueCoefficients],
     config: ForwardConfig,
     rng: np.random.Generator,
 ) -> BranchTree:
-    """M independent Euler-Maruyama chains from x0 (no branching).
+    """`target_width` independent Euler-Maruyama chains from x0 (no branching).
 
     Each time step samples every chain's exploration control (`integers`),
     then, with coefficients and eps_opt > 0, which chains follow the policy
@@ -169,9 +168,10 @@ def parallel_forward_baseline(
     node through `add_edge` (about 3 µs per node on a 2-vCPU x86-64 host),
     not a layer at a time: whole-layer appends make a chains solve faster
     than a tree solve, and the equal-runtime tree-vs-chains acceptance test
-    then passes only now and then (README; ROADMAP item 3).  Raises
+    then passes only now and then (README; ROADMAP item 5).  Raises
     ValueError on a non-finite drift or state.
     """
+    M = config.target_width
     tree = BranchTree(problem, grid)
     X = np.tile(problem.initial_state, (M, 1))
     frontier = tree.add_roots(X)

@@ -100,10 +100,6 @@ class ControlProblem:
         if np.asarray(self.initial_state).shape != (self.state_dim,):
             raise ValueError("initial_state must have shape (state_dim,)")
 
-    def diffusion(self, t, x) -> np.ndarray:
-        """sigma, the same at every (t, x)."""
-        return self.sigma
-
     def apply_diffusion(self, W: np.ndarray) -> np.ndarray:
         """sigma w for every row w of W (..., n), summed one state dimension
         at a time so a row rounds alike alone and in any batch (BLAS does not)."""

@@ -113,6 +113,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0 < self.keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
+        if self.lam is not None and not self.lam > 0:  # also refuses NaN; inf gives uniform weights
+            raise ValueError(f"lam must be None or > 0, got {self.lam}")
         if self.ridge is not None and not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be None or finite and >= 0, got {self.ridge}")
 
@@ -245,7 +247,7 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                 if config.mode == "fbrrt":
                     forward_expand(tree, coeffs, fwd, forward_rng)
                 else:
-                    tree = parallel_forward_baseline(problem, grid, config.M, coeffs, fwd, forward_rng)
+                    tree = parallel_forward_baseline(problem, grid, coeffs, fwd, forward_rng)
             except ValueError as exc:
                 raise SolverError.at(it, "forward", exc) from exc
             try:

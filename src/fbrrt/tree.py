@@ -179,10 +179,6 @@ class BranchTree:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
 
-    def layer_edges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(M_i,) parent positions and run costs of layer i (views)."""
-        return self._parent[i, : self._size[i]], self._run_cost[i, : self._size[i]]
-
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")
@@ -200,20 +196,7 @@ class BranchTree:
             run_cost=float(self._run_cost[i, j]),
         )
 
-    def layer_nodes(self, i: int) -> list[TreeNode]:
-        return [self._node_at(i, j) for j in range(self._size[i])]
-
-    def nearest(self, i: int, query, metric_weights) -> tuple[TreeNode, int]:
-        """Node of layer i minimizing the weighted squared Euclidean distance.
-
-        Brute-force scan; ties resolve to the lowest node id (layers are in
-        insertion = id order).
-        """
-        query = np.asarray(query, dtype=float)[None]
-        node = self._node_at(i, int(self.nearest_positions(i, query, [self._size[i]], metric_weights)[0]))
-        return node, node.id
-
-    def nearest_positions(self, i: int, queries, widths, metric_weights) -> np.ndarray:
+    def nearest(self, i: int, queries, widths, metric_weights) -> np.ndarray:
         """For each row of `queries`, the position of the nearest node among
         the first `widths[q]` nodes of layer i; ties go to the lowest position.
 

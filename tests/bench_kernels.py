@@ -152,7 +152,7 @@ def test_nearest_positions(benchmark):
     tree.add_roots(X)
     queries = DI.sample_roi(np.random.default_rng(1), size=B)
     widths = np.full(B, B)
-    out = benchmark(tree.nearest_positions, 0, queries, widths, default_metric_weights(DI))
+    out = benchmark(tree.nearest, 0, queries, widths, default_metric_weights(DI))
     assert out.shape == (B,) and out.max() < B
 
 
@@ -199,9 +199,7 @@ def test_chains_layer_add_edge(benchmark):
 def _chains_tree():
     """One iteration's chains tree of the di-chains-out workload and scores."""
     grid = CHAINS_GRID
-    tree = parallel_forward_baseline(
-        DI, grid, CHAINS, None, ForwardConfig(target_width=CHAINS), np.random.default_rng(0)
-    )
+    tree = parallel_forward_baseline(DI, grid, None, ForwardConfig(target_width=CHAINS), np.random.default_rng(0))
     return tree, [None] + [tree.layer(i).run_costs for i in range(1, grid.steps + 1)]
 
 
@@ -255,7 +253,7 @@ def test_nearest_positions_on_prefixes(benchmark, layers):
     layer, widths, *_ = DRAW_SCHEDULES[layers]
     widths = widths[layer == 15]
     queries = DI.sample_roi(np.random.default_rng(1), size=len(widths))
-    out = benchmark(TREE.nearest_positions, 15, queries, widths, default_metric_weights(DI))
+    out = benchmark(TREE.nearest, 15, queries, widths, default_metric_weights(DI))
     assert (out < widths).all()
 
 

@@ -23,16 +23,15 @@ import time
 import numpy as np
 
 from fbrrt.backward import (
-    _edge_targets,
     _layer_edge_arrays,
+    _Targets,
     backward_pass,
     softmin_weights,
 )
 from fbrrt.basis import (
+    FeatureBox,
     feature_count,
-    feature_grad,
     features,
-    value_eval,
     value_grad,
     weighted_least_squares,
 )
@@ -81,7 +80,6 @@ def grow_zero_drift_tree(seed: int) -> BranchTree:
     return parallel_forward_baseline(
         problem,
         HEAT_GRID,
-        512,
         None,
         ForwardConfig(target_width=512),
         np.random.default_rng(seed),
@@ -97,6 +95,8 @@ def refit_initial_value(tree: BranchTree, rng=None) -> float:
     """
     problem, N = tree.problem, tree.grid.steps
     lo, hi = problem.roi_lower, problem.roi_upper
+    box = FeatureBox(lo, hi)
+    targets = _Targets(problem, tree.grid.dt, box)
     ridge = 0.0
     X_N = tree.layer_states(N)
     idx = rng.integers(len(X_N), size=len(X_N)) if rng is not None else slice(None)
@@ -105,14 +105,13 @@ def refit_initial_value(tree: BranchTree, rng=None) -> float:
         phi, problem.terminal_cost(X_N[idx]), np.ones(phi.shape[0]), ridge
     )
     for i in range(N - 1, -1, -1):
-        X_prev, K, X_next, _ = _layer_edge_arrays(tree, i + 1)
-        idx = rng.integers(len(X_prev), size=len(X_prev)) if rng is not None else slice(None)
-        y_hat, _ = _edge_targets(
-            problem, tree.grid.dt, i, X_prev[idx], K[idx], X_next[idx], alpha, lo, hi
-        )
+        X, parents, _ = _layer_edge_arrays(tree, i + 1)
+        idx = rng.integers(len(parents), size=len(parents)) if rng is not None else slice(None)
+        X_prev = X[parents[idx]]
+        y_hat = targets(i, X_prev, box.feature_rows(X_prev)[1 : 1 + box.n], alpha[None])[0]
         if i == 0:
             return float(np.mean(y_hat))
-        phi = features(X_prev[idx], lo, hi)
+        phi = features(X_prev, lo, hi)
         alpha = weighted_least_squares(phi, y_hat, np.ones(phi.shape[0]), ridge)
     raise AssertionError("unreachable")
 
@@ -126,7 +125,7 @@ def test_uncontrolled_value_recovery_from_drifted_tree():
     oracle = analytic_heat_value(
         np.array([[1.0]]),
         0.0,
-        problem.diffusion(0.0, problem.initial_state),
+        problem.sigma,
         HEAT_GRID,
         problem.roi_lower,
         problem.roi_upper,
@@ -238,10 +237,11 @@ def test_weighting_and_regression_property_suite():
             e[k] = h
             num_feat[:, k] = (features(x + e, lower, upper) - features(x - e, lower, upper)) / (2 * h)
             num_val[k] = (
-                value_eval(x + e, alpha, lower, upper) - value_eval(x - e, alpha, lower, upper)
+                features(x + e, lower, upper) @ alpha - features(x - e, lower, upper) @ alpha
             ) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num_feat))))
-        assert np.max(np.abs(feature_grad(x, lower, upper) - num_feat)) / scale < 1e-5
+        jacobian = value_grad(x, np.eye(feature_count(3)), lower, upper)
+        assert np.max(np.abs(jacobian - num_feat)) / scale < 1e-5
         vscale = max(1.0, float(np.max(np.abs(num_val))))
         assert np.max(np.abs(value_grad(x, alpha, lower, upper) - num_val)) / vscale < 1e-5
 
@@ -249,7 +249,7 @@ def test_weighting_and_regression_property_suite():
     tree = grow_bang_tree(5)
     dt = tree.grid.dt
     for i in (1, 7, 20):
-        for node in tree.layer_nodes(i):
+        for node in [tree.nodes[k] for k in tree.layers[i]]:
             parent = tree.nodes[node.parent]
             step = float(
                 tree.problem.running_cost((i - 1) * dt, parent.state, node.control)
@@ -261,7 +261,7 @@ def test_weighting_and_regression_property_suite():
         layer = rng.integers(1, tree.grid.steps + 1)
         query = rng.uniform(-4.0, 4.0, size=1)
         weights = rng.uniform(0.1, 2.0, size=1)
-        _, found = tree.nearest(layer, query, weights)
+        found = tree.layers[layer][tree.nearest(layer, query[None], [tree.layer_size(layer)], weights)[0]]
         states = tree.layer_states(layer)
         dists = ((states - query) ** 2) @ weights
         assert found == tree.layers[layer][int(np.argmin(dists))]

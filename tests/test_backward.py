@@ -12,7 +12,6 @@ from fbrrt.backward import (
     _candidate_scores,
     _distinct_parents,
     _drifts_and_costs,
-    _edge_targets,
     _layer_edge_arrays,
     _matvecs,
     _stacked_softmin_weights,
@@ -31,7 +30,6 @@ from fbrrt.basis import (
     features,
     noise_feature_shift,
     quadratic_to_coefficients,
-    value_eval,
     value_grad,
     weighted_least_squares,
 )
@@ -304,10 +302,19 @@ def test_best_candidates_round_like_take_along_axis(B, C, n, L, seed, nan_rows):
 # regression targets
 
 
+def edge_targets(problem, dt, i, X_prev, X_next, alpha_next, lower, upper):
+    """`_Targets` of the edges from the parent states X_prev under one
+    coefficient vector, and the values at the child states X_next."""
+    box, alpha = FeatureBox(lower, upper), np.asarray(alpha_next, dtype=float)
+    y_hat = _Targets(problem, dt, box)(i, X_prev, box.feature_rows(X_prev)[1 : 1 + box.n], alpha[None])[0]
+    return y_hat, box.features(X_next) @ alpha
+
+
 def bsde_target(problem, dt, i, x_i, k_i, x_next, alpha_next, lower, upper):
-    """Regression target of one edge; returns (y_hat_i, y_next)."""
-    rows = (np.asarray(v, dtype=float)[None, :] for v in (x_i, k_i, x_next))
-    y_hat, y_next = _edge_targets(problem, dt, i, *rows, alpha_next, lower, upper)
+    """Regression target of one edge whose sampled drift was k_i, which the
+    target does not read; returns (y_hat_i, y_next)."""
+    X_prev, X_next = (np.asarray(v, dtype=float)[None, :] for v in (x_i, x_next))
+    y_hat, y_next = edge_targets(problem, dt, i, X_prev, X_next, alpha_next, lower, upper)
     return float(y_hat[0]), float(y_next[0])
 
 
@@ -325,11 +332,11 @@ def test_bsde_target_on_policy_edge():
         mu = target_policy(p, 3 * dt, x, alpha, *box)
         k = p.drift(3 * dt, x, mu)
         ell = float(p.running_cost(3 * dt, x, mu))
-        want = value_eval(x + k * dt, alpha, *box) + shift @ alpha + ell * dt
+        want = features(x + k * dt, *box) @ alpha + shift @ alpha + ell * dt
         for k_i, x_next in ((k, x + k * dt + p.sigma @ rng.normal(size=2)), (-k, p.sample_roi(rng))):
             y_hat, y_next = bsde_target(p, dt, 3, x, k_i, x_next, alpha, *box)
             assert y_hat == pytest.approx(want, abs=1e-12)
-            assert y_next == pytest.approx(value_eval(x_next, alpha, *box), abs=1e-12)
+            assert y_next == pytest.approx(features(x_next, *box) @ alpha, abs=1e-12)
 
 
 def test_bsde_target_constant_value_zero_cost():
@@ -356,17 +363,17 @@ def test_bsde_target_correction_arithmetic():
 
 
 def edge_targets_reference(problem, dt, i, X_prev, K, X_next, alpha_next, lower, upper):
-    """Reference for `_edge_targets`: picks mu with the target policy,
+    """Reference for `_Targets`: picks mu with the target policy,
     evaluates the drift and running cost again at mu, and adds to the value
     at the mean next state x + f(mu) dt the noise's shift of the feature
     means; K does not enter."""
     t = i * dt
-    y_next = value_eval(X_next, alpha_next, lower, upper)
+    y_next = features(X_next, lower, upper) @ alpha_next
     mu = policy_controls(problem, t, X_prev, alpha_next, lower, upper)
     f_mu = problem.drift(t, X_prev, mu)
     ell_mu = problem.running_cost(t, X_prev, mu)
     shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
-    y_mean = value_eval(X_prev + f_mu * dt, alpha_next, lower, upper) + shift @ alpha_next
+    y_mean = features(X_prev + f_mu * dt, lower, upper) @ alpha_next + shift @ alpha_next
     return y_mean + ell_mu * dt, y_next
 
 
@@ -378,7 +385,7 @@ def test_edge_targets_match_reference(name):
     K = p.drift(0.0, X_prev, np.asarray(p.random_controls)[rng.integers(len(p.random_controls), size=50)])
     X_next = p.sample_roi(rng, size=50)
     for alpha in random_alphas(p, rng):
-        got = _edge_targets(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
+        got = edge_targets(p, 0.05, 3, X_prev, X_next, alpha, p.roi_lower, p.roi_upper)
         want = edge_targets_reference(p, 0.05, 3, X_prev, K, X_next, alpha, p.roi_lower, p.roi_upper)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -412,13 +419,14 @@ def test_targets_on_distinct_parents_match_every_edge(name):
     dt, box = tree.grid.dt, FeatureBox(p.roi_lower, p.roi_upper)
     rng = np.random.default_rng(16)
     for i in range(tree.grid.steps):
-        X, (parents, _) = tree.layer_states(i), tree.layer_edges(i + 1)
+        X, parents, _ = _layer_edge_arrays(tree, i + 1)
         positions, inverse = _distinct_parents(parents, len(X))
         assert inverse is not None and len(positions) < len(parents)
         z_prev = box.feature_rows(X)[1 : 1 + box.n, positions]
         alphas = np.array(random_alphas(p, rng))
         y_hat = _Targets(p, dt, box)(i, X[positions], z_prev, alphas, inverse)
-        edges = _layer_edge_arrays(tree, i + 1)[:3]
+        layer = tree.layer(i + 1)
+        edges = X[parents], layer.drifts, layer.states
         for alpha, got_hat in zip(alphas, y_hat):
             want_hat, _ = edge_targets_reference(p, dt, i, *edges, alpha, p.roi_lower, p.roi_upper)
             assert same_bits(got_hat, want_hat)
@@ -502,7 +510,7 @@ def test_backward_pass_single_on_policy_chain():
     artifacts = backward_pass(tree, lam=1.0)
     for i in range(1, 6):
         x_i = tree.layer_states(i)[0]
-        assert artifacts.coefficients.value(i, x_i) == pytest.approx(g, abs=1e-3)
+        assert features(x_i, p.roi_lower, p.roi_upper) @ artifacts.coefficients.alpha(i) == pytest.approx(g, abs=1e-3)
     assert artifacts.initial_value == pytest.approx(g, abs=1e-3)
 
 
@@ -589,7 +597,7 @@ def test_heat_initial_value_is_exact_under_any_sampling_drift():
     bang.add_root()
     forward_expand(bang, None, ForwardConfig(target_width=64, eps_rrt=1.0, eps_opt=0.0), np.random.default_rng(2))
     still = dataclasses.replace(p, random_controls=np.array([[0.0]]))
-    zero = parallel_forward_baseline(still, grid, 64, None, ForwardConfig(target_width=64), np.random.default_rng(3))
+    zero = parallel_forward_baseline(still, grid, None, ForwardConfig(target_width=64), np.random.default_rng(3))
     v_bang, v_zero = (backward_pass(tree, lam=1.0, ridge=0.0).initial_value for tree in (bang, zero))
     assert abs(v_bang - v_zero) < 1e-10
     assert abs(v_bang - 1.0) < 1e-10 and abs(v_zero - 1.0) < 1e-10
@@ -603,7 +611,7 @@ def test_default_lambda_grid_scales_with_spread():
     p = make_double_integrator_l1()
     tree = grown_tree(p, 5, 64, seed=7)
     grid_vals = default_lambda_grid(tree)
-    scores = np.array([n.run_cost for n in tree.layer_nodes(5)]) + p.terminal_cost(tree.layer_states(5))
+    scores = tree.layer(5).run_costs + p.terminal_cost(tree.layer_states(5))
     iqr = np.percentile(scores, 75) - np.percentile(scores, 25)
     assert np.allclose(grid_vals, np.array([0.1, 0.3, 1.0, 3.0, 10.0]) * iqr)
     assert np.all(grid_vals > 0)
@@ -689,14 +697,16 @@ def backward_pass_reference(tree, lam, ridge=None):
     y_N = problem.terminal_cost(X_N)
     alphas = [fit(N, features(X_N, lower, upper), y_N, np.ones(len(y_N)))]
     for i in range(N - 1, 0, -1):
-        X_prev, _, X_next, run_costs = _layer_edge_arrays(tree, i + 1)
+        layer = tree.layer(i + 1)
+        X_prev = tree.layer_states(i)[layer.parents]
         y_hat = regress_later_targets(problem, dt, i, X_prev, alphas[-1], lower, upper)
-        rho[i + 1] = path_heuristic(run_costs, value_eval(X_next, alphas[-1], lower, upper))
+        rho[i + 1] = path_heuristic(layer.run_costs, features(layer.states, lower, upper) @ alphas[-1])
         alphas.append(fit(i, features(X_prev, lower, upper), y_hat, softmin_weights(rho[i + 1], lam)))
     coeffs = ValueCoefficients(alphas=np.array(alphas[::-1]), lower=lower, upper=upper)
-    X_prev, _, X_next, run_costs = _layer_edge_arrays(tree, 1)
+    layer = tree.layer(1)
+    X_prev = tree.layer_states(0)[layer.parents]
     y0_hat = regress_later_targets(problem, dt, 0, X_prev, coeffs.alpha(1), lower, upper)
-    rho[1] = path_heuristic(run_costs, value_eval(X_next, coeffs.alpha(1), lower, upper))
+    rho[1] = path_heuristic(layer.run_costs, features(layer.states, lower, upper) @ coeffs.alpha(1))
     return BackwardArtifacts(coeffs, float(lam), rho, residuals, ess, y0_hat)
 
 
@@ -720,7 +730,7 @@ def test_backward_pass_matches_the_reference(kind):
         tree = grown_tree(p, 8, 48, seed=19)
     elif kind == "chains":
         grid = TimeGrid.from_horizon(p.horizon, 8)
-        tree = parallel_forward_baseline(p, grid, 48, None, ForwardConfig(target_width=48), np.random.default_rng(19))
+        tree = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=48), np.random.default_rng(19))
     else:
         tree = pruned_tree(p, 8, 48, seed=19, regrow=kind == "regrown")
         widths = tree.layer_sizes[1:]
@@ -831,9 +841,9 @@ def test_lockstep_on_chains_scores_each_edge_once():
     # the distinct ones, and the lockstep pass still matches each lambda alone
     p = make_double_integrator_l1()
     grid = TimeGrid.from_horizon(p.horizon, 4)
-    chains = parallel_forward_baseline(p, grid, 24, None, ForwardConfig(target_width=24), np.random.default_rng(18))
+    chains = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=24), np.random.default_rng(18))
     for i in range(grid.steps):
-        parents, _ = chains.layer_edges(i + 1)
+        parents = chains.layer(i + 1).parents
         positions, inverse = _distinct_parents(parents, chains.layer_size(i))
         assert inverse is None and positions is parents
     lambdas = list(default_lambda_grid(chains))

@@ -10,12 +10,10 @@ from fbrrt.basis import (
     SingularRegressionError,
     ValueCoefficients,
     feature_count,
-    feature_grad,
     features,
     noise_feature_shift,
     quadratic_to_coefficients,
     solve_weighted_design,
-    value_eval,
     value_grad,
     weighted_design,
     weighted_least_squares,
@@ -69,9 +67,10 @@ def test_feature_count_matches():
 
 
 def test_feature_grad_1d_known_values():
-    grad0 = feature_grad(np.array([0.0]), *BOX1)
+    # the feature Jacobian is the value gradient under each unit coefficient vector
+    grad0 = value_grad(np.array([0.0]), np.eye(3), *BOX1)
     assert np.allclose(grad0[:, 0], [0.0, 1.0, 0.0])
-    grad_half = feature_grad(np.array([0.5]), *BOX1)
+    grad_half = value_grad(np.array([0.5]), np.eye(3), *BOX1)
     assert np.allclose(grad_half[:, 0], [0.0, 1.0, 2.0])
 
 
@@ -81,13 +80,14 @@ def test_feature_grad_matches_central_differences():
     hi = np.array([1.0, 3.0, 4.0])
     for _ in range(20):
         x = rng.uniform(lo, hi)
-        grad = feature_grad(x, lo, hi)
+        grad = value_grad(x, np.eye(feature_count(3)), lo, hi)
         fd = central_diff(lambda y: features(y, lo, hi), x).T
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
 def feature_grad_reference(x, lower, upper):
-    """`feature_grad` as the Jacobian written out entry by entry."""
+    """The feature Jacobian written out entry by entry: row j is dV/dx
+    under the unit coefficient vector e_j."""
     box = FeatureBox(lower, upper)
     z = box.z(np.asarray(x, dtype=float))
     n, scale = box.n, box.scale
@@ -112,21 +112,22 @@ def test_feature_grad_rounds_like_the_written_out_jacobian(n, data):
     # `grad_from` sums each entry's terms, zero terms included, and 0.0 + -0.0
     # is +0.0: where the written-out Jacobian holds -0.0 (z = -0.0, at the
     # state -0.0 of a box centred at 0) it holds +0.0; all else rounds alike
-    assert same_bits(feature_grad(x, lower, upper) + 0.0, feature_grad_reference(x, lower, upper) + 0.0)
+    jacobian = value_grad(x, np.eye(feature_count(n)), lower, upper)
+    assert same_bits(jacobian + 0.0, feature_grad_reference(x, lower, upper) + 0.0)
 
 
 def test_value_eval_constant_coefficient():
     alpha = np.zeros(feature_count(2))
     alpha[0] = 1.0
     x = np.array([0.3, -0.7])
-    assert value_eval(x, alpha, *BOX2) == pytest.approx(1.0)
+    assert features(x, *BOX2) @ alpha == pytest.approx(1.0)
     assert np.allclose(value_grad(x, alpha, *BOX2), 0.0)
 
 
 def test_value_eval_quadratic_fit():
     # x^2 = (T0 + T2) / 2 on [-1, 1]
     alpha = np.array([0.5, 0.0, 0.5])
-    assert value_eval(np.array([0.5]), alpha, *BOX1) == pytest.approx(0.25)
+    assert features(np.array([0.5]), *BOX1) @ alpha == pytest.approx(0.25)
 
 
 def test_value_grad_matches_finite_differences():
@@ -137,7 +138,7 @@ def test_value_grad_matches_finite_differences():
         x = rng.uniform(lo - 1, hi + 1)  # extrapolation allowed
         alpha = rng.normal(size=feature_count(2))
         grad = value_grad(x, alpha, lo, hi)
-        fd = central_diff(lambda y: value_eval(y, alpha, lo, hi), x)
+        fd = central_diff(lambda y: features(y, lo, hi) @ alpha, x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
     # a batch of states gives, bit for bit, each state's own gradient
     X = rng.uniform(lo - 1, hi + 1, size=(40, 2))
@@ -162,8 +163,9 @@ def test_value_grad_coefficient_stack_matches_single_calls(name):
 
 
 def test_value_eval_dimension_mismatch():
+    # coefficients of another basis size are refused where the value's gradient is taken
     with pytest.raises(ValueError):
-        value_eval(np.array([0.0]), np.zeros(5), *BOX1)
+        value_grad(np.array([0.0]), np.zeros(5), *BOX1)
 
 
 def test_wls_constant_targets():
@@ -264,7 +266,7 @@ def test_quadratic_to_coefficients_exact():
     c = rng.normal()
     alpha = quadratic_to_coefficients(H, b, c, lo, hi)
     for x in rng.uniform(lo - 1, hi + 1, size=(50, 2)):
-        assert value_eval(x, alpha, lo, hi) == pytest.approx(x @ H @ x + b @ x + c, rel=1e-10, abs=1e-10)
+        assert features(x, lo, hi) @ alpha == pytest.approx(x @ H @ x + b @ x + c, rel=1e-10, abs=1e-10)
 
 
 def test_value_coefficients_round_trip():
@@ -275,7 +277,9 @@ def test_value_coefficients_round_trip():
     back = ValueCoefficients.from_dict(data)
     assert np.allclose(back.alphas, coeffs.alphas)
     x = np.array([0.2, 1.1])
-    assert back.value(3, x) == pytest.approx(coeffs.value(3, x))
+    assert features(x, back.lower, back.upper) @ back.alpha(3) == pytest.approx(
+        features(x, coeffs.lower, coeffs.upper) @ coeffs.alpha(3)
+    )
 
 
 def test_value_coefficients_index_bounds():

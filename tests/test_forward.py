@@ -135,7 +135,8 @@ def grow_node_by_node(tree, coeffs, config, rng):
     for e, (i, _) in enumerate(turns):
         t = i * grid.dt
         if rrt[e]:
-            node_id = tree.nearest(i, target[e], default_metric_weights(problem))[1]
+            width = [tree.layer_size(i)]
+            node_id = tree.layers[i][tree.nearest(i, target[e][None], width, default_metric_weights(problem))[0]]
         else:
             node_id = tree.layers[i][pos[e]]
         x = tree.nodes[node_id].state
@@ -263,11 +264,12 @@ def test_forward_expand_rejects_nonfinite_state():
         forward_expand(tree, None, ForwardConfig(target_width=4), np.random.default_rng(0))
 
 
-def step_chain_by_chain(problem, grid, M, coeffs, config, rng):
+def step_chain_by_chain(problem, grid, coeffs, config, rng):
     """Reference for parallel_forward_baseline: each time step takes the
     same bulk draws, then steps every chain on its own: its control, the
     drift and running cost of that one (state, control) pair, and
     euler_maruyama_step."""
+    M = config.target_width
     tree = BranchTree(problem, grid)
     ids = list(tree.add_roots(np.tile(problem.initial_state, (M, 1))))
     explore = np.asarray(problem.random_controls, dtype=float)
@@ -303,7 +305,7 @@ def test_baseline_matches_chain_by_chain_stepping(make_problem, with_coeffs):
     trees, rng_states = [], []
     for run in (parallel_forward_baseline, step_chain_by_chain):
         rng = np.random.default_rng(23)
-        trees.append(run(p, grid, 24, coeffs, config, rng))
+        trees.append(run(p, grid, coeffs, config, rng))
         rng_states.append(rng.bit_generator.state)
     assert trees[0].layer_sizes == [24] * 9
     assert_same_tree(*trees)
@@ -318,20 +320,20 @@ def test_baseline_rejects_nonfinite_drift(with_coeffs):
     grid = TimeGrid.from_horizon(p.horizon, 4)
     coeffs = quadratic_value(p, grid.steps) if with_coeffs else None
     with pytest.raises(ValueError, match="drift must be finite"):
-        parallel_forward_baseline(p, grid, 8, coeffs, ForwardConfig(target_width=8, eps_opt=0.5), np.random.default_rng(0))
+        parallel_forward_baseline(p, grid, coeffs, ForwardConfig(target_width=8, eps_opt=0.5), np.random.default_rng(0))
 
 
 def test_baseline_rejects_nonfinite_state():
     p = dataclasses.replace(scalar_problem(), sigma=np.array([[np.inf]]))
     grid = TimeGrid.from_horizon(p.horizon, 3)
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
-        parallel_forward_baseline(p, grid, 8, None, ForwardConfig(target_width=8), np.random.default_rng(0))
+        parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=8), np.random.default_rng(0))
 
 
 def test_baseline_paths_disjoint():
     p = make_double_integrator_l1()
     grid = TimeGrid.from_horizon(p.horizon, 5)
-    tree = parallel_forward_baseline(p, grid, 64, None, ForwardConfig(target_width=64), np.random.default_rng(11))
+    tree = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=64), np.random.default_rng(11))
     assert tree.layer_sizes == [64] * 6
     children = {}
     for node in tree.nodes:
@@ -346,7 +348,7 @@ def test_baseline_zero_noise_matches_deterministic_rollout():
     # single exploration control makes the drift deterministic
     p = dataclasses.replace(scalar_problem(), random_controls=np.array([[1.0]]), sigma=np.zeros((1, 1)))
     grid = TimeGrid.from_horizon(p.horizon, 10)
-    tree = parallel_forward_baseline(p, grid, 16, None, ForwardConfig(target_width=16), np.random.default_rng(12))
+    tree = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=16), np.random.default_rng(12))
     terminal = tree.layer_states(10)
     # dx = u dt with u = 1 from x0 = 0 reaches exactly 1.0
     assert np.allclose(terminal, 1.0)
@@ -361,7 +363,7 @@ def test_rrt_spreads_at_least_as_wide_as_baseline():
         tree.add_root()
         forward_expand(tree, None, ForwardConfig(target_width=256, eps_rrt=1.0, eps_opt=0.0), np.random.default_rng(seed))
         rrt_std = np.std(tree.layer_states(10))
-        base = parallel_forward_baseline(p, grid, 256, None, ForwardConfig(target_width=256), np.random.default_rng(seed))
+        base = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=256), np.random.default_rng(seed))
         base_std = np.std(base.layer_states(10))
         wins += rrt_std >= base_std
     assert wins == 5
@@ -448,7 +450,7 @@ def test_forward_passes_refuse_a_nonfinite_exploration_cost(chains):
     config, rng = ForwardConfig(target_width=64), np.random.default_rng(0)
     with pytest.raises(ValueError, match="running cost must be finite"):
         if chains:
-            parallel_forward_baseline(p, grid, 64, None, config, rng)
+            parallel_forward_baseline(p, grid, None, config, rng)
         else:
             tree = BranchTree(p, grid)
             tree.add_root()

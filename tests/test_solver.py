@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fbrrt.backward import BackwardPassError
-from fbrrt.basis import ValueCoefficients, feature_count
+from fbrrt.basis import ValueCoefficients, feature_count, features
 from fbrrt.cli import _method_labels, apply_overrides, main, parse_config_text
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import (
@@ -90,6 +90,19 @@ def test_config_rejects_counts_below_one(field, value):
 def test_config_rejects_a_ridge_outside_zero_to_inf(ridge):
     with pytest.raises(ValueError, match="ridge must be None or finite and >= 0"):
         SolverConfig(ridge=ridge)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), 0.0, -1.0])
+def test_config_rejects_a_lambda_that_is_not_positive(lam):
+    # refused when the config is built, not one phase into the solve
+    with pytest.raises(ValueError, match="lam must be None or > 0"):
+        SolverConfig(lam=lam)
+
+
+def test_config_keeps_an_infinite_lambda():
+    # softmin turns lambda = inf into uniform weights
+    report = fbrrt_solve(SolverConfig(**TINY, lam=float("inf")))
+    assert all(s.lam == float("inf") for s in report.iterations)
 
 
 @pytest.mark.parametrize(
@@ -469,7 +482,7 @@ def test_riccati_coefficients_match_value():
     rng = np.random.default_rng(2)
     for i in (1, 4, 8):
         for x in rng.uniform(lo, hi, size=(20, 2)):
-            assert coeffs.value(i, x) == pytest.approx(sol.value(i, x), rel=1e-10, abs=1e-10)
+            assert features(x, lo, hi) @ coeffs.alpha(i) == pytest.approx(sol.value(i, x), rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -513,8 +526,8 @@ def test_heat_coefficients_terminal_matches_g():
     coeffs = analytic_heat_value([[2.0]], 0.5, [[1.0]], grid, lo, hi)
     rng = np.random.default_rng(3)
     for x in rng.uniform(-3, 3, size=(20, 1)):
-        assert coeffs.value(5, x) == pytest.approx(2.0 * x[0] ** 2 + 0.5, rel=1e-12)
-        assert coeffs.value(2, x) == pytest.approx(heat_value_at([[2.0]], 0.5, [[1.0]], 1.0, 2 * 0.2, x))
+        assert features(x, lo, hi) @ coeffs.alpha(5) == pytest.approx(2.0 * x[0] ** 2 + 0.5, rel=1e-12)
+        assert features(x, lo, hi) @ coeffs.alpha(2) == pytest.approx(heat_value_at([[2.0]], 0.5, [[1.0]], 1.0, 2 * 0.2, x))
 
 
 def test_heat_value_against_monte_carlo():
@@ -662,6 +675,12 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     config.write_text("problem = no_such_problem\n")
     assert main(["run", str(config)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_run_without_a_config_file_takes_overrides(capsys):
+    # the first positional argument is an override, not a config path
+    assert main(["run", "problem=heat", "steps=4", "M=8", "iterations=1", "rollout_count=8"]) == 0
+    assert "iter  1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", ["bogus=3", "problem.bogus=1"])

@@ -14,11 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import ENTRY_POINTS, Tracer  # noqa: E402
 from workloads import WORKLOADS, run_solve, solve_seeds  # noqa: E402
 
-# The spans no workload reaches: the backward pass reads its layers, its
-# features and its fits without `_layer_edge_arrays`, `features` and
-# `weighted_least_squares`, the forward pass queries `nearest_positions`,
-# and `dump_csv` runs in the CSV writer's forked child.
-BLIND = {"backward.edge_arrays", "basis.features", "basis.lstsq", "tree.dump_csv", "tree.nearest"}
+# The spans no workload reaches: the backward pass computes its features
+# and its fits through `FeatureBox` and `solve_weighted_design`, not
+# `features` and `weighted_least_squares`, and `dump_csv` runs in the CSV
+# writer's forked child.
+BLIND = {"basis.features", "basis.lstsq", "tree.dump_csv"}
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +46,12 @@ def test_candidate_scoring_span_sees_every_policy_scoring(calls):
     # 30 steps each; the second iteration's forward pass has policy rows in
     # all 30 layers
     assert calls["lq-lsearch"]["backward.candidate_scores"] == 2 * 3 * 30 + 30
+
+
+def test_nearest_and_edge_array_spans_see_every_call(calls):
+    # smoke runs 2 iterations of 30 layers: the tree's forward pass queries
+    # each layer once per iteration, the chains never, and every backward
+    # pass reads each layer's edges once
+    assert calls["di-tree"]["tree.nearest"] == calls["lq-lsearch"]["tree.nearest"] == 2 * 30
+    assert calls["di-chains-out"]["tree.nearest"] == 0
+    assert all(c["backward.edge_arrays"] == 2 * 30 for c in calls.values())

@@ -26,6 +26,11 @@ def make_tree(problem, grid):
     return tree
 
 
+def nearest_id(tree, i, query, weights):
+    """Id of the node of layer i nearest to one query, over the whole layer."""
+    return tree.layers[i][tree.nearest(i, np.asarray(query, dtype=float)[None], [tree.layer_size(i)], weights)[0]]
+
+
 def test_root_layer(problem, grid):
     tree = make_tree(problem, grid)
     root = tree.nodes[0]
@@ -152,11 +157,11 @@ def test_run_cost_telescoping(problem, grid):
 def test_nearest_singleton_and_simple(problem, grid):
     tree = make_tree(problem, grid)
     w = np.ones(2)
-    node, _ = tree.nearest(0, np.array([5.0, 5.0]), w)
+    node = tree.nodes[nearest_id(tree, 0, np.array([5.0, 5.0]), w)]
     assert np.allclose(node.state, problem.initial_state)
     tree.add_edge(0, np.array([0.0]), np.zeros(2), np.array([0.0, 0.0]))
     tree.add_edge(0, np.array([0.0]), np.zeros(2), np.array([1.0, 0.0]))
-    node, _ = tree.nearest(1, np.array([0.4, 0.0]), w)
+    node = tree.nodes[nearest_id(tree, 1, np.array([0.4, 0.0]), w)]
     assert np.allclose(node.state, [0.0, 0.0])
 
 
@@ -169,7 +174,7 @@ def test_nearest_matches_brute_force(problem, grid):
     weights = default_metric_weights(problem)
     for _ in range(100):
         q = rng.uniform(-3, 3, size=2)
-        _, got = tree.nearest(1, q, weights)
+        got = nearest_id(tree, 1, q, weights)
         dists = [(np.sum(weights * (tree.nodes[j].state - q) ** 2), j) for j in tree.layers[1]]
         want = min(dists)[1]
         assert got == want
@@ -194,16 +199,16 @@ def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
     widths = np.sort(rng.integers(1, 71, size=100))
     weights = default_metric_weights(problem)
     tree = layer_tree(problem, grid, states)
-    got = tree.nearest_positions(1, queries, widths, weights)
+    got = tree.nearest(1, queries, widths, weights)
     for q, width, pos in zip(queries, widths, got):
-        assert tree.layer(1).ids[pos] == layer_tree(problem, grid, states[:width]).nearest(1, q, weights)[1]
+        assert tree.layer(1).ids[pos] == nearest_id(layer_tree(problem, grid, states[:width]), 1, q, weights)
         on_node = np.flatnonzero((states[:width] == q).all(axis=1))
         if len(on_node):
             assert pos == on_node[0]
 
 
 def nearest_positions_reference(states, queries, widths, weights):
-    """`nearest_positions` on a zero-started distance with every column past
+    """`BranchTree.nearest` on a zero-started distance with every column past
     a query's width masked."""
     out = np.empty(len(widths), dtype=np.intp)
     for start in range(0, len(widths), 32):
@@ -241,22 +246,22 @@ def test_nearest_positions_match_the_fully_masked_scan(n, size, count, equal_wid
     weights = rng.uniform(0.1, 2.0, size=n)
     tree = BranchTree(p, TimeGrid(dt=0.1, steps=1))
     tree.add_roots(states)
-    got = tree.nearest_positions(0, queries, widths, weights)
+    got = tree.nearest(0, queries, widths, weights)
     assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
 
 
 def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
     tree = layer_tree(problem, grid, np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        tree.nearest_positions(1, np.zeros((1, 2)), [4], np.ones(2))
+        tree.nearest(1, np.zeros((1, 2)), [4], np.ones(2))
     with pytest.raises(ValueError):
-        tree.nearest_positions(1, np.zeros((1, 2)), [0], np.ones(2))
+        tree.nearest(1, np.zeros((1, 2)), [0], np.ones(2))
 
 
 def test_nearest_empty_layer_raises(problem, grid):
     tree = make_tree(problem, grid)
     with pytest.raises(ValueError):
-        tree.nearest(1, np.zeros(2), np.ones(2))
+        nearest_id(tree, 1, np.zeros(2), np.ones(2))
 
 
 def grow_random(problem, grid, M, seed=3):
@@ -373,7 +378,7 @@ def test_dump_csv_matches_the_per_row_writer(tmp_path):
     # the values, and rho aligned from the wrong end of a short score list.
     problem = make_double_integrator_l1(initial_state=(-0.0, 2.5e-7))
     grid = TimeGrid.from_horizon(problem.horizon, 9)
-    tree = parallel_forward_baseline(problem, grid, 512, None, ForwardConfig(target_width=512), np.random.default_rng(8))
+    tree = parallel_forward_baseline(problem, grid, None, ForwardConfig(target_width=512), np.random.default_rng(8))
     assert len(tree.nodes) == 5120  # a full 4096-row block and a partial one
     rng = np.random.default_rng(9)
     scores = [None] * 6
