@@ -115,6 +115,8 @@ class SolverConfig:
             raise ValueError("keep_fraction must be in (0, 1]")
         if self.lam is not None and not self.lam > 0:  # also refuses NaN; inf gives uniform weights
             raise ValueError(f"lam must be None or > 0, got {self.lam}")
+        if self.lam is not None and self.lambda_search:  # the search would ignore lam
+            raise ValueError("lam and lambda_search exclude each other: set lam = none or lambda_search = false")
         if self.ridge is not None and not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be None or finite and >= 0, got {self.ridge}")
 

@@ -8,7 +8,10 @@ it.  Run it with
 Inputs are fixed: B = 256 states drawn from the region of interest (the
 width M of the acceptance trees), coefficients drawn once from a seeded
 generator.  A rollout step is a one-step rollout of B chains per policy,
-alone (L=1) and stacked as the lambda search runs it (L=5).  A backward
+alone (L=1) and stacked as the lambda search runs it (L=5); a rollout is
+30 steps of B chains, for one policy and for five with close coefficients
+(most chains stay on the first policy's, whose grid rows they share) and
+with independent ones (the full grid).  A backward
 layer's targets score B parent states under L=5 coefficient vectors in
 one pass, as the lambda search fits five lambdas.  The LQ grid drift is
 the drift of 5 x B rollout states under every one of the 21 controls.
@@ -143,6 +146,24 @@ def test_rollout_step(benchmark, L):
     ]
     reports = benchmark(rollout_policies, LQ, grid, coefficients, LQ.initial_state, B, rng)
     assert len(reports) == L and all(r.costs.shape == (B,) for r in reports)
+
+
+@pytest.mark.benchmark(group="rollout")
+@pytest.mark.parametrize("case", ["close-L5", "independent-L5", "L1"])
+def test_rollout(benchmark, case):
+    # 30 steps: close coefficients keep most chains on policy 0's, which
+    # shares their grid rows; independent ones take the full grid
+    rng = np.random.default_rng(0)
+    grid = TimeGrid.from_horizon(LQ.horizon, 30)
+    c = rng.normal(size=(30, feature_count(2)))
+    alphas = {
+        "close-L5": [c * (1 + 1e-3 * rng.normal(size=c.shape)) for _ in range(5)],
+        "independent-L5": [rng.normal(size=c.shape) for _ in range(5)],
+        "L1": [c],
+    }[case]
+    coefficients = [ValueCoefficients(a, LQ.roi_lower, LQ.roi_upper) for a in alphas]
+    reports = benchmark(lambda: rollout_policies(LQ, grid, coefficients, LQ.initial_state, B, np.random.default_rng(1)))
+    assert len(reports) == len(alphas) and all(r.costs.shape == (B,) for r in reports)
 
 
 @pytest.mark.benchmark(group="tree")

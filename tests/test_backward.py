@@ -14,6 +14,7 @@ from fbrrt.backward import (
     _drifts_and_costs,
     _layer_edge_arrays,
     _matvecs,
+    _own_rows,
     _stacked_softmin_weights,
     _Targets,
     backward_pass,
@@ -910,19 +911,126 @@ def test_stacked_softmin_weights_match_each_row():
         assert same_bits(w, softmin_weights(r, lam))
 
 
-def test_rollout_policy_is_one_block_of_a_stacked_rollout():
-    p = LQ_C21
-    grid = TimeGrid.from_horizon(p.horizon, 12)
-    rng = np.random.default_rng(14)
-    coefficients = [
-        ValueCoefficients(alphas=rng.normal(size=(12, feature_count(2))), lower=p.roi_lower, upper=p.roi_upper)
-        for _ in range(3)
-    ]
-    stacked = rollout_policies(p, grid, coefficients, p.initial_state, 40, np.random.default_rng(15))
-    assert len(stacked) == 3
+def rollout_coefficients(problem, steps, kind, seed):
+    """Coefficient lists for stacked rollouts: "diverging" holds c twice and
+    then c * (1 + 1e-3 N(0, 1)), whose chains sit on c's until a choice
+    differs; "independent" holds three unrelated vectors; "single" one."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(steps, feature_count(problem.state_dim)))
+    alphas = {
+        "diverging": [c, c, c * (1 + 1e-3 * rng.normal(size=c.shape))],
+        "independent": [c] + [rng.normal(size=c.shape) for _ in range(2)],
+        "single": [c],
+    }[kind]
+    return [ValueCoefficients(a, problem.roi_lower, problem.roi_upper) for a in alphas]
+
+
+@pytest.mark.parametrize("kind", ["diverging", "independent", "single"])
+@pytest.mark.parametrize("problem", [LQ_C21, make_double_integrator_l1()], ids=["lq", "di"])
+def test_rollout_policy_is_one_block_of_a_stacked_rollout(monkeypatch, problem, kind):
+    # shared rows are scored on policy 0's grid rows, own rows on theirs,
+    # and many own rows take the full grid: each block is its solo rollout
+    grid = TimeGrid.from_horizon(problem.horizon, 20)
+    coefficients = rollout_coefficients(problem, 20, kind, seed=31)
+    own_rows = []
+
+    def recorded(X, blocks):
+        own = _own_rows(X, blocks)
+        own_rows.append(own)
+        return own
+
+    monkeypatch.setattr("fbrrt.backward._own_rows", recorded)
+    stacked = rollout_policies(problem, grid, coefficients, problem.initial_state, 48, np.random.default_rng(32))
+    if kind == "diverging":
+        # the copy of c never leaves policy 0's chains; the perturbed policy does
+        assert all(own is not None and (own >= 48).all() and (own < 96).sum() == 0 for own in own_rows)
+        assert any(len(own) for own in own_rows)
+    elif kind == "independent":
+        assert any(own is None for own in own_rows)
+    else:
+        assert own_rows == []
+    assert len(stacked) == len(coefficients)
     for coeffs, got in zip(coefficients, stacked):
-        want = rollout_policy(p, grid, coeffs, p.initial_state, 40, np.random.default_rng(15))
-        assert np.array_equal(got.costs, want.costs)
-        assert np.array_equal(got.terminal_states, want.terminal_states)
-        assert np.array_equal(got.control_counts, want.control_counts)
+        want = rollout_policy(problem, grid, coeffs, problem.initial_state, 48, np.random.default_rng(32))
+        assert same_bits(got.costs, want.costs)
+        assert same_bits(got.terminal_states, want.terminal_states)
+        assert same_bits(got.control_counts, want.control_counts)
         assert got.mean_cost == want.mean_cost
+
+
+def test_own_rows_compare_bits_not_values():
+    # -0.0 == 0.0, yet a row holding -0.0 where block 0 holds 0.0 is an own row
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [-0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    assert same_bits(_own_rows(X, 2), np.array([3]))
+    assert same_bits(_own_rows(X[[0, 1, 2, 0, 1, 2]], 2), np.array([], dtype=np.intp))
+    # more own rows than shared ones in blocks 1.. means no sharing
+    assert _own_rows(X[[0, 1, 2, 3, 0, 0]], 2) is None
+
+
+def sign_reading_problem():
+    """The double integrator whose drift flips sign where the position is
+    a negative zero (or negative), so -0.0 and 0.0 score differently."""
+    p = make_double_integrator_l1()
+    base = p.drift
+    return dataclasses.replace(p, drift=lambda t, x, u: base(t, x, u) * np.copysign(1.0, x[..., :1]))
+
+
+def test_candidate_scores_do_not_share_a_row_of_another_zero_sign():
+    p = sign_reading_problem()
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [1.0, -1.0], [-0.0, 1.0], [2.0, 3.0], [1.0, -1.0]])
+    grad = np.tile([[0.0, 1.0]], (len(X), 1))
+    shared = _candidate_scores(p, 0.0, X, p.control_candidates, grad, blocks=2)
+    full = _candidate_scores(p, 0.0, X, p.control_candidates, grad)
+    assert shared[0][0] != shared[0][3]  # the sign of zero picks another control
+    for got, want in zip(shared, full, strict=True):
+        assert same_bits(got, want)
+
+
+def nan_at_positions_problem(drift_at, cost_at):
+    """The double integrator with a NaN drift where the position is
+    `drift_at` and a NaN running cost where it is `cost_at`."""
+    p = make_double_integrator_l1()
+    drift, cost = p.drift, p.running_cost
+    return dataclasses.replace(
+        p,
+        drift=lambda t, x, u: np.where(x[..., :1] == drift_at, np.nan, drift(t, x, u)),
+        running_cost=lambda t, x, u: np.where(x[..., 0] == cost_at, np.nan, cost(t, x, u)),
+    )
+
+
+@pytest.mark.parametrize("shared_nan, own_nan", [("cost", "drift"), ("drift", "cost")])
+def test_shared_grid_refuses_a_drift_before_a_cost(shared_nan, own_nan):
+    # row 0 is shared by both blocks, row 1 of block 1 is an own row: the
+    # drift is refused first wherever it sits, as on the full grid
+    nan_at = {shared_nan: 7.0, own_nan: 5.0}
+    p = nan_at_positions_problem(drift_at=nan_at["drift"], cost_at=nan_at["cost"])
+    X = np.array([[7.0, 0.0], [1.0, 0.0], [2.0, 0.0], [7.0, 0.0], [5.0, 0.0], [2.0, 0.0]])
+    grad = np.ones_like(X)
+    assert same_bits(_own_rows(X, 2), np.array([4]))
+    for blocks in (2, 1):
+        with pytest.raises(ValueError, match="^drift must be finite$"):
+            _candidate_scores(p, 0.0, X, p.control_candidates, grad, blocks)
+    # with the drift mended, the running cost is refused
+    mended = nan_at_positions_problem(drift_at=np.inf, cost_at=nan_at["cost"])
+    for blocks in (2, 1):
+        with pytest.raises(ValueError, match="^running cost must be finite$"):
+            _candidate_scores(mended, 0.0, X, mended.control_candidates, grad, blocks)
+
+
+@pytest.mark.parametrize(
+    "coefficients, x0, count, message",
+    [
+        ([], (2.0, 0.0), 4, "^coefficients must hold at least one policy$"),
+        (None, (2.0, 0.0), 0, "^count must be >= 1, got 0$"),
+        (None, np.zeros(12), 4, r"^x0 must have shape \(2,\), got \(12,\)$"),
+        (None, [[2.0, 0.0]], 4, r"^x0 must have shape \(2,\), got \(1, 2\)$"),
+    ],
+    ids=["no-policy", "count-0", "x0-size-12", "x0-row"],
+)
+def test_rollout_policies_refuse_bad_inputs(coefficients, x0, count, message):
+    p = make_double_integrator_l1()
+    grid = TimeGrid.from_horizon(p.horizon, 4)
+    if coefficients is None:
+        coefficients = [ValueCoefficients(np.zeros((4, feature_count(2))), p.roi_lower, p.roi_upper)]
+    with pytest.raises(ValueError, match=message):
+        rollout_policies(p, grid, coefficients, x0, count, np.random.default_rng(0))

@@ -99,6 +99,21 @@ def test_config_rejects_a_lambda_that_is_not_positive(lam):
         SolverConfig(lam=lam)
 
 
+def test_config_refuses_a_fixed_lambda_with_the_lambda_search():
+    # the search picks lambda from its own grid and would ignore lam
+    with pytest.raises(ValueError, match="^lam and lambda_search exclude each other"):
+        SolverConfig(lam=5.0, lambda_search=True)
+    assert SolverConfig(lam=None, lambda_search=True).lambda_search
+    assert SolverConfig(lam=5.0, lambda_search=False).lam == 5.0
+
+
+def test_cli_run_with_lam_and_lambda_search_exits_2(capsys):
+    argv = ["run", "problem=heat", "steps=2", "M=4", "iterations=1", "lam=5.0", "lambda_search=true"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: lam and lambda_search exclude each other" in err and "Traceback" not in err
+
+
 def test_config_keeps_an_infinite_lambda():
     # softmin turns lambda = inf into uniform weights
     report = fbrrt_solve(SolverConfig(**TINY, lam=float("inf")))
