@@ -136,18 +136,24 @@ def forward_expand(
     pos, target, control, noise = _draw_expansions(rng, problem, width, config.eps_rrt, eps_opt, dt)
 
     # Sweep: the expansions of each layer, in pass order, as one batch.
+    # Sorted by layer once, each layer's draws are slices; ids count the
+    # expansions in pass order, as node-by-node growth numbers them.
     order = np.argsort(layer, kind="stable")
     bounds = np.searchsorted(layer[order], np.arange(N + 1))
+    pos, control, noise, ids = pos[order], control[order], noise[order], count + order
+    # the RRT expansions (position -1), with their targets and prefix widths
+    rrt = np.flatnonzero(pos < 0)
+    target, width = target[order[rrt]], width[order[rrt]]
+    rrt_bounds, bounds = np.searchsorted(rrt, bounds).tolist(), bounds.tolist()
     for i in range(N):
-        ev = order[bounds[i] : bounds[i + 1]]
-        if len(ev):
-            parents = pos[ev]
-            rrt = parents < 0
-            parents[rrt] = tree.nearest(i, target[ev[rrt]], width[ev[rrt]], weights)
-            X = tree.layer_states(i)[parents]
-            controls, K, ells, X_next = sampling_step(problem, grid, i, X, control[ev], coeffs, noise[ev])
-            # ids count the expansions in pass order, as node-by-node growth numbers them
-            tree.append_layer(i, parents, controls, K, X_next, ells * dt, count + ev)
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            a, b = rrt_bounds[i], rrt_bounds[i + 1]
+            pos[rrt[a:b]] = tree.nearest(i, target[a:b], width[a:b], weights)
+            parents = pos[lo:hi]
+            X = tree.layer_states(i).take(parents, axis=0)
+            controls, K, ells, X_next = sampling_step(problem, grid, i, X, control[lo:hi], coeffs, noise[lo:hi])
+            tree.append_layer(i, parents, controls, K, X_next, ells * dt, ids[lo:hi])
     return tree
 
 

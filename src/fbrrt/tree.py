@@ -146,7 +146,7 @@ class BranchTree:
 
     def append_layer(self, i: int, parents, controls, drifts, states, cost_increments, ids):
         """Unchecked append of children under positions `parents` of
-        non-terminal layer i, in order, with node ids `ids`.
+        non-terminal layer i, in order, with increasing node ids `ids`.
 
         For callers that validate drifts and states themselves and grow
         several layers at once: the ids of everything appended must in the
@@ -154,14 +154,14 @@ class BranchTree:
         """
         c, lo = i + 1, self._size[i + 1]
         hi = lo + len(ids)
-        # room for the new nodes and an id slot up to the largest new id
-        width = max(hi, (int(np.max(ids)) + len(self._size)) // len(self._size))
+        # room for the new nodes and an id slot up to the largest new id, the last
+        width = max(hi, (int(ids[-1]) + len(self._size)) // len(self._size))
         if width > self._width:
             self._reserve(max(width, 2 * self._width))
         self._state[c, lo:hi], self._control[c, lo:hi], self._drift[c, lo:hi] = states, controls, drifts
-        self._run_cost[c, lo:hi] = self._run_cost[i, parents] + cost_increments
+        self._run_cost[c, lo:hi] = self._run_cost[i][parents] + cost_increments
         self._parent[c, lo:hi], self._id[c, lo:hi] = parents, ids
-        self._layer_of[ids], self._pos_of[ids] = c, range(lo, hi)
+        self._layer_of[ids], self._pos_of[ids] = c, np.arange(lo, hi)
         self._size[c], self._count = hi, self._count + len(ids)
 
     def layer_size(self, i: int) -> int:
@@ -208,17 +208,19 @@ class BranchTree:
             raise ValueError(f"layer {i} is empty" if not self._size[i] else f"prefix widths exceed layer {i}")
         weights = np.asarray(metric_weights, dtype=float)
         out = np.empty(len(widths), dtype=np.intp)
-        for start in range(0, len(widths), 32):  # (32, width) temporaries
-            q, w = queries[start : start + 32], widths[start : start + 32]
-            X, narrow = self._state[i, : w.max()], w.min()
+        # the prefix one coordinate per row, so each row broadcasts contiguously against a chunk's queries
+        XT = self._state[i, : widths.max(initial=0)].T.copy()
+        for start in range(0, len(widths), 64):  # (64, width) temporaries
+            q, w = queries[start : start + 64], widths[start : start + 64]
+            wide, narrow = w.max(), w.min()
             for k, weight in enumerate(weights):
-                diff = X[:, k] - q[:, k, None]
+                diff = XT[k, :wide] - q[:, k, None]
                 diff *= diff
                 diff *= weight
                 dist = np.add(dist, diff, out=dist) if k else diff  # rounds as 0 + diff would
-            if narrow < len(X):  # every query sees the columns before `narrow`
-                dist[:, narrow:][np.arange(narrow, len(X)) >= w[:, None]] = np.inf
-            out[start : start + 32] = dist.argmin(axis=1)
+            if narrow < wide:  # every query sees the columns before `narrow`
+                np.copyto(dist[:, narrow:], np.inf, where=np.arange(narrow, wide) >= w[:, None])
+            dist.argmin(axis=1, out=out[start : start + 64])
         return out
 
     def prune(self, scores: list[Optional[np.ndarray]], keep_fraction: float) -> "BranchTree":
@@ -226,38 +228,65 @@ class BranchTree:
         closed under ancestry, and rebuild a compact tree.
 
         `scores` is indexed by layer; entries for layers 1..N must align with
-        the layer node order.  Kept nodes keep their order in a layer and in
-        ids, their running costs, controls, and drifts.
+        the layer node order and hold no NaN (ValueError); ±inf rank as
+        numbers.  Equal scores rank by position, as a stable sort ranks
+        them.  Kept nodes keep their order in a layer and in ids, their
+        running costs, controls, and drifts.  The new tree has this tree's
+        width, so regrowing it to the same width reserves nothing.
         """
         if not 0 < keep_fraction <= 1:
             raise ValueError("keep_fraction must be in (0, 1]")
-        keep = [np.ones(self._size[0], dtype=bool)]
+        layers, width = len(self._size), self._width
+        sizes = np.array(self._size)
         for i, size in enumerate(self._size[1:], 1):
-            keep.append(np.zeros(size, dtype=bool))
-            if not size:
-                continue
-            if i >= len(scores) or scores[i] is None or len(scores[i]) != size:
+            if size and (i >= len(scores) or scores[i] is None or len(scores[i]) != size):
                 raise ValueError(f"missing or misaligned scores for layer {i}")
-            n_keep = int(np.ceil(keep_fraction * size))
-            keep[i][np.argsort(np.asarray(scores[i]), kind="stable")[:n_keep]] = True
-        for i in range(len(keep) - 1, 0, -1):  # ancestry closure, from the last layer down
-            keep[i - 1][self._parent[i, : len(keep[i])][keep[i]]] = True
-        out = BranchTree(self.problem, self.grid)
-        out._reserve(max(int(k.sum()) for k in keep))
-        for i, k in enumerate(keep):
-            pos = np.flatnonzero(k)
-            out._size[i] = len(pos)
-            for name in ("_state", "_control", "_drift", "_run_cost"):
-                getattr(out, name)[i, : len(pos)] = getattr(self, name)[i, pos]
-            # parents move to their new positions: the count of kept nodes before them
-            out._parent[i, : len(pos)] = np.cumsum(keep[i - 1])[self._parent[i, pos]] - 1 if i else -1
+        # every layer's scores in one (layers, width) matrix, padded with +inf
+        padded = np.full((layers, width), np.inf)
+        columns = np.arange(width)
+        filled = columns < sizes[:, None]
+        filled[0] = False
+        if filled.any():
+            padded[filled] = np.concatenate([scores[i] for i, size in enumerate(self._size) if i and size])
+        ranked = np.sort(padded, axis=1)
+        if np.isnan(ranked[:, -1]).any():  # a NaN sorts last
+            raise ValueError(f"NaN score in layer {int(np.argmax(np.isnan(ranked[:, -1])))}")
+        # the n_keep-th lowest score of each layer, and the ties at it taken in position order
+        n_keep = np.ceil(keep_fraction * sizes).astype(np.intp)
+        threshold = ranked[np.arange(layers), np.maximum(n_keep - 1, 0)][:, None]
+        keep = padded < threshold
+        ties = padded == threshold
+        keep |= ties & (np.cumsum(ties, axis=1) <= n_keep[:, None] - np.count_nonzero(keep, axis=1)[:, None])
+        keep[0] = columns < sizes[0]
+        for i in range(layers - 1, 0, -1):  # ancestry closure, from the last layer down
+            keep[i - 1, self._parent[i][keep[i]]] = True
+
+        # kept node (layer i, position j) moves to position rank[i, j] of its layer
+        rank = np.cumsum(keep, axis=1) - 1
+        kept = np.count_nonzero(keep, axis=1)
+        # the flat source slot of every slot of the new tree; slots past a layer's size read slot 0
+        source = np.zeros((layers, width), dtype=np.intp)
+        source[columns < kept[:, None]] = np.flatnonzero(keep)
+        out = BranchTree.__new__(BranchTree)
+        out.problem, out.grid, out._width = self.problem, self.grid, width
+        out._size = kept.tolist()
+        for name in ("_state", "_control", "_drift"):
+            old = getattr(self, name)
+            setattr(out, name, old.reshape(layers * width, -1).take(source, axis=0))
+        out._run_cost = self._run_cost.take(source)
+        # parents move to their new positions in the layer before; the roots
+        # keep -1, and "clip" keeps the unused slots' lookups in range
+        above = self._parent.take(source) + (np.arange(layers) - 1)[:, None] * width
+        out._parent = rank.take(above, mode="clip")
+        out._parent[0] = -1
         # new ids count the kept nodes in old id order
-        order = np.argsort(np.concatenate([self._id[i, : len(k)][k] for i, k in enumerate(keep)]))
-        layer = np.repeat(np.arange(len(keep)), out._size)[order]
-        position = np.concatenate([np.arange(size) for size in out._size])[order]
-        out._count = len(order)
-        out._layer_of[: out._count], out._pos_of[: out._count] = layer, position
-        out._id[layer, position] = np.arange(out._count)
+        slot = self._layer_of[: self._count] * width + self._pos_of[: self._count]
+        slot = slot[keep.take(slot)]
+        out._count = len(slot)
+        out._layer_of, out._pos_of = np.empty(layers * width, dtype=np.intp), np.empty(layers * width, dtype=np.intp)
+        out._layer_of[: out._count], out._pos_of[: out._count] = slot // width, rank.take(slot)
+        out._id = np.empty((layers, width), dtype=np.intp)
+        np.put(out._id, out._layer_of[: out._count] * width + out._pos_of[: out._count], np.arange(out._count))
         return out
 
     def dump_csv(self, path, scores: list[Optional[np.ndarray]] | None = None):

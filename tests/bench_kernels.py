@@ -23,7 +23,10 @@ pruned to 0.3 (exploiting, as in later iterations).  The nearest search
 takes the expansions of one layer of the same two schedules, each query
 against the prefix of the layer that existed at its turn, and a tree
 sampling step is one layer of that tree with about 70% of the rows
-following the policy.  A whole backward pass runs on a freshly grown
+following the policy.  One forward pass grows that tree from its root
+(pure exploration) or regrows it after `prune` to 0.3 by its backward
+pass's rho (exploiting that fit), and `prune` itself is timed on the
+same tree and rho.  A whole backward pass runs on a freshly grown
 tree (M = B, 30 steps): in lockstep over the 5 lambdas of
 `default_lambda_grid` on a 21-control LQ tree, as the lq-lsearch workload
 fits them (L = 5 fits per layer), and for one lambda on the double
@@ -318,3 +321,38 @@ def test_forward_draws(benchmark, layers):
     dt = DI.horizon / 30
     pos, *_ = benchmark(lambda: _draw_expansions(np.random.default_rng(0), DI, widths, eps_rrt, eps_opt, dt))
     assert len(pos) == len(widths)
+
+
+# the backward pass of the grown di-tree tree, whose rho the solver prunes by
+FIT = backward_pass(TREE, float(default_lambda_grid(TREE)[2]))
+
+
+@pytest.mark.benchmark(group="tree")
+def test_prune(benchmark):
+    pruned = benchmark(TREE.prune, FIT.rho, 0.3)
+    assert all(0.3 * B <= size < B for size in pruned.layer_sizes[1:])
+
+
+@pytest.mark.benchmark(group="tree")
+@pytest.mark.parametrize("start", ["fresh", "pruned"])
+def test_forward_expand(benchmark, start):
+    # one forward pass of the di-tree workload: from the root with pure
+    # exploration (iteration 1), or regrowing the tree pruned to 0.3 by its
+    # rho while exploiting its fit (later iterations)
+    if start == "fresh":
+        coeffs, config = None, ForwardConfig(target_width=B, eps_rrt=1.0, eps_opt=0.0)
+    else:
+        coeffs, config = FIT.coefficients, ForwardConfig(target_width=B)
+
+    def start_tree():
+        if start == "pruned":
+            return (TREE.prune(FIT.rho, 0.3),), {}
+        fresh = BranchTree(DI, TREE.grid)
+        fresh.add_root()
+        return (fresh,), {}
+
+    def grow(tree):
+        return forward_expand(tree, coeffs, config, np.random.default_rng(1))
+
+    grown = benchmark.pedantic(grow, setup=start_tree, rounds=30)
+    assert grown.layer_sizes[1:] == [B] * 30

@@ -11,6 +11,7 @@ from fbrrt.problem import (
     make_pendulum_l1,
     make_uncontrolled_heat,
 )
+from fbrrt.tree import BranchTree
 
 
 def scalar_problem(fuel_weight=0.5, noise=1.0, roi=(-1.0, 1.0), x0=0.0, horizon=1.0):
@@ -108,3 +109,45 @@ def same_bits(got, want) -> bool:
     """Equal shape, dtype and bytes: NaN payloads and signed zeros included."""
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def reference_prune(tree, scores, keep_fraction):
+    """`BranchTree.prune` as it ranked each layer with its own stable
+    argsort and rebuilt the pruned tree a layer at a time, on valid input."""
+    keep = [np.ones(tree._size[0], dtype=bool)]
+    for i, size in enumerate(tree._size[1:], 1):
+        keep.append(np.zeros(size, dtype=bool))
+        if size:
+            n_keep = int(np.ceil(keep_fraction * size))
+            keep[i][np.argsort(np.asarray(scores[i]), kind="stable")[:n_keep]] = True
+    for i in range(len(keep) - 1, 0, -1):
+        keep[i - 1][tree._parent[i, : len(keep[i])][keep[i]]] = True
+    out = BranchTree(tree.problem, tree.grid)
+    out._reserve(max(int(k.sum()) for k in keep))
+    for i, k in enumerate(keep):
+        pos = np.flatnonzero(k)
+        out._size[i] = len(pos)
+        for name in ("_state", "_control", "_drift", "_run_cost"):
+            getattr(out, name)[i, : len(pos)] = getattr(tree, name)[i, pos]
+        out._parent[i, : len(pos)] = np.cumsum(keep[i - 1])[tree._parent[i, pos]] - 1 if i else -1
+    order = np.argsort(np.concatenate([tree._id[i, : len(k)][k] for i, k in enumerate(keep)]))
+    layer = np.repeat(np.arange(len(keep)), out._size)[order]
+    position = np.concatenate([np.arange(size) for size in out._size])[order]
+    out._count = len(order)
+    out._layer_of[: out._count], out._pos_of[: out._count] = layer, position
+    out._id[layer, position] = np.arange(out._count)
+    return out
+
+
+def same_tree(got, want) -> bool:
+    """Equal layer sizes, node count, every layer's fields bit for bit, and
+    the same layer and position for every node id."""
+    return (
+        got.layer_sizes == want.layer_sizes
+        and len(got.nodes) == len(want.nodes)
+        and all(same_bits(a, b) for i in range(len(want.layer_sizes)) for a, b in zip(got.layer(i), want.layer(i)))
+        and all(
+            same_bits(getattr(got, name)[: len(got.nodes)], getattr(want, name)[: len(want.nodes)])
+            for name in ("_layer_of", "_pos_of")
+        )
+    )

@@ -7,7 +7,7 @@ from fbrrt.forward import ForwardConfig, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import same_bits
+from conftest import reference_prune, same_bits, same_tree
 
 
 @pytest.fixture
@@ -250,6 +250,30 @@ def test_nearest_positions_match_the_fully_masked_scan(n, size, count, equal_wid
     assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
 
 
+def test_nearest_matches_brute_force_across_chunks(problem, grid):
+    # 200 queries span several chunks; rows 60-70 straddle the edge at 64
+    # with one query that ties several states at full width, and the
+    # prefix widths jump between and inside chunks
+    rng = np.random.default_rng(5)
+    states = rng.integers(-3, 4, size=(150, 2)).astype(float)
+    states[100:] = states[rng.integers(100, size=50)]
+    queries = rng.integers(-3, 4, size=(200, 2)).astype(float) + 0.5
+    queries[60:70] = queries[60]
+    widths = rng.integers(1, 151, size=200)
+    widths[60:70] = [3, 150, 40, 150, 2, 150, 75, 1, 150, 99]
+    weights = default_metric_weights(problem)
+    got = layer_tree(problem, grid, states).nearest(1, queries, widths, weights)
+    tied = []
+    for q, width, pos in zip(queries, widths, got):
+        dist = np.zeros(width)
+        for k, weight in enumerate(weights):
+            dist = dist + (states[:width, k] - q[k]) ** 2 * weight
+        nearest = np.flatnonzero(dist == dist.min())
+        assert pos == nearest[0]
+        tied.append(len(nearest) > 1)
+    assert sum(tied) > 100 and all(tied[j] for j in (61, 63, 65, 68))  # the full width, either side of 64
+
+
 def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
     tree = layer_tree(problem, grid, np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -334,6 +358,92 @@ def test_prune_missing_scores_rejected(problem):
         tree.prune(scores, keep_fraction=0.5)
     with pytest.raises(ValueError):
         tree.prune(run_cost_scores(tree), keep_fraction=0.0)
+
+
+def prune_cases(problem):
+    """Trees to prune: grown, pruned (layers of unequal width), regrown,
+    chains, and a tree grown node by node under random parents."""
+    from fbrrt.forward import ForwardConfig, forward_expand
+
+    grid = TimeGrid.from_horizon(problem.horizon, 7)
+    grown = grow_random(problem, grid, 40, seed=7)
+    pruned = grown.prune(run_cost_scores(grown), 0.3)
+    regrown = forward_expand(
+        grown.prune(run_cost_scores(grown), 0.3), None, ForwardConfig(40, eps_rrt=0.5, eps_opt=0.0),
+        np.random.default_rng(8),
+    )
+    chains = parallel_forward_baseline(problem, grid, None, ForwardConfig(target_width=24), np.random.default_rng(9))
+    rng = np.random.default_rng(10)
+    ragged = make_tree(problem, grid)
+    for i in range(grid.steps):
+        for _ in range(rng.integers(1, 30)):
+            parent = ragged.layers[i][rng.integers(ragged.layer_size(i))]
+            ragged.add_edge(parent, np.array([1.0]), np.zeros(2), rng.normal(size=2))
+    return {"grown": grown, "pruned": pruned, "regrown": regrown, "chains": chains, "ragged": ragged}
+
+
+def tied_scores(tree, kind, rng):
+    """Scores for layers 1..N: few distinct values, so many exact ties."""
+    out = [None]
+    for size in tree.layer_sizes[1:]:
+        s = np.round(rng.normal(size=size))
+        if kind == "inf":
+            s[rng.uniform(size=size) < 0.3] = np.inf
+            s[rng.uniform(size=size) < 0.2] = -np.inf
+        elif kind == "zeros":
+            s = np.where(rng.uniform(size=size) < 0.3, 1.0, 0.0)
+            s[rng.uniform(size=size) < 0.5] = -0.0
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["rounded", "inf", "zeros"])
+@pytest.mark.parametrize("case", ["grown", "pruned", "regrown", "chains", "ragged"])
+def test_prune_matches_the_per_layer_stable_argsort(problem, case, kind):
+    # threshold selection must keep exactly the nodes a stable argsort of
+    # each layer keeps: ties go to the lowest positions, -0.0 ties +0.0
+    tree = prune_cases(problem)[case]
+    rng = np.random.default_rng(0)
+    for keep_fraction in (1e-9, 0.3, 0.5, 0.999, 1.0):  # 1e-9 keeps one node per layer
+        scores = tied_scores(tree, kind, rng)
+        got = tree.prune(scores, keep_fraction)
+        assert same_tree(got, reference_prune(tree, scores, keep_fraction))
+        assert same_tree(got.prune(tied_scores(got, kind, rng), 1.0), got)
+
+
+def test_prune_rejects_nan_scores(problem):
+    grid = TimeGrid.from_horizon(problem.horizon, 4)
+    tree = grow_random(problem, grid, 8, seed=5)
+    scores = run_cost_scores(tree)
+    scores[2][[0, 5]] = np.inf, -np.inf
+    tree.prune(scores, 0.5)  # ±inf rank as numbers
+    scores[3][4] = np.nan
+    with pytest.raises(ValueError, match="layer 3"):
+        tree.prune(scores, 0.5)
+    scores[3][4], scores[4][7] = 0.0, np.nan  # a full-width layer
+    with pytest.raises(ValueError, match="layer 4"):
+        tree.prune(scores, 1.0)
+
+
+def test_regrowing_a_pruned_tree_reserves_nothing(tmp_path, problem, monkeypatch):
+    # the pruned tree keeps the grown tree's width, and regrows to the
+    # bytes a tree pruned to its kept width regrows to
+    from fbrrt.forward import ForwardConfig, forward_expand
+
+    grid = TimeGrid.from_horizon(problem.horizon, 10)
+    tree = grow_random(problem, grid, 48, seed=11)
+    scores = run_cost_scores(tree)
+    config = ForwardConfig(48, eps_rrt=0.5, eps_opt=0.0)
+    want = forward_expand(reference_prune(tree, scores, 0.3), None, config, np.random.default_rng(12))
+    reserves = []
+    reserve = BranchTree._reserve
+    monkeypatch.setattr(BranchTree, "_reserve", lambda self, width: reserves.append(width) or reserve(self, width))
+    got = forward_expand(tree.prune(scores, 0.3), None, config, np.random.default_rng(12))
+    assert reserves == []
+    assert same_tree(got, want)
+    got.dump_csv(tmp_path / "got.csv", scores)
+    want.dump_csv(tmp_path / "want.csv", scores)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_dump_csv(tmp_path, problem):
