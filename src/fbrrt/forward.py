@@ -50,15 +50,16 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
     """
     t = i * grid.dt
     controls, K, ells = np.empty((len(X), problem.control_dim)), np.empty(X.shape), np.empty(len(X))
-    rows = np.flatnonzero(pick < 0)
+    follow = pick < 0
+    rows = np.flatnonzero(follow)
     if len(rows):
-        X_rows, cands = X[rows], problem.control_candidates
+        X_rows, cands = X.take(rows, axis=0), problem.control_candidates
         grad = backward.value_grad(X_rows, coeffs.alphas[i], coeffs.lower, coeffs.upper)
         choice, _, ells[rows], K[rows] = backward._candidate_scores(problem, t, X_rows, cands, grad)
-        controls[rows] = cands[choice]
-    rows = np.flatnonzero(pick >= 0)
+        controls[rows] = cands.take(choice, axis=0)
+    rows = np.flatnonzero(~follow)
     if len(rows):
-        U, X_rows = problem.random_controls[pick[rows]], X[rows]
+        U, X_rows = problem.random_controls.take(pick.take(rows), axis=0), X.take(rows, axis=0)
         controls[rows], K[rows], ells[rows] = U, problem.drift(t, X_rows, U), problem.running_cost(t, X_rows, U)
     backward._check_finite(ells, K)
     X_next = X + K * grid.dt + problem.apply_diffusion(noise)

@@ -200,27 +200,73 @@ class BranchTree:
         """For each row of `queries`, the position of the nearest node among
         the first `widths[q]` nodes of layer i; ties go to the lowest position.
 
-        Distances sum weighted squared differences one dimension at a time,
-        so a node's distance to a query rounds alike in any batch.
+        The answer is that of the exact scan (`_nearest_exact`): distances
+        d_j = sum_k w_k (x_jk - q_k)^2 summed one dimension at a time, so a
+        node's distance to a query rounds alike in any batch.  Most rows
+        are settled by a screen instead: with s_j = (w*q).x_j - |x_j|^2_w / 2,
+        d_j = |q|^2_w - 2 s_j, so the largest s_j is the nearest node, and a
+        64-query chunk gets every s_j from one matrix product of [w*q, -1/2]
+        (Q, n+1) and [x_j; |x_j|^2_w] (n+1, W).  A row keeps the screen's
+        argmax only when it beats the runner-up by more than
+
+            tau = 4 (n + 3) eps (|q|^2_|w| + max_j |x_j|^2_|w|),
+
+        j over the query's prefix; any other row (NaN and overflow
+        included) is rescanned exactly.  Why that suffices, with u = eps / 2
+        and gamma_k = k u / (1 - k u): however the BLAS orders, blocks or
+        fuses the n + 1 products of an entry, a computed s_j is off by at
+        most gamma_{2n+2} (|q|^2 + M), M the max above (w*q and |x_j|^2_w
+        carry 1 and n + 1 roundings, and |w_k q_k x_jk| <= |w_k| (q_k^2 +
+        x_jk^2) / 2); the exact scan's d_j, four roundings per term and
+        n - 1 additions, is off by at most gamma_{n+3} 2 (|q|^2 + M).  A
+        screened gap g > tau between the best b and any j thus gives
+        s_b - s_j > g - 2 gamma_{2n+2} (...), and the scan's d_j - d_b >=
+        2 (s_b - s_j) - 4 gamma_{n+3} (...) > 2 tau - (12n + 20) u (...) =
+        (2n + 14) eps (...), a margin the rounding of tau and g cannot use
+        up: the scan's strict minimum is b, and no tie-break can move it.
         """
         widths = np.asarray(widths, dtype=np.intp)
         if len(widths) and not 0 < widths.min() <= widths.max() <= self._size[i]:
             raise ValueError(f"layer {i} is empty" if not self._size[i] else f"prefix widths exceed layer {i}")
         weights = np.asarray(metric_weights, dtype=float)
+        queries = np.asarray(queries, dtype=float)
         out = np.empty(len(widths), dtype=np.intp)
-        # the prefix one coordinate per row, so each row broadcasts contiguously against a chunk's queries
-        XT = self._state[i, : widths.max(initial=0)].T.copy()
-        for start in range(0, len(widths), 64):  # (64, width) temporaries
-            q, w = queries[start : start + 64], widths[start : start + 64]
-            wide, narrow = w.max(), w.min()
-            for k, weight in enumerate(weights):
-                diff = XT[k, :wide] - q[:, k, None]
-                diff *= diff
-                diff *= weight
-                dist = np.add(dist, diff, out=dist) if k else diff  # rounds as 0 + diff would
+        if not len(widths):
+            return out
+        n, XT = len(weights), self._state[i, : widths.max()].T
+        squares = XT * XT
+        nodes = np.empty((n + 1, XT.shape[1]))  # [x_j; |x_j|^2_w], one coordinate per row
+        nodes[:n] = XT
+        np.matmul(weights, squares, out=nodes[n])
+        scaled = np.empty((len(widths), n + 1))  # [w*q, -1/2]
+        np.multiply(queries, weights, out=scaled[:, :n])
+        scaled[:, n] = -0.5
+        magnitude = np.abs(weights)
+        tau = (queries * queries) @ magnitude
+        tau += np.maximum.accumulate(magnitude @ squares).take(widths - 1)  # the largest |x_j|^2 in each prefix
+        tau *= 4 * (n + 3) * np.finfo(float).eps
+        gap = np.empty(len(widths))
+        # column indices and widths as int32: a broadcast int32 comparison takes half the time of an intp one
+        columns, limits = np.arange(XT.shape[1], dtype=np.int32), widths.astype(np.int32)
+        starts = range(0, len(widths), 64)  # (64, width) temporaries
+        chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
+        for start, wide, narrow in chunks:
+            stop = min(start + 64, len(widths))
+            screen = scaled[start:stop] @ nodes[:, :wide]
             if narrow < wide:  # every query sees the columns before `narrow`
-                np.copyto(dist[:, narrow:], np.inf, where=np.arange(narrow, wide) >= w[:, None])
-            dist.argmin(axis=1, out=out[start : start + 64])
+                np.copyto(screen[:, narrow:], -np.inf, where=columns[narrow:wide] >= limits[start:stop, None])
+            flat, rows = screen.reshape(-1), np.arange(0, screen.size, wide)  # flat positions of the row starts
+            best = screen.argmax(axis=1)
+            out[start:stop] = best
+            best += rows
+            gap[start:stop] = flat.take(best)
+            flat[best] = -np.inf  # knock the winners out; the row maxima left are the runners-up
+            runner = screen.argmax(axis=1)  # an argmax and a take cost half a row max
+            runner += rows
+            gap[start:stop] -= flat.take(runner)
+        unsure = np.flatnonzero(~(gap > tau))
+        if len(unsure):
+            out[unsure] = _nearest_exact(nodes[:n], queries.take(unsure, axis=0), widths.take(unsure), weights)
         return out
 
     def prune(self, scores: list[Optional[np.ndarray]], keep_fraction: float) -> "BranchTree":
@@ -311,6 +357,25 @@ class BranchTree:
                 values = np.column_stack([a[at] for a in columns]).T.tolist()
                 rows = zip(range(start, stop), at[0].tolist(), parents, *values)
                 fh.write(row_format * (stop - start) % tuple(chain.from_iterable(rows)))
+
+
+def _nearest_exact(XT, queries, widths, weights) -> np.ndarray:
+    """`BranchTree.nearest` by the exact scan over the prefix XT (n, W), one
+    coordinate per row, so each row broadcasts contiguously against a
+    chunk's queries."""
+    out = np.empty(len(widths), dtype=np.intp)
+    for start in range(0, len(widths), 64):  # (64, width) temporaries
+        q, w = queries[start : start + 64], widths[start : start + 64]
+        wide, narrow = w.max(), w.min()
+        for k, weight in enumerate(weights):
+            diff = XT[k, :wide] - q[:, k, None]
+            diff *= diff
+            diff *= weight
+            dist = np.add(dist, diff, out=dist) if k else diff  # rounds as 0 + diff would
+        if narrow < wide:  # every query sees the columns before `narrow`
+            np.copyto(dist[:, narrow:], np.inf, where=np.arange(narrow, wide) >= w[:, None])
+        dist.argmin(axis=1, out=out[start : start + 64])
+    return out
 
 
 def default_metric_weights(problem: ControlProblem) -> np.ndarray:

@@ -21,7 +21,8 @@ draws them: a fresh
 tree (7680 expansions, pure exploration, as in iteration 1) and one
 pruned to 0.3 (exploiting, as in later iterations).  The nearest search
 takes the expansions of one layer of the same two schedules, each query
-against the prefix of the layer that existed at its turn, and a tree
+against the prefix of the layer that existed at its turn, and, as its
+worst case, every query tied and rescanned exactly ("ties"); a tree
 sampling step is one layer of that tree with about 70% of the rows
 following the policy.  One forward pass grows that tree from its root
 (pure exploration) or regrows it after `prune` to 0.3 by its backward
@@ -270,14 +271,21 @@ TREE, DRAW_SCHEDULES = _draw_schedules()
 
 
 @pytest.mark.benchmark(group="tree")
-@pytest.mark.parametrize("layers", ["fresh", "pruned"])
+@pytest.mark.parametrize("layers", ["fresh", "pruned", "ties"])
 def test_nearest_positions_on_prefixes(benchmark, layers):
     # the expansions of layer 15 in one iteration: a fresh tree's prefix
-    # widths grow 1..B, a pruned tree's from the kept nodes up to B
-    layer, widths, *_ = DRAW_SCHEDULES[layers]
+    # widths grow 1..B, a pruned tree's from the kept nodes up to B.  The
+    # worst case, "ties", takes the fresh widths rounded up to even over
+    # integer-lattice states that come in equal pairs, so every query ties
+    # its nearest node with that node's twin and is rescanned exactly.
+    layer, widths, *_ = DRAW_SCHEDULES["fresh" if layers == "ties" else layers]
     widths = widths[layer == 15]
+    tree, i = TREE, 15
+    if layers == "ties":
+        tree, i, widths = BranchTree(DI, TimeGrid(dt=0.1, steps=1)), 0, widths + widths % 2
+        tree.add_roots(np.repeat(np.random.default_rng(2).integers(-4, 5, size=(B // 2, 2)), 2, axis=0))
     queries = DI.sample_roi(np.random.default_rng(1), size=len(widths))
-    out = benchmark(TREE.nearest, 15, queries, widths, default_metric_weights(DI))
+    out = benchmark(tree.nearest, i, queries, widths, default_metric_weights(DI))
     assert (out < widths).all()
 
 

@@ -274,6 +274,73 @@ def test_nearest_matches_brute_force_across_chunks(problem, grid):
     assert sum(tied) > 100 and all(tied[j] for j in (61, 63, 65, 68))  # the full width, either side of 64
 
 
+def ulps(values, steps):
+    """`values` moved `steps` units in the last place, up or down per entry."""
+    out = values.copy()
+    for _ in range(int(np.abs(steps).max(initial=0))):
+        moving = np.abs(steps) > 0
+        out[moving] = np.nextafter(out[moving], np.sign(steps[moving]) * np.inf)
+        steps = steps - np.sign(steps)
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_nearest_near_ties_match_the_exact_scan(problem, grid, offset):
+    # states a 2^-10 lattice (spreads of about 1e-3, exact at every offset)
+    # around a large offset; queries on midpoints of two states tie them
+    # exactly, and queries 1-4 ulp off a midpoint tie them up to rounding.
+    # At 1e6 the screen's s_j cancel to noise at these spreads, so only the
+    # exact recheck can order the nodes.  Tied rows sit on both sides of the
+    # chunk edge at 64, the prefix widths vary within and across chunks, and
+    # a NaN query takes the exact scan's answer.
+    rng = np.random.default_rng(8)
+    states = offset + rng.integers(-8, 9, size=(120, 2)) * 2.0**-10
+    pairs = rng.integers(120, size=(200, 2))
+    pairs[:, 1] = np.minimum(pairs[:, 1], pairs[:, 0] + 10)  # both ends of most pairs in small prefixes
+    queries = (states[pairs[:, 0]] + states[pairs[:, 1]]) / 2
+    queries[1::2] = ulps(queries[1::2], rng.integers(-4, 5, size=(100, 2)))
+    queries[66] = np.nan, offset
+    widths = np.maximum(pairs.max(axis=1) + 1, rng.integers(1, 121, size=200))
+    widths[55:75] = 120
+    weights = default_metric_weights(problem)
+    got = layer_tree(problem, grid, states).nearest(1, queries, widths, weights)
+    assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
+
+
+def test_nearest_screen_rechecks_ties_and_overflow_only(problem, grid, monkeypatch):
+    # the screen settles a row that one node wins by far and hands every
+    # row with an exact tie, a NaN or an overflow to the exact scan
+    import fbrrt.tree
+
+    rechecked = []
+
+    def exact(XT, queries, widths, weights):
+        rechecked.extend(queries.tolist())
+        return scan(XT, queries, widths, weights)
+
+    scan = fbrrt.tree._nearest_exact
+    monkeypatch.setattr(fbrrt.tree, "_nearest_exact", exact)
+    lattice = np.array([[a, b] for a in range(-3, 4) for b in range(-3, 4)], dtype=float)
+    states = np.concatenate([lattice, [[1e11, 0.0]]])
+    clear = lattice + [0.1, 0.23]  # each sees the prefix that its own node ends
+    tied = lattice[lattice[:, 0] < 3] + [0.5, 0.0]  # midway between two lattice neighbours
+    # (w * 1e300) * 1e11 overflows the screen to +inf, and its bound too; the exact distances all overflow
+    queries = np.concatenate([[[1e300, 0.0], [np.nan, 0.0]], clear, tied])
+    widths = np.concatenate([[len(states), len(lattice)], np.arange(1, len(lattice) + 1), np.full(len(tied), len(lattice))])
+    weights = default_metric_weights(problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = layer_tree(problem, grid, states).nearest(1, queries, widths, weights)
+        want = nearest_positions_reference(states, queries, widths, weights)
+    assert same_bits(got, want) and got[0] == 0
+    assert np.array_equal(rechecked, np.concatenate([queries[:2], tied]), equal_nan=True)
+
+
+def test_nearest_without_queries(problem, grid):
+    # a layer with no RRT expansion still makes the call (eps_rrt = 0)
+    out = layer_tree(problem, grid, np.zeros((3, 2))).nearest(1, np.empty((0, 2)), [], np.ones(2))
+    assert same_bits(out, np.empty(0, dtype=np.intp))
+
+
 def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
     tree = layer_tree(problem, grid, np.zeros((3, 2)))
     with pytest.raises(ValueError):
