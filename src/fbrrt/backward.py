@@ -44,6 +44,7 @@ from .basis import (
     SingularRegressionError,
     ValueCoefficients,
     check_ridge,
+    first_axis_last,
     last_axis_first,
     features,  # noqa: F401 - perfbench/tracer.py wraps the feature map by this name
     noise_feature_shift,
@@ -63,36 +64,39 @@ class BackwardPassError(RuntimeError):
 
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
-    """(B, C) running costs and (B, C, n) drifts of B states at time t under
-    C controls, from one call each on the grid x (B, 1, n) by u (1, C, m)
-    (see the vectorization convention of `fbrrt.problem`)."""
+    """The running costs and drifts of B states at time t under C controls,
+    from one call each on the grid x (B, 1, n) by u (1, C, m), as the
+    problem returns them: they broadcast to (B, C) and (B, C, n), and may
+    keep a size-1 axis in place of B or C (see the vectorization convention
+    of `fbrrt.problem`)."""
     Xg, Ug = X[:, None, :], controls[None, :, :]
-    B, C = len(X), len(controls)
-    return _full(problem.running_cost(t, Xg, Ug), (B, C)), _full(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
+    return np.asarray(problem.running_cost(t, Xg, Ug)), np.asarray(problem.drift(t, Xg, Ug))
 
 
-def _full(values, shape: tuple) -> np.ndarray:
-    """`values` copied out to `shape` (cheaper than np.broadcast_to, and contiguous)."""
-    if np.shape(values) == shape:
-        return values
-    out = np.empty(shape)
-    out[...] = values
-    return out
-
-
-def _best_candidates(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Per-row index of the lowest score l + f' grad on a state x control
-    grid of running costs `ells` (B, C) and drifts `F` (B, C, n); ties go to
-    the smallest running cost, then the lowest index.  `grad` is (B, n), or
-    an (L, B, n) stack of gradients scored on the same grid, giving (L, B)."""
+def _policy_scores(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The scores l + f' grad on a state x control grid of running costs
+    `ells` (B, C) and drifts `F` (B, C, n), either of which may keep a
+    size-1 axis in place of B or C: (B, C) for gradients `grad` (B, n), or
+    (L, B, C) for an (L, B, n) stack of them scored on the same grid."""
     # one state dimension at a time; for n < 8 this rounds exactly like np.sum
     scores = F[..., 0] * grad[..., None, 0]
     for k in range(1, F.shape[2]):
         scores += F[..., k] * grad[..., None, k]
-    scores += ells  # addition commutes: this rounds as ells + (f' grad)
+    # addition commutes: this rounds as ells + (f' grad)
+    if scores.shape[-1] < ells.shape[-1]:  # drifts that do not read the control
+        return scores + ells
+    scores += ells
+    return scores
+
+
+def _best_candidates(scores: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """Per-row index of the lowest of the `scores` (..., C) of
+    `_policy_scores` on the running costs `ells`; ties go to the smallest
+    running cost, then the lowest index."""
     first = scores.argmin(axis=-1)
-    # each row's entry at `first`, gathered flat; argmin stops at a NaN, so a NaN best means
-    # a NaN row; otherwise each row matches its best once, and a larger count means a tie
+    # each row's entry at `first`, gathered flat (a min over the short last axis
+    # costs more); argmin stops at a NaN, so a NaN best means a NaN row; otherwise
+    # each row matches its best once, and a larger count means a tie
     best = scores.take(first + np.arange(0, scores.size, scores.shape[-1]).reshape(first.shape))[..., None]
     if not np.isnan(best).any() and np.count_nonzero(scores == best) == first.size:
         return first
@@ -107,6 +111,23 @@ def _check_finite(ells: np.ndarray, F: np.ndarray) -> None:
         raise ValueError("drift must be finite")
     if not np.isfinite(ells).all():
         raise ValueError("running cost must be finite")
+
+
+def _grid_rows(values: np.ndarray, rows: slice) -> np.ndarray:
+    """The grid rows `rows` of a result of `_drifts_and_costs`: `values`
+    itself where it keeps a size-1 axis in place of the states."""
+    return values[rows] if len(values) > 1 else values
+
+
+def _at_choice(values: np.ndarray, rows, choice: np.ndarray) -> np.ndarray:
+    """Each scored row's entry at its `choice` of the grid that `values`,
+    a result of `_drifts_and_costs`, stands for.  `rows` holds each scored
+    row's grid row, or is None when row k is grid row k."""
+    G, C = values.shape[:2]
+    index = choice if C > 1 else np.zeros_like(choice)
+    if G > 1:
+        index = index + (np.arange(0, G * C, C) if rows is None else rows * C)
+    return values.reshape(G * C, *values.shape[2:]).take(index, axis=0)
 
 
 def _own_rows(X: np.ndarray, blocks: int):
@@ -127,7 +148,11 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, cands: np.ndarr
     """The target policy argmin_u { l(t,x,u) + f(t,x,u)' dV(x) } over the
     candidates `cands` (C, m) at the states X (B, n) of time t, under the
     value gradients `grad` (B, n) or an (L, B, n) stack of them: one drift
-    and cost grid, checked by `_check_finite`, scores them all.
+    and cost grid, checked by `_check_finite`, scores them all.  Under one
+    gradient per row the grid is checked only where a score is not finite:
+    a non-finite grid entry makes every score it enters non-finite, so one
+    check of the (smaller) scores passes a finite grid, and a faulty one is
+    refused as `_check_finite` refuses it.
 
     With `blocks` = L > 1, X (L * B, n) holds L blocks of B states, one
     gradient per row in `grad` (L * B, n), as the rollouts stack policies
@@ -146,19 +171,21 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, cands: np.ndarr
     own = _own_rows(X, blocks) if blocks > 1 else None
     if own is None:
         ells, F = _drifts_and_costs(problem, t, X, cands)
-        _check_finite(ells, F)
-        choice = _best_candidates(ells, F, grad)
-        starts = np.arange(0, ells.size, len(cands))  # each grid row's first entry, flattened
-    else:
-        B = len(X) // blocks
-        ells, F = _drifts_and_costs(problem, t, np.concatenate([X[:B], X[own]]), cands)
-        _check_finite(ells, F)
-        choice = _best_candidates(ells[:B], F[:B], grad.reshape(blocks, B, -1)).reshape(-1)
-        choice[own] = _best_candidates(ells[B:], F[B:], grad[own])
-        starts = np.tile(np.arange(0, B * len(cands), len(cands)), blocks)  # each row's grid row, flattened
-        starts[own] = np.arange(B * len(cands), ells.size, len(cands))
-    chosen = choice + starts  # each choice's entry of the flattened grid
-    return choice, cands, ells.take(chosen), F.reshape(-1, F.shape[2]).take(chosen, axis=0)
+        scores = _policy_scores(ells, F, grad)
+        # under one gradient per row the scores are smaller than the grid, under a stack larger
+        if scores.ndim > 2 or not np.isfinite(scores).all():
+            _check_finite(ells, F)
+        choice = _best_candidates(scores, ells)
+        return choice, cands, _at_choice(ells, None, choice), _at_choice(F, None, choice)
+    B = len(X) // blocks
+    ells, F = _drifts_and_costs(problem, t, np.concatenate([X[:B], X[own]]), cands)
+    _check_finite(ells, F)  # the stacked scores are larger than the grid
+    head_ells, head_F, own_ells, own_F = (_grid_rows(a, g) for g in (slice(B), slice(B, None)) for a in (ells, F))
+    choice = _best_candidates(_policy_scores(head_ells, head_F, grad.reshape(blocks, B, -1)), head_ells).reshape(-1)
+    choice[own] = _best_candidates(_policy_scores(own_ells, own_F, grad[own]), own_ells)
+    rows = np.tile(np.arange(B), blocks)  # each row's grid row
+    rows[own] = np.arange(B, B + len(own))
+    return choice, cands, _at_choice(ells, rows, choice), _at_choice(F, rows, choice)
 
 
 def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:
@@ -170,16 +197,16 @@ def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:
     exponential conditioning; it cancels in the normalization.
     mean(Theta) == 1 up to float rounding.
     """
-    if not np.min(lam) > 0:  # also refuses NaN
+    if not np.minimum.reduce(lam, axis=None) > 0:  # also refuses NaN
         raise ValueError("lambda must be positive")
     rho = np.asarray(rho, dtype=float)
     if not np.isfinite(rho).all():
         raise ValueError("heuristic scores must be finite")
-    w = rho - rho.min(axis=-1, keepdims=True)
-    np.negative(w, out=w)
+    # min - rho is -(rho - min) exactly, and exp(-0.0) == exp(0.0)
+    w = np.minimum.reduce(rho, axis=-1, keepdims=True) - rho
     w /= lam
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True) / w.shape[-1]  # the mean, as np.mean sums and divides
+    w /= np.add.reduce(w, axis=-1, keepdims=True) / w.shape[-1]  # the mean, as np.mean sums and divides
     return w
 
 
@@ -193,8 +220,7 @@ def _layer_edge_arrays(tree: BranchTree, i_next: int):
     states of layer i_next - 1 (M, n), and each edge's parent position in
     them and run cost through its child (M_next,); views of the tree's
     storage."""
-    layer = tree.layer(i_next)
-    return tree.layer_states(i_next - 1), layer.parents, layer.run_costs
+    return (tree.layer_states(i_next - 1), *tree.layer_edges(i_next))
 
 
 def _distinct_parents(parents: np.ndarray, width: int):
@@ -236,7 +262,7 @@ class _Targets:
         `_distinct_parents`); None means one row per edge.  A non-finite
         drift or running cost on the parents' candidate grid raises
         BackwardPassError naming layer i."""
-        grad = self.box.grad_from(z_prev, alphas.T[:, :, None])
+        grad = first_axis_last(self.box.grad_from(z_prev[:, None], alphas.T[:, :, None]))
         try:
             choice, _, ells, F = _candidate_scores(self.problem, i * self.dt, X_prev, self.cands, grad)
         except ValueError as fault:
@@ -311,10 +337,14 @@ def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float
                 alphas[l] = solve_weighted_design(A[l], b[l], ridge)
             except (SingularRegressionError, np.linalg.LinAlgError) as exc:
                 errors[l] = BackwardPassError(str(exc), layer=layer)
+    # in place, as weights * resid**2 and weights**2 round (an array's ** 2 rounds as x * x),
+    # and summed by np.add.reduce, which ndarray.sum calls
     resid = targets - _matvecs(phi, alphas)
-    residuals = np.sqrt((weights * resid**2).sum(axis=1))
-    # float_power squares as a scalar's ** 2 does (libm pow); an array's ** 2 rounds as x * x
-    ess = np.float_power(weights.sum(axis=1), 2) / (weights**2).sum(axis=1)
+    resid *= resid
+    resid *= weights
+    residuals = np.sqrt(np.add.reduce(resid, axis=1))
+    # float_power squares as a scalar's ** 2 does (libm pow)
+    ess = np.float_power(np.add.reduce(weights, axis=1), 2) / np.add.reduce(np.square(weights), axis=1)
     return alphas, residuals, ess, errors
 
 
@@ -420,7 +450,7 @@ def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)
     """
     N = tree.grid.steps
     X_N = tree.layer_states(N)
-    proxy = tree.layer(N).run_costs + tree.problem.terminal_cost(X_N)
+    proxy = tree.layer_edges(N)[1] + tree.problem.terminal_cost(X_N)
     q75, q25 = np.percentile(proxy, [75, 25])
     scale = q75 - q25
     if scale <= 0:
@@ -492,7 +522,7 @@ def rollout_policies(
     for i in range(N):
         grad = box.grad_from(last_axis_first(box.z(X.reshape(L, count, n))), alphas[..., i])
         try:
-            choice, _, ells, f_mu = _candidate_scores(problem, i * grid.dt, X, cands, grad.reshape(-1, n), L)
+            choice, _, ells, f_mu = _candidate_scores(problem, i * grid.dt, X, cands, grad.reshape(n, -1).T, L)
         except ValueError as fault:
             raise ValueError(f"{fault} on the rollouts' policy grid at step {i}") from fault
         control_counts[:, i] = np.bincount(choice + block_offsets, minlength=L * len(cands)).reshape(L, -1)

@@ -15,6 +15,7 @@ the affine map keeps gradients valid everywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,40 @@ def feature_count(n: int) -> int:
     return 1 + n + n * (n + 1) // 2
 
 
-def _cross_pairs(n: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+@functools.cache
+def _cross_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+
+@functools.cache
+def _cross_rounds(n: int) -> tuple[tuple, ...]:
+    """The cross terms of the gradient, a round at a time: round r adds to
+    dimension j the term of its r-th other dimension o (o = r, or r + 1
+    from r = j on), in the order the pairs list them.  Per round, the index
+    of each dimension's o and of the coefficient of the pair (j, o), as a
+    slice where one fits (n = 2: the dimensions reversed, one pair)."""
+    index = {pair: 1 + 2 * n + c for c, pair in enumerate(_cross_pairs(n))}
+    rounds = []
+    for r in range(n - 1):
+        others = [r if r < j else r + 1 for j in range(n)]
+        pairs = [index[min(j, o), max(j, o)] for j, o in enumerate(others)]
+        rounds.append(
+            (
+                slice(None, None, -1) if others == list(range(n))[::-1] else np.array(others),
+                slice(pairs[0], pairs[0] + 1) if len(set(pairs)) == 1 else np.array(pairs),
+            )
+        )
+    return tuple(rounds)
 
 
 def last_axis_first(a: np.ndarray) -> np.ndarray:
     """A view of `a` with its last axis moved to the front, as np.moveaxis(a, -1, 0) gives it."""
     return a.transpose(-1, *range(a.ndim - 1))
+
+
+def first_axis_last(a: np.ndarray) -> np.ndarray:
+    """A view of `a` with its first axis moved to the end, as np.moveaxis(a, 0, -1) gives it."""
+    return a.transpose(*range(1, a.ndim), 0)
 
 
 class FeatureBox:
@@ -51,7 +79,6 @@ class FeatureBox:
         self._scale_rows = last_axis_first(self.scale)
         self.n = self.lower.shape[-1]
         self.p = feature_count(self.n)
-        self._pairs = _cross_pairs(self.n)
 
     def feature_rows(self, X: np.ndarray) -> np.ndarray:
         """Features of the states X (B, n), feature-major: (p, B)."""
@@ -65,7 +92,7 @@ class FeatureBox:
         np.multiply(z, z, out=t2)
         t2 *= 2.0
         t2 -= 1.0
-        for c, (j, k) in enumerate(self._pairs, 1 + 2 * n):
+        for c, (j, k) in enumerate(_cross_pairs(n), 1 + 2 * n):
             np.multiply(z[j], z[k], out=out[c])
         return out
 
@@ -78,21 +105,25 @@ class FeatureBox:
         return (2.0 * x - self.center) / self.width
 
     def grad_from(self, z, alpha) -> np.ndarray:
-        """dV/dx stacked along a new last axis, from box coordinates z and
-        coefficients alpha with the dimension and the coefficient index
-        leading (z[k], alpha[j] and the box broadcast): z (n, B) and
-        alpha (p, K, 1) give the (K, B, n) gradients of B states under K
-        coefficient vectors.  Every entry rounds as in `value_grad`."""
+        """dV/dx with the dimension leading, from box coordinates z (n, ...)
+        and coefficients alpha (p, ...), whose axes after the first
+        broadcast against each other and the box's: z (n, 1, B) and
+        alpha (p, K, 1) give the (n, K, B) gradients of B states under K
+        coefficient vectors.  Every entry rounds as in `value_grad`.
+
+        Entry k is (alpha_{1+k} + alpha_{1+n+k} 4 z_k) a_k, a the box scale,
+        plus the cross terms alpha_(k,o) z_o a_k in the order the pairs
+        list them; all n entries are worked out at once, a round of cross
+        terms at a time (`_cross_rounds`)."""
         n, scale = self.n, self._scale_rows
-        grad = [(alpha[1 + k] + alpha[1 + n + k] * 4.0 * z[k]) * scale[k] for k in range(n)]
-        for c, (j, k) in enumerate(self._pairs):
-            a = alpha[1 + 2 * n + c]
-            grad[j] += a * z[k] * scale[j]
-            grad[k] += a * z[j] * scale[k]
-        out = np.empty(np.shape(grad[0]) + (n,))  # np.stack, without its per-call overhead
-        for k, g in enumerate(grad):
-            out[..., k] = g
-        return out
+        grad = alpha[1 + n : 1 + 2 * n] * 4.0 * z
+        grad += alpha[1 : 1 + n]  # addition commutes: this rounds as alpha_{1+k} + 4 alpha z
+        if scale.ndim < grad.ndim:  # an (n,) box: its scale is one value per dimension
+            scale = scale.reshape(scale.shape + (1,) * (grad.ndim - scale.ndim))
+        grad *= scale
+        for others, pairs in _cross_rounds(n):
+            grad += alpha[pairs] * z[others] * scale
+        return grad
 
 
 def features(x, lower, upper) -> np.ndarray:
@@ -118,8 +149,9 @@ def noise_feature_shift(cov, lower, upper) -> np.ndarray:
     return shift
 
 
-def value_grad(x, alpha, lower, upper) -> np.ndarray:
-    """Gradient of V at x, of shape (..., n).
+def value_grad(x, alpha, lower=None, upper=None, *, box: FeatureBox | None = None) -> np.ndarray:
+    """Gradient of V at x, of shape (..., n), on the box (lower, upper), or
+    on `box`, its FeatureBox worked out once for many calls.
 
     States x (..., n), coefficients alpha (..., p) and the box broadcast
     over their leading axes: an (L, 1, p) stack of coefficients on (B, n)
@@ -127,11 +159,15 @@ def value_grad(x, alpha, lower, upper) -> np.ndarray:
     (L, count, n) states the gradients of block l under alpha[l].  Every
     entry rounds as it does for one state and one coefficient vector.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    box = FeatureBox(lower, upper)
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    if box is None:
+        box = FeatureBox(lower, upper)
     if alpha.shape[-1] != box.p:
         raise ValueError(f"coefficient dimension {alpha.shape[-1]} != feature dimension {box.p}")
-    return box.grad_from(last_axis_first(box.z(np.asarray(x, dtype=float))), last_axis_first(alpha))
+    # line the leading axes up as broadcasting would, so that they broadcast behind the first
+    lead = max(x.ndim, alpha.ndim, box.lower.ndim)
+    x, alpha = x.reshape((1,) * (lead - x.ndim) + x.shape), alpha.reshape((1,) * (lead - alpha.ndim) + alpha.shape)
+    return first_axis_last(box.grad_from(last_axis_first(box.z(x)), last_axis_first(alpha)))
 
 
 def check_ridge(ridge: float) -> None:
@@ -206,6 +242,11 @@ class ValueCoefficients:
             raise ValueError("alphas must have shape (N, p) with p matching the box dimension")
         if not np.all(np.isfinite(self.alphas)):
             raise ValueError("coefficients must be finite")
+
+    @functools.cached_property
+    def box(self) -> FeatureBox:
+        """The feature box of (lower, upper), worked out on first use."""
+        return FeatureBox(self.lower, self.upper)
 
     @property
     def steps(self) -> int:

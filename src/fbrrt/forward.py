@@ -54,7 +54,7 @@ def sampling_step(problem: ControlProblem, grid: TimeGrid, i: int, X, pick, coef
     rows = np.flatnonzero(follow)
     if len(rows):
         X_rows, cands = X.take(rows, axis=0), problem.control_candidates
-        grad = backward.value_grad(X_rows, coeffs.alphas[i], coeffs.lower, coeffs.upper)
+        grad = backward.value_grad(X_rows, coeffs.alphas[i], box=coeffs.box)
         choice, _, ells[rows], K[rows] = backward._candidate_scores(problem, t, X_rows, cands, grad)
         controls[rows] = cands.take(choice, axis=0)
     rows = np.flatnonzero(~follow)

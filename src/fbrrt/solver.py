@@ -164,6 +164,24 @@ class IterationStats:
     # excluded from the canonical report; the CSV files are written by a
     # child process, so only the wait for the previous one counts here
     wall_time: float
+    # excluded too: seconds per phase of the iteration (`_PhaseClock`)
+    phase_times: dict = field(default_factory=dict)
+
+
+class _PhaseClock:
+    """Seconds per phase of one iteration, each phase timed from the end of
+    the one before: the forward pass, the backward pass (the lambda search
+    and its rollouts included), the final rollout, the wait for the previous
+    iteration's CSV writer and the fork of this one's (about 0 without
+    out_dir), and the prune."""
+
+    def __init__(self):
+        self.times: dict = {}
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.times[phase], self._last = now - self._last, now
 
 
 @dataclass
@@ -174,6 +192,7 @@ class RunReport:
     iterations: list  # list[IterationStats]
     coefficients: ValueCoefficients
     initial_state: list
+    final_csv_wait: float = 0.0  # excluded from the canonical report: the wait for the last CSV writer
 
     def accumulated_min_curve(self) -> np.ndarray:
         return np.array([s.accumulated_min for s in self.iterations])
@@ -186,6 +205,7 @@ class RunReport:
         for s in self.iterations:
             d = dataclasses.asdict(s)
             d.pop("wall_time")
+            d.pop("phase_times")
             its.append(d)
         return {
             "config": self.config,
@@ -203,7 +223,11 @@ class RunReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(self.to_json())
-        timings = {"wall_times": [s.wall_time for s in self.iterations]}
+        timings = {
+            "wall_times": [s.wall_time for s in self.iterations],
+            "phase_times": [s.phase_times for s in self.iterations],
+            "final_csv_wait": self.final_csv_wait,
+        }
         (out / "timings.json").write_text(json.dumps(timings, indent=2))
         return out / "report.json"
 
@@ -239,6 +263,7 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
     try:
         for it in range(1, config.iterations + 1):
             t_start = time.perf_counter()
+            clock = _PhaseClock()
             first = coeffs is None
             fwd = ForwardConfig(
                 target_width=config.M,
@@ -252,6 +277,7 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                     tree = parallel_forward_baseline(problem, grid, coeffs, fwd, forward_rng)
             except ValueError as exc:
                 raise SolverError.at(it, "forward", exc) from exc
+            clock.lap("forward")
             try:
                 if config.lambda_search:
                     artifacts = bw.lambda_search(
@@ -266,6 +292,7 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                     artifacts = bw.backward_pass(tree, lam, ridge=config.ridge)
             except (bw.BackwardPassError, ValueError) as exc:
                 raise SolverError.at(it, "backward", exc) from exc
+            clock.lap("backward")
             coeffs = artifacts.coefficients
             try:
                 rollout = rollout_policy(
@@ -275,12 +302,18 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                     raise ValueError(f"non-finite rollout mean cost {rollout.mean_cost}")
             except ValueError as exc:
                 raise SolverError.at(it, "rollout", exc) from exc
+            clock.lap("rollout")
             acc_min = min(acc_min, rollout.mean_cost)
             widths = tree.layer_sizes
             if out_dir is not None:
+                writer.wait()
+            clock.lap("csv_wait")
+            if out_dir is not None:
                 writer.start(it, out_dir, tree, artifacts.rho, rollout)
+            clock.lap("csv_fork")
             if config.mode == "fbrrt" and it < config.iterations:
                 tree = tree.prune(artifacts.rho, config.keep_fraction)
+            clock.lap("prune")
             stats.append(
                 IterationStats(
                     iteration=it,
@@ -295,9 +328,12 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
                     control_counts=rollout.control_counts.tolist(),
                     # the whole iteration, prune included
                     wall_time=time.perf_counter() - t_start,
+                    phase_times=clock.times,
                 )
             )
+        final_wait = time.perf_counter()
         writer.wait()
+        final_wait = time.perf_counter() - final_wait
     finally:
         writer.reap()
 
@@ -308,6 +344,7 @@ def fbrrt_solve(config: SolverConfig, problem: Optional[ControlProblem] = None) 
         iterations=stats,
         coefficients=coeffs,
         initial_state=np.asarray(problem.initial_state).tolist(),
+        final_csv_wait=final_wait,
     )
     if out_dir is not None:
         report.save(out_dir)

@@ -23,6 +23,8 @@ import numpy as np
 
 from .problem import ControlProblem, TimeGrid
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class TreeNode:
@@ -179,6 +181,12 @@ class BranchTree:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
 
+    def layer_edges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """`layer(i)`'s parents and run costs alone (views), without the
+        other four fields."""
+        size = self._size[i]
+        return self._parent[i, :size], self._run_cost[i, :size]
+
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")
@@ -226,14 +234,15 @@ class BranchTree:
         up: the scan's strict minimum is b, and no tie-break can move it.
         """
         widths = np.asarray(widths, dtype=np.intp)
-        if len(widths) and not 0 < widths.min() <= widths.max() <= self._size[i]:
-            raise ValueError(f"layer {i} is empty" if not self._size[i] else f"prefix widths exceed layer {i}")
-        weights = np.asarray(metric_weights, dtype=float)
-        queries = np.asarray(queries, dtype=float)
         out = np.empty(len(widths), dtype=np.intp)
         if not len(widths):
             return out
-        n, XT = len(weights), self._state[i, : widths.max()].T
+        narrowest, widest = int(widths.min()), int(widths.max())
+        if not 0 < narrowest <= widest <= self._size[i]:
+            raise ValueError(f"layer {i} is empty" if not self._size[i] else f"prefix widths exceed layer {i}")
+        weights = np.asarray(metric_weights, dtype=float)
+        queries = np.asarray(queries, dtype=float)
+        n, XT = len(weights), self._state[i, :widest].T
         squares = XT * XT
         nodes = np.empty((n + 1, XT.shape[1]))  # [x_j; |x_j|^2_w], one coordinate per row
         nodes[:n] = XT
@@ -244,12 +253,16 @@ class BranchTree:
         magnitude = np.abs(weights)
         tau = (queries * queries) @ magnitude
         tau += np.maximum.accumulate(magnitude @ squares).take(widths - 1)  # the largest |x_j|^2 in each prefix
-        tau *= 4 * (n + 3) * np.finfo(float).eps
+        tau *= 4 * (n + 3) * _EPS
         gap = np.empty(len(widths))
-        # column indices and widths as int32: a broadcast int32 comparison takes half the time of an intp one
-        columns, limits = np.arange(XT.shape[1], dtype=np.int32), widths.astype(np.int32)
         starts = range(0, len(widths), 64)  # (64, width) temporaries
-        chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
+        if len(widths) <= 64:
+            chunks = [(0, widest, narrowest)]
+        else:
+            chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
+        if narrowest < widest:
+            # column indices and widths as int32: a broadcast int32 comparison takes half the time of an intp one
+            columns, limits = np.arange(widest, dtype=np.int32), widths.astype(np.int32)
         for start, wide, narrow in chunks:
             stop = min(start + 64, len(widths))
             screen = scaled[start:stop] @ nodes[:, :wide]

@@ -7,7 +7,8 @@ it.  Run it with
 
 Inputs are fixed: B = 256 states drawn from the region of interest (the
 width M of the acceptance trees), coefficients drawn once from a seeded
-generator.  A rollout step is a one-step rollout of B chains per policy,
+generator.  Two cases time the per-call cost that does not grow with the
+rows: the scoring of B = 16 states, and a nearest search for one query.  A rollout step is a one-step rollout of B chains per policy,
 alone (L=1) and stacked as the lambda search runs it (L=5); a rollout is
 30 steps of B chains, for one policy and for five with close coefficients
 (most chains stay on the first policy's, whose grid rows they share) and
@@ -87,16 +88,19 @@ def _inputs(problem, seed=0):
 
 @pytest.mark.benchmark(group="candidate_scores")
 @pytest.mark.parametrize("problem", [LQ, DI], ids=["lq-C21", "di-C3"])
-def test_candidate_scores(benchmark, problem):
-    # the gradient and the scoring of a sampling step's policy rows
+@pytest.mark.parametrize("rows", [B, 16], ids=["B256", "B16"])
+def test_candidate_scores(benchmark, problem, rows):
+    # the gradient and the scoring of a sampling step's policy rows; at
+    # B = 16 (the benchmark's smoke width) little but the per-call cost is left
     X, alpha = _inputs(problem)
+    X = X[:rows]
 
     def score():
         grad = value_grad(X, alpha, problem.roi_lower, problem.roi_upper)
         return _candidate_scores(problem, 0.3, X, problem.control_candidates, grad)
 
     choice, cands, _, _ = benchmark(score)
-    assert choice.shape == (B,) and len(cands) == len(problem.control_candidates)
+    assert choice.shape == (rows,) and len(cands) == len(problem.control_candidates)
 
 
 @pytest.mark.benchmark(group="basis")
@@ -179,6 +183,17 @@ def test_nearest_positions(benchmark):
     widths = np.full(B, B)
     out = benchmark(tree.nearest, 0, queries, widths, default_metric_weights(DI))
     assert out.shape == (B,) and out.max() < B
+
+
+@pytest.mark.benchmark(group="tree")
+def test_nearest_one_query(benchmark):
+    # the per-call cost of the search: one query against a full layer
+    X, _ = _inputs(DI)
+    tree = BranchTree(DI, TimeGrid(dt=0.1, steps=1))
+    tree.add_roots(X)
+    query = DI.sample_roi(np.random.default_rng(1), size=1)
+    out = benchmark(tree.nearest, 0, query, [B], default_metric_weights(DI))
+    assert out.shape == (1,) and out[0] < B
 
 
 CHAINS = 512

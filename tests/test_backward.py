@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from fbrrt.backward import (
     BackwardArtifacts,
     BackwardPassError,
-    _best_candidates,
     _candidate_scores,
     _distinct_parents,
     _drifts_and_costs,
@@ -39,7 +39,15 @@ from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, 
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
 
-from conftest import nan_under_plus_one, policy_grid, policy_problems, same_bits, scalar_problem
+from conftest import (
+    best_candidates,
+    full_grid,
+    nan_under_plus_one,
+    policy_grid,
+    policy_problems,
+    same_bits,
+    scalar_problem,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +171,9 @@ def test_candidate_scores_gather_the_chosen_grid_entries(name, L):
     X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
     grad = rng.normal(size=(40, p.state_dim) if L is None else (L, 40, p.state_dim))
     choice, cands, ells, F = _candidate_scores(p, 0.3, X, p.control_candidates, grad)
-    grid_ells, grid_F = _drifts_and_costs(p, 0.3, X, p.control_candidates)
+    grid_ells, grid_F = full_grid(p, 0.3, X, p.control_candidates)
     k = np.arange(len(X))
-    assert same_bits(choice, _best_candidates(grid_ells, grid_F, grad))
+    assert same_bits(choice, best_candidates(grid_ells, grid_F, grad))
     assert cands is p.control_candidates
     assert same_bits(ells, grid_ells[k, choice])
     assert same_bits(F, grid_F[k, choice])
@@ -189,11 +197,11 @@ def test_stacked_best_candidates_match_one_gradient_at_a_time(name):
     p = policy_problems()[name]
     rng = np.random.default_rng(7)
     X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
-    ells, F = _drifts_and_costs(p, 0.3, X, np.asarray(p.control_candidates))
+    ells, F = full_grid(p, 0.3, X, np.asarray(p.control_candidates))
     grads = np.array([value_grad(X, alpha, p.roi_lower, p.roi_upper) for alpha in random_alphas(p, rng)])
-    stacked = _best_candidates(ells, F, grads)
+    stacked = best_candidates(ells, F, grads)
     assert stacked.shape == (len(grads), len(X))
-    assert np.array_equal(stacked, np.array([_best_candidates(ells, F, grad) for grad in grads]))
+    assert np.array_equal(stacked, np.array([best_candidates(ells, F, grad) for grad in grads]))
 
 
 def best_candidates_reference(ells, F, grad):
@@ -241,28 +249,62 @@ def best_candidate_grids(seed, B=60, C=5, n=2, L=3):
 def test_best_candidates_match_the_reference(seed):
     for ells, F, grad in best_candidate_grids(seed):
         with np.errstate(invalid="ignore"):
-            got, ref = _best_candidates(ells, F, grad), best_candidates_reference(ells, F, grad)
+            got, ref = best_candidates(ells, F, grad), best_candidates_reference(ells, F, grad)
         assert got.shape == grad.shape[:-1]
         assert np.array_equal(got, ref)
 
 
 def drifts_and_costs_reference(problem, t, X, controls):
-    """`_drifts_and_costs` broadcasting both grids whatever their shape."""
-    Xg, Ug = X[:, None, :], controls[None, :, :]
-    shape = (X.shape[0], len(controls))
-    return np.broadcast_to(problem.running_cost(t, Xg, Ug), shape), np.broadcast_to(
-        problem.drift(t, Xg, Ug), shape + (X.shape[1],)
-    )
+    """The policy grids evaluated pair by pair: (B, C) running costs and
+    (B, C, n) drifts."""
+    ells = np.array([[problem.running_cost(t, x, u) for u in controls] for x in X], dtype=float)
+    F = np.array([[problem.drift(t, x, u) for u in controls] for x in X], dtype=float)
+    return ells, F
 
 
 @pytest.mark.parametrize("name", list(policy_problems()))
 def test_drifts_and_costs_round_like_broadcast_grids(name):
+    # the raw results keep at most size-1 axes in place of B or C, and
+    # broadcast to the grids of every pair evaluated alone
     p = policy_problems()[name]
     X = p.sample_roi(np.random.default_rng(3), size=33)
     for controls in (p.control_candidates, p.random_controls):
         controls = np.asarray(controls, dtype=float)
-        for got, want in zip(_drifts_and_costs(p, 0.3, X, controls), drifts_and_costs_reference(p, 0.3, X, controls)):
-            assert same_bits(got, want)
+        raw = _drifts_and_costs(p, 0.3, X, controls)
+        for got, want in zip(raw, drifts_and_costs_reference(p, 0.3, X, controls)):
+            assert got.ndim == want.ndim and all(g in (1, w) for g, w in zip(got.shape, want.shape))
+            assert np.array_equal(np.broadcast_to(got, want.shape), want)
+
+
+def size_one_axes_problem():
+    """A 1-D problem whose drift does not read the state, (1, C, 1) on the
+    grid, and whose running cost does not read the control, (B, 1)."""
+    controls = np.array([[-1.0], [0.5], [2.0]])
+    return dataclasses.replace(
+        scalar_problem(),
+        drift=lambda t, x, u: np.asarray(u, dtype=float) * 1.5,
+        running_cost=lambda t, x, u: np.asarray(x, dtype=float)[..., 0] ** 2,
+        control_candidates=controls,
+        random_controls=controls,
+    )
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_candidate_scores_read_results_with_size_one_axes(blocks):
+    # a result with a size-1 axis is scored and gathered as its broadcast grid
+    p = size_one_axes_problem()
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.0, 1.0, size=(12, 1))
+    X[6:9] = X[:3]  # block 1 shares three of block 0's rows
+    grad = rng.normal(size=(12, 1))
+    ells_raw, F_raw = _drifts_and_costs(p, 0.0, X, p.control_candidates)
+    assert ells_raw.shape == (12, 1) and F_raw.shape == (1, 3, 1)
+    choice, _, ells, F = _candidate_scores(p, 0.0, X, p.control_candidates, grad, blocks)
+    grid_ells, grid_F = full_grid(p, 0.0, X, p.control_candidates)
+    k = np.arange(len(X))
+    assert same_bits(choice, best_candidates(grid_ells, grid_F, grad))
+    assert same_bits(ells, grid_ells[k, choice])
+    assert same_bits(F, grid_F[k, choice])
 
 
 def best_candidates_gather_reference(ells, F, grad):
@@ -294,7 +336,7 @@ def test_best_candidates_round_like_take_along_axis(B, C, n, L, seed, nan_rows):
     F = rng.integers(-1, 2, size=(B, C, n)).astype(float)
     ells[rng.integers(B, size=nan_rows), rng.integers(C, size=nan_rows)] = np.nan
     grad = rng.integers(-2, 3, size=(B, n) if L is None else (L, B, n)).astype(float)
-    got = _best_candidates(ells, F, grad)
+    got = best_candidates(ells, F, grad)
     assert same_bits(got, best_candidates_gather_reference(ells, F, grad))
     assert np.array_equal(got, best_candidates_reference(ells, F, grad))
 
@@ -668,8 +710,8 @@ def regress_later_targets(problem, dt, i, X_prev, alpha_next, lower, upper):
     target policy's drift and running cost off the candidate grid of each
     parent state, and the value at the mean next state plus the noise's
     shift of the feature means."""
-    ells, F = _drifts_and_costs(problem, i * dt, X_prev, np.asarray(problem.control_candidates))
-    choice = _best_candidates(ells, F, value_grad(X_prev, alpha_next, lower, upper))
+    ells, F = full_grid(problem, i * dt, X_prev, np.asarray(problem.control_candidates))
+    choice = best_candidates(ells, F, value_grad(X_prev, alpha_next, lower, upper))
     k = np.arange(len(X_prev))
     shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)
     return features(X_prev + F[k, choice] * dt, lower, upper) @ alpha_next + shift @ alpha_next + ells[k, choice] * dt
@@ -1034,3 +1076,67 @@ def test_rollout_policies_refuse_bad_inputs(coefficients, x0, count, message):
         coefficients = [ValueCoefficients(np.zeros((4, feature_count(2))), p.roi_lower, p.roi_upper)]
     with pytest.raises(ValueError, match=message):
         rollout_policies(p, grid, coefficients, x0, count, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the central claim: the backward pass reads no sampled drift
+
+
+def garbage_drift_copy(tree, seed):
+    """A deep copy of `tree` whose every recorded edge drift (the roots'
+    NaN slots and unused slots included) is overwritten with garbage: huge,
+    tiny, infinite and NaN values."""
+    spoiled = copy.deepcopy(tree)
+    rng = np.random.default_rng(seed)
+    garbage = rng.normal(scale=1e300, size=spoiled._drift.shape)
+    garbage.flat[rng.integers(garbage.size, size=garbage.size // 3)] = np.nan
+    garbage.flat[rng.integers(garbage.size, size=garbage.size // 7)] = -np.inf
+    garbage.flat[rng.integers(garbage.size, size=garbage.size // 11)] = 5e-324
+    spoiled._drift[...] = garbage
+    return spoiled
+
+
+def same_artifacts(got, want) -> bool:
+    """Coefficients, lambda, ESS, residuals, rho and initial-value samples, bit for bit."""
+    return (
+        same_bits(got.coefficients.alphas, want.coefficients.alphas)
+        and got.lam == want.lam
+        and same_bits(got.ess, want.ess)
+        and same_bits(got.residual_norms, want.residual_norms)
+        and len(got.rho) == len(want.rho)
+        and all(g is w is None or same_bits(g, w) for g, w in zip(got.rho, want.rho))
+        and same_bits(got.initial_value_samples, want.initial_value_samples)
+    )
+
+
+def grown_and_pruned_trees(problem, M, seed):
+    """A tree grown from its root with exploration, and that tree pruned
+    to 0.3 by its own backward pass and regrown exploiting that fit."""
+    grid = TimeGrid.from_horizon(problem.horizon, 10)
+    grown = BranchTree(problem, grid)
+    grown.add_root()
+    forward_expand(grown, None, ForwardConfig(target_width=M, eps_rrt=1.0, eps_opt=0.0), np.random.default_rng(seed))
+    fit = backward_pass(grown, float(default_lambda_grid(grown)[2]))
+    regrown = grown.prune(fit.rho, 0.3)
+    forward_expand(regrown, fit.coefficients, ForwardConfig(target_width=M), np.random.default_rng(seed + 1))
+    return {"grown": grown, "pruned": grown.prune(fit.rho, 0.3), "regrown": regrown}
+
+
+@pytest.mark.parametrize("which", ["grown", "pruned", "regrown"])
+def test_backward_pass_ignores_every_recorded_drift(which):
+    tree = grown_and_pruned_trees(make_double_integrator_l1(), 32, 4)[which]
+    spoiled = garbage_drift_copy(tree, 5)
+    assert np.isnan(spoiled._drift).any() and not np.array_equal(spoiled._drift[1:], tree._drift[1:])
+    lams = list(default_lambda_grid(tree))
+    assert same_artifacts(backward_pass(spoiled, lams[2]), backward_pass(tree, lams[2]))
+    for got, want in zip(backward_pass(spoiled, lams), backward_pass(tree, lams), strict=True):
+        assert same_artifacts(got, want)
+
+
+@pytest.mark.parametrize("which", ["grown", "pruned", "regrown"])
+def test_lambda_search_ignores_every_recorded_drift(which):
+    p = make_lq_problem([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.1 * np.eye(2), np.eye(1), np.eye(2), noise=0.3, grid_points=9)
+    tree = grown_and_pruned_trees(p, 32, 6)[which]
+    spoiled = garbage_drift_copy(tree, 7)
+    lams = default_lambda_grid(tree)
+    assert same_artifacts(lambda_search(spoiled, lams, 32, seed=8), lambda_search(tree, lams, 32, seed=8))

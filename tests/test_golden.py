@@ -10,10 +10,11 @@ differently and need its own recording.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from fbrrt.cli import main
+from fbrrt.cli import apply_overrides, main, parse_config_file
 from fbrrt.solver import SolverConfig, fbrrt_solve
 
 LQ_PROBLEM = {
@@ -51,6 +52,41 @@ REPORTS = {
     ),
 }
 
+# The shipped sizes: the double integrator's config (M = 256, 10 iterations),
+# the same at M = 16 with 2 iterations, where a layer step costs little more
+# than its fixed per-call work, and the acceptance LQ problem with its lambda
+# search (M = 256, 5 iterations, 21 controls).  Several 64-query chunks of the
+# nearest search and full-width scoring grids run only at these widths.
+DI_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "double_integrator.cfg"
+LQ_ACCEPTANCE = {
+    "A": [[0.0, 1.0], [0.0, 0.0]],
+    "B": [[0.0], [1.0]],
+    "Qr": [[0.1, 0.0], [0.0, 0.1]],
+    "R": [[1.0]],
+    "Qf": [[1.0, 0.0], [0.0, 1.0]],
+    "noise": [[0.3, 0.0], [0.0, 0.3]],
+    "horizon": 1.5,
+    "initial_state": [0.0, 0.0],
+    "roi_lower": [-1.2, -1.0],
+    "roi_upper": [1.2, 1.0],
+}
+
+# name -> (overrides of the shipped double-integrator config, or a SolverConfig, sha256 of report.json)
+SHIPPED = {
+    "double-integrator-config": (
+        [],
+        "8f18287333b9c97adf52caed8d629517bf1ac6b2dd6112c6525fd90992cffd8f",
+    ),
+    "double-integrator-config-M16": (
+        ["M=16", "iterations=2"],
+        "bb17792b3c6d99cb29368850ddba0d6b9f68e327587398fd500b2784b00cbac6",
+    ),
+    "lq-lambda-search-M256": (
+        SolverConfig(problem="lq", problem_overrides=LQ_ACCEPTANCE, steps=30, M=256, iterations=5, lambda_search=True),
+        "211b3c5315c9d29900cf164e0e74128747c183467e04bbbae8da546f713c4396",
+    ),
+}
+
 # `fbrrt run <cfg> --out <dir>` on RUN_CONFIG: mode -> {run directory file: sha256}.
 # The run directory's report.json holds the output path, so it is left out.
 RUN_CONFIG = "problem = double_integrator\nsteps = 10\nM = 32\niterations = 2\nrollout_count = 32\nseed = 3\n"
@@ -74,6 +110,14 @@ def sha256(data: bytes) -> str:
 def test_report_matches_golden_hash(name):
     fields, digest = REPORTS[name]
     assert sha256(fbrrt_solve(SolverConfig(**fields)).to_json().encode()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_size_report_matches_golden_hash(name):
+    config, digest = SHIPPED[name]
+    if isinstance(config, list):
+        config = apply_overrides(parse_config_file(DI_CONFIG), config)
+    assert sha256(fbrrt_solve(config).to_json().encode()) == digest
 
 
 @pytest.mark.parametrize("mode", sorted(RUN_FILES))

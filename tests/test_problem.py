@@ -27,6 +27,20 @@ def test_time_grid_partition():
     assert grid.times[-1] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("horizon, steps", [(1e5, 97), (3.0, 30), (1.5, 30), (1e-9, 7), (0.1, 3), (7e12, 1_000_003)])
+def test_time_grid_from_horizon_accepts_every_valid_grid(horizon, steps):
+    # a relative bound: an absolute 1e-12 refused 1e5 over 97 steps
+    grid = TimeGrid.from_horizon(horizon, steps)
+    assert grid.steps == steps and grid.horizon == pytest.approx(horizon, rel=1e-15)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_time_grid_from_horizon_refuses_a_nonfinite_horizon(horizon):
+    # a ValueError, not an assert that `python -O` drops
+    with pytest.raises(ValueError, match="not the horizon"):
+        TimeGrid.from_horizon(horizon, 10)
+
+
 def test_time_grid_rejects_bad_args():
     with pytest.raises(ValueError):
         TimeGrid(dt=-0.1, steps=10)

@@ -262,7 +262,7 @@ def test_solve_deterministic_json(mode):
     a = fbrrt_solve(cfg).to_json()
     b = fbrrt_solve(cfg).to_json()
     assert a == b
-    assert "wall_time" not in a
+    assert "wall_time" not in a and "phase_times" not in a and "final_csv_wait" not in a
 
 
 def test_solve_wall_time_covers_prune(monkeypatch):
@@ -277,6 +277,38 @@ def test_solve_wall_time_covers_prune(monkeypatch):
     cfg = SolverConfig(problem="heat", steps=4, M=8, iterations=2, rollout_count=8, seed=0)
     report = fbrrt_solve(cfg)
     assert report.iterations[0].wall_time >= 0.2
+
+
+@pytest.mark.parametrize("mode", ["fbrrt", "parallel-baseline"])
+def test_timings_sidecar_holds_each_iterations_phase_times(mode, tmp_path):
+    cfg = SolverConfig(
+        problem="double_integrator", steps=5, M=16, iterations=3, rollout_count=8, seed=2, mode=mode,
+        lambda_search=True, out_dir=str(tmp_path), run_id="t",
+    )
+    report = fbrrt_solve(cfg)
+    timings = json.loads((tmp_path / "t" / "timings.json").read_text())
+    assert set(timings) == {"wall_times", "phase_times", "final_csv_wait"}
+    assert len(timings["phase_times"]) == len(timings["wall_times"]) == 3
+    for phases, wall_time in zip(timings["phase_times"], timings["wall_times"]):
+        assert list(phases) == ["forward", "backward", "rollout", "csv_wait", "csv_fork", "prune"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= wall_time  # consecutive phases inside the iteration
+    assert timings["final_csv_wait"] >= 0.0
+    assert [s.phase_times for s in report.iterations] == timings["phase_times"]
+
+
+def test_phase_times_name_the_slow_phase(monkeypatch):
+    prune = BranchTree.prune
+
+    def slow_prune(tree, *args, **kwargs):
+        time.sleep(0.2)
+        return prune(tree, *args, **kwargs)
+
+    monkeypatch.setattr(BranchTree, "prune", slow_prune)
+    report = fbrrt_solve(SolverConfig(problem="heat", steps=4, M=8, iterations=2, rollout_count=8, seed=0))
+    first, last = (s.phase_times for s in report.iterations)
+    assert first["prune"] >= 0.2 > max(first["forward"], first["backward"], first["rollout"])
+    assert last["prune"] < 0.2  # the last iteration does not prune
 
 
 TINY = dict(problem="heat", steps=3, M=4, iterations=2, rollout_count=4, seed=0)
