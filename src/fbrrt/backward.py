@@ -64,28 +64,32 @@ class BackwardPassError(RuntimeError):
 
 
 def _drifts_and_costs(problem: ControlProblem, t, X: np.ndarray, controls: np.ndarray):
-    """The running costs and drifts of B states at time t under C controls,
-    from one call each on the grid x (B, 1, n) by u (1, C, m), as the
-    problem returns them: they broadcast to (B, C) and (B, C, n), and may
-    keep a size-1 axis in place of B or C (see the vectorization convention
-    of `fbrrt.problem`)."""
+    """(B, C) running costs and (B, C, n) drifts of B states at time t under
+    C controls, from one call each on the grid x (B, 1, n) by u (1, C, m)
+    (see the vectorization convention of `fbrrt.problem`)."""
     Xg, Ug = X[:, None, :], controls[None, :, :]
-    return np.asarray(problem.running_cost(t, Xg, Ug)), np.asarray(problem.drift(t, Xg, Ug))
+    B, C = len(X), len(controls)
+    return _full(problem.running_cost(t, Xg, Ug), (B, C)), _full(problem.drift(t, Xg, Ug), (B, C, X.shape[1]))
+
+
+def _full(values, shape: tuple) -> np.ndarray:
+    """`values` copied out to `shape` (cheaper than np.broadcast_to, and contiguous)."""
+    if np.shape(values) == shape:
+        return values
+    out = np.empty(shape)
+    out[...] = values
+    return out
 
 
 def _policy_scores(ells: np.ndarray, F: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The scores l + f' grad on a state x control grid of running costs
-    `ells` (B, C) and drifts `F` (B, C, n), either of which may keep a
-    size-1 axis in place of B or C: (B, C) for gradients `grad` (B, n), or
-    (L, B, C) for an (L, B, n) stack of them scored on the same grid."""
+    `ells` (B, C) and drifts `F` (B, C, n): (B, C) for gradients `grad`
+    (B, n), or (L, B, C) for an (L, B, n) stack of them on the same grid."""
     # one state dimension at a time; for n < 8 this rounds exactly like np.sum
     scores = F[..., 0] * grad[..., None, 0]
     for k in range(1, F.shape[2]):
         scores += F[..., k] * grad[..., None, k]
-    # addition commutes: this rounds as ells + (f' grad)
-    if scores.shape[-1] < ells.shape[-1]:  # drifts that do not read the control
-        return scores + ells
-    scores += ells
+    scores += ells  # addition commutes: this rounds as ells + (f' grad)
     return scores
 
 
@@ -111,23 +115,6 @@ def _check_finite(ells: np.ndarray, F: np.ndarray) -> None:
         raise ValueError("drift must be finite")
     if not np.isfinite(ells).all():
         raise ValueError("running cost must be finite")
-
-
-def _grid_rows(values: np.ndarray, rows: slice) -> np.ndarray:
-    """The grid rows `rows` of a result of `_drifts_and_costs`: `values`
-    itself where it keeps a size-1 axis in place of the states."""
-    return values[rows] if len(values) > 1 else values
-
-
-def _at_choice(values: np.ndarray, rows, choice: np.ndarray) -> np.ndarray:
-    """Each scored row's entry at its `choice` of the grid that `values`,
-    a result of `_drifts_and_costs`, stands for.  `rows` holds each scored
-    row's grid row, or is None when row k is grid row k."""
-    G, C = values.shape[:2]
-    index = choice if C > 1 else np.zeros_like(choice)
-    if G > 1:
-        index = index + (np.arange(0, G * C, C) if rows is None else rows * C)
-    return values.reshape(G * C, *values.shape[2:]).take(index, axis=0)
 
 
 def _own_rows(X: np.ndarray, blocks: int):
@@ -176,16 +163,17 @@ def _candidate_scores(problem: ControlProblem, t, X: np.ndarray, cands: np.ndarr
         if scores.ndim > 2 or not np.isfinite(scores).all():
             _check_finite(ells, F)
         choice = _best_candidates(scores, ells)
-        return choice, cands, _at_choice(ells, None, choice), _at_choice(F, None, choice)
-    B = len(X) // blocks
-    ells, F = _drifts_and_costs(problem, t, np.concatenate([X[:B], X[own]]), cands)
-    _check_finite(ells, F)  # the stacked scores are larger than the grid
-    head_ells, head_F, own_ells, own_F = (_grid_rows(a, g) for g in (slice(B), slice(B, None)) for a in (ells, F))
-    choice = _best_candidates(_policy_scores(head_ells, head_F, grad.reshape(blocks, B, -1)), head_ells).reshape(-1)
-    choice[own] = _best_candidates(_policy_scores(own_ells, own_F, grad[own]), own_ells)
-    rows = np.tile(np.arange(B), blocks)  # each row's grid row
-    rows[own] = np.arange(B, B + len(own))
-    return choice, cands, _at_choice(ells, rows, choice), _at_choice(F, rows, choice)
+        starts = np.arange(0, ells.size, len(cands))  # each grid row's first entry, flattened
+    else:
+        B = len(X) // blocks
+        ells, F = _drifts_and_costs(problem, t, np.concatenate([X[:B], X[own]]), cands)
+        _check_finite(ells, F)  # the stacked scores are larger than the grid
+        choice = _best_candidates(_policy_scores(ells[:B], F[:B], grad.reshape(blocks, B, -1)), ells[:B]).reshape(-1)
+        choice[own] = _best_candidates(_policy_scores(ells[B:], F[B:], grad[own]), ells[B:])
+        starts = np.tile(np.arange(0, B * len(cands), len(cands)), blocks)  # each row's grid row, flattened
+        starts[own] = np.arange(B * len(cands), ells.size, len(cands))
+    chosen = choice + starts  # each choice's entry of the flattened grid
+    return choice, cands, ells.take(chosen), F.reshape(-1, F.shape[2]).take(chosen, axis=0)
 
 
 def softmin_weights(rho: np.ndarray, lam) -> np.ndarray:

@@ -255,10 +255,10 @@ class BranchTree:
         tau += np.maximum.accumulate(magnitude @ squares).take(widths - 1)  # the largest |x_j|^2 in each prefix
         tau *= 4 * (n + 3) * _EPS
         gap = np.empty(len(widths))
-        starts = range(0, len(widths), 64)  # (64, width) temporaries
-        if len(widths) <= 64:
+        if len(widths) <= 64:  # one chunk, bounded by the validation's extremes
             chunks = [(0, widest, narrowest)]
         else:
+            starts = range(0, len(widths), 64)  # (64, width) temporaries
             chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
         if narrowest < widest:
             # column indices and widths as int32: a broadcast int32 comparison takes half the time of an intp one

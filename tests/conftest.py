@@ -64,14 +64,6 @@ def policy_problems():
     }
 
 
-def full_grid(problem, t, X, controls):
-    """The running costs and drifts of `_drifts_and_costs`, broadcast to
-    the whole (B, C) and (B, C, n) grids (read-only views)."""
-    ells, F = _drifts_and_costs(problem, t, X, controls)
-    shape = (len(X), len(controls))
-    return np.broadcast_to(ells, shape), np.broadcast_to(F, shape + (X.shape[1],))
-
-
 def best_candidates(ells, F, grad):
     """The kernel's pick on a grid: `_best_candidates` of `_policy_scores`."""
     return _best_candidates(_policy_scores(ells, F, grad), ells)
@@ -83,7 +75,7 @@ def policy_grid(problem, t, X, alpha_next, lower, upper):
     argument and gathered the chosen rows: (choice, cands, ells, F) with
     the (B, C) running costs and the (B, C, n) drifts, unchecked."""
     cands = problem.control_candidates
-    ells, F = full_grid(problem, t, X, cands)
+    ells, F = _drifts_and_costs(problem, t, X, cands)
     return best_candidates(ells, F, value_grad(X, alpha_next, lower, upper)), cands, ells, F
 
 

@@ -15,6 +15,7 @@ from fbrrt.backward import (
     _layer_edge_arrays,
     _matvecs,
     _own_rows,
+    _policy_scores,
     _stacked_softmin_weights,
     _Targets,
     backward_pass,
@@ -41,7 +42,6 @@ from fbrrt.tree import BranchTree
 
 from conftest import (
     best_candidates,
-    full_grid,
     nan_under_plus_one,
     policy_grid,
     policy_problems,
@@ -171,7 +171,7 @@ def test_candidate_scores_gather_the_chosen_grid_entries(name, L):
     X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
     grad = rng.normal(size=(40, p.state_dim) if L is None else (L, 40, p.state_dim))
     choice, cands, ells, F = _candidate_scores(p, 0.3, X, p.control_candidates, grad)
-    grid_ells, grid_F = full_grid(p, 0.3, X, p.control_candidates)
+    grid_ells, grid_F = _drifts_and_costs(p, 0.3, X, p.control_candidates)
     k = np.arange(len(X))
     assert same_bits(choice, best_candidates(grid_ells, grid_F, grad))
     assert cands is p.control_candidates
@@ -190,6 +190,21 @@ def test_candidate_scores_refuse_a_nonfinite_drift_first():
         _candidate_scores(cost, 0.0, X, cost.control_candidates, grad)
 
 
+def test_candidate_scores_check_the_grid_wherever_a_score_is_not_finite():
+    # an infinite drift under a zero gradient scores inf * 0 = NaN, and is
+    # refused; scores that overflow on a finite grid pass, as the grid does
+    p = make_double_integrator_l1()
+    X = np.array([[0.0, 1e308], [1.0, 2.0]])
+    grad = np.array([[1e308, 1e308], [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^drift must be finite$"):
+            _candidate_scores(p, 0.0, X * [1.0, np.inf], p.control_candidates, np.zeros((2, 2)))
+        choice, _, _, _ = _candidate_scores(p, 0.0, X, p.control_candidates, grad)
+        ells, F = _drifts_and_costs(p, 0.0, X, p.control_candidates)
+        assert not np.isfinite(_policy_scores(ells, F, grad)).all()
+        assert same_bits(choice, best_candidates(ells, F, grad))
+
+
 @pytest.mark.parametrize("name", list(policy_problems()))
 def test_stacked_best_candidates_match_one_gradient_at_a_time(name):
     # an (L, B, n) gradient stack on the shared grid picks, row for row,
@@ -197,7 +212,7 @@ def test_stacked_best_candidates_match_one_gradient_at_a_time(name):
     p = policy_problems()[name]
     rng = np.random.default_rng(7)
     X = rng.uniform(p.roi_lower - 0.5, p.roi_upper + 0.5, size=(40, p.state_dim))
-    ells, F = full_grid(p, 0.3, X, np.asarray(p.control_candidates))
+    ells, F = _drifts_and_costs(p, 0.3, X, np.asarray(p.control_candidates))
     grads = np.array([value_grad(X, alpha, p.roi_lower, p.roi_upper) for alpha in random_alphas(p, rng)])
     stacked = best_candidates(ells, F, grads)
     assert stacked.shape == (len(grads), len(X))
@@ -255,56 +270,22 @@ def test_best_candidates_match_the_reference(seed):
 
 
 def drifts_and_costs_reference(problem, t, X, controls):
-    """The policy grids evaluated pair by pair: (B, C) running costs and
-    (B, C, n) drifts."""
-    ells = np.array([[problem.running_cost(t, x, u) for u in controls] for x in X], dtype=float)
-    F = np.array([[problem.drift(t, x, u) for u in controls] for x in X], dtype=float)
-    return ells, F
+    """`_drifts_and_costs` broadcasting both grids whatever their shape."""
+    Xg, Ug = X[:, None, :], controls[None, :, :]
+    shape = (X.shape[0], len(controls))
+    return np.broadcast_to(problem.running_cost(t, Xg, Ug), shape), np.broadcast_to(
+        problem.drift(t, Xg, Ug), shape + (X.shape[1],)
+    )
 
 
 @pytest.mark.parametrize("name", list(policy_problems()))
 def test_drifts_and_costs_round_like_broadcast_grids(name):
-    # the raw results keep at most size-1 axes in place of B or C, and
-    # broadcast to the grids of every pair evaluated alone
     p = policy_problems()[name]
     X = p.sample_roi(np.random.default_rng(3), size=33)
     for controls in (p.control_candidates, p.random_controls):
         controls = np.asarray(controls, dtype=float)
-        raw = _drifts_and_costs(p, 0.3, X, controls)
-        for got, want in zip(raw, drifts_and_costs_reference(p, 0.3, X, controls)):
-            assert got.ndim == want.ndim and all(g in (1, w) for g, w in zip(got.shape, want.shape))
-            assert np.array_equal(np.broadcast_to(got, want.shape), want)
-
-
-def size_one_axes_problem():
-    """A 1-D problem whose drift does not read the state, (1, C, 1) on the
-    grid, and whose running cost does not read the control, (B, 1)."""
-    controls = np.array([[-1.0], [0.5], [2.0]])
-    return dataclasses.replace(
-        scalar_problem(),
-        drift=lambda t, x, u: np.asarray(u, dtype=float) * 1.5,
-        running_cost=lambda t, x, u: np.asarray(x, dtype=float)[..., 0] ** 2,
-        control_candidates=controls,
-        random_controls=controls,
-    )
-
-
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_candidate_scores_read_results_with_size_one_axes(blocks):
-    # a result with a size-1 axis is scored and gathered as its broadcast grid
-    p = size_one_axes_problem()
-    rng = np.random.default_rng(4)
-    X = rng.uniform(-1.0, 1.0, size=(12, 1))
-    X[6:9] = X[:3]  # block 1 shares three of block 0's rows
-    grad = rng.normal(size=(12, 1))
-    ells_raw, F_raw = _drifts_and_costs(p, 0.0, X, p.control_candidates)
-    assert ells_raw.shape == (12, 1) and F_raw.shape == (1, 3, 1)
-    choice, _, ells, F = _candidate_scores(p, 0.0, X, p.control_candidates, grad, blocks)
-    grid_ells, grid_F = full_grid(p, 0.0, X, p.control_candidates)
-    k = np.arange(len(X))
-    assert same_bits(choice, best_candidates(grid_ells, grid_F, grad))
-    assert same_bits(ells, grid_ells[k, choice])
-    assert same_bits(F, grid_F[k, choice])
+        for got, want in zip(_drifts_and_costs(p, 0.3, X, controls), drifts_and_costs_reference(p, 0.3, X, controls)):
+            assert same_bits(got, want)
 
 
 def best_candidates_gather_reference(ells, F, grad):
@@ -710,7 +691,7 @@ def regress_later_targets(problem, dt, i, X_prev, alpha_next, lower, upper):
     target policy's drift and running cost off the candidate grid of each
     parent state, and the value at the mean next state plus the noise's
     shift of the feature means."""
-    ells, F = full_grid(problem, i * dt, X_prev, np.asarray(problem.control_candidates))
+    ells, F = _drifts_and_costs(problem, i * dt, X_prev, np.asarray(problem.control_candidates))
     choice = best_candidates(ells, F, value_grad(X_prev, alpha_next, lower, upper))
     k = np.arange(len(X_prev))
     shift = noise_feature_shift(problem.sigma @ problem.sigma.T * dt, lower, upper)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fbrrt.backward import _drifts_and_costs
 from fbrrt.basis import ValueCoefficients, feature_count, quadratic_to_coefficients
 from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseline, sampling_step
 from fbrrt.problem import (
@@ -16,7 +17,6 @@ from fbrrt.tree import BranchTree, default_metric_weights
 
 from conftest import (
     correlated_noise_lq_problem,
-    full_grid,
     nan_exploration_cost_problem,
     nan_under_plus_one,
     policy_grid,
@@ -382,7 +382,7 @@ def sampling_step_reference(problem, grid, i, X, pick, coeffs, noise):
             choice, cands, grid_ells, F = policy_grid(problem, t, X[rows], coeffs.alphas[i], coeffs.lower, coeffs.upper)
         else:
             cands, choice = np.asarray(problem.random_controls, dtype=float), pick[rows]
-            grid_ells, F = full_grid(problem, t, X[rows], cands)
+            grid_ells, F = _drifts_and_costs(problem, t, X[rows], cands)
         k = np.arange(len(rows))
         controls[rows], K[rows], ells[rows] = cands[choice], F[k, choice], grid_ells[k, choice]
     return controls, K, ells, X + K * grid.dt + problem.apply_diffusion(noise)
