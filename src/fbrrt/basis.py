@@ -116,6 +116,9 @@ class FeatureBox:
         list them; all n entries are worked out at once, a round of cross
         terms at a time (`_cross_rounds`)."""
         n, scale = self.n, self._scale_rows
+        # z of (..., n) states transposed is strided along its last axis, and numpy would
+        # loop over the short dimension axis innermost: one copy makes every row contiguous
+        z = np.ascontiguousarray(z)
         grad = alpha[1 + n : 1 + 2 * n] * 4.0 * z
         grad += alpha[1 : 1 + n]  # addition commutes: this rounds as alpha_{1+k} + 4 alpha z
         if scale.ndim < grad.ndim:  # an (n,) box: its scale is one value per dimension

@@ -107,11 +107,15 @@ class ControlProblem:
 
     def apply_diffusion(self, W: np.ndarray) -> np.ndarray:
         """sigma w for every row w of W (..., n), summed one state dimension
-        at a time so a row rounds alike alone and in any batch (BLAS does not)."""
-        out = W[..., :1] * self.sigma[:, 0]
-        for k in range(1, W.shape[-1]):
-            out += W[..., k : k + 1] * self.sigma[:, k]
-        return out
+        at a time so a row rounds alike alone and in any batch (BLAS does not).
+        The sums run dimension-first, (n, ...), so that each product runs
+        along the rows, and the result is a view of them as (..., n)."""
+        W = W.transpose(-1, *range(W.ndim - 1))
+        columns = self.sigma.T.reshape(self.sigma.shape + (1,) * (W.ndim - 1))  # columns[k]: sigma[:, k] (n, 1, ...)
+        out = columns[0] * W[0]
+        for k in range(1, len(W)):
+            out += columns[k] * W[k]
+        return out.transpose(*range(1, out.ndim), 0)
 
     @property
     def roi_widths(self) -> np.ndarray:
