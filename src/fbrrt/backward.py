@@ -20,14 +20,15 @@ weighted ridge least squares.
 Several temperatures lambda are fit in lockstep, one being the case L = 1
 of the same code.  What no layer changes is worked out once per pass (the
 feature box, the candidate controls, the noise shift c), and each layer
-step scores the policy and targets of the live lambdas' alpha_{i+1} in
-one pass over their (L, p) stack; with two or more rows, each distinct
-parent is scored once and its mean-state features are gathered to the
-edges.  The fits run on (L, B) stacks too: softmin weights, an
-(L, B + p, p) sqrt-weighted design with its ridge rows, and the residual
-norms and effective sample sizes; only the lstsq solve and its rank check
-run per lambda, and every lambda rounds as it does alone.  The lambda
-search rolls every fitted policy out in one stacked loop on shared noise
+step scores the policy and targets of every lambda's alpha_{i+1} in one
+pass over their (L, p) stack, which keeps its L rows from the terminal
+fit to the root edges; with two or more rows, each distinct parent is
+scored once and its mean-state features are gathered to the edges.  The
+fits run on (L, B) stacks too: softmin weights, an (L, B + p, p)
+sqrt-weighted design with its ridge rows, and the residual norms and
+effective sample sizes; only the lstsq solve and its rank check run per
+lambda, and every lambda rounds as it does alone.  The lambda search
+rolls every fitted policy out in one stacked loop on shared noise
 (`rollout_policies`), evaluating each step's drift and cost grid once per
 distinct chain state.
 """
@@ -284,32 +285,14 @@ class BackwardArtifacts:
         return float(np.mean(self.initial_value_samples))
 
 
-def _stacked_softmin_weights(rho: np.ndarray, lams: np.ndarray):
-    """(weights, errors): row l of the (L, B) weights is
-    softmin_weights(rho[l], lams[l, 0]) of the (L, 1) column `lams` and
-    errors[l] None, or, where that raises, ones (which keep the residuals
-    and ESS of the stack finite) and its ValueError."""
-    try:
-        return softmin_weights(rho, lams), [None] * len(lams)
-    except ValueError:
-        pass
-    weights, errors = np.ones_like(rho), [None] * len(lams)
-    for l, lam in enumerate(lams[:, 0]):
-        try:
-            weights[l] = softmin_weights(rho[l], lam)
-        except ValueError as exc:
-            errors[l] = exc
-    return weights, errors
-
-
-def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float):
+def _weighted_fits(layer: int, phi, targets, weights, ridge: float):
     """Fit row l of the (L, B) stacks `targets` and `weights` on the shared
     features `phi`, as weighted_least_squares(phi, targets[l], weights[l],
-    ridge) does, unless errors[l] already stops it; the weights of the
-    other rows are nonnegative with a positive entry.  Returns the (L, p)
-    coefficients, the (L,) weighted residual norms and effective sample
-    sizes, and the errors, where a failed solve adds a BackwardPassError
-    naming `layer`.  Rows with an error hold junk.
+    ridge) does; the weights are nonnegative with a positive entry in each
+    row.  Returns the (L, p) coefficients, the (L,) weighted residual norms
+    and effective sample sizes, and per row None or, where the solve
+    failed, a BackwardPassError naming `layer`; a failed row's
+    coefficients are zero.
 
     The design, the residuals and the reductions run once on the stacks;
     only the lstsq solve and its rank check run per row.  Every row rounds
@@ -318,13 +301,12 @@ def _weighted_fits(layer: int, phi, targets, weights, errors: list, ridge: float
     vector."""
     A, b = weighted_design(phi, targets, weights, ridge)
     alphas = np.zeros((len(targets), phi.shape[1]))
-    errors = list(errors)
-    for l, error in enumerate(errors):
-        if error is None:
-            try:
-                alphas[l] = solve_weighted_design(A[l], b[l], ridge)
-            except (SingularRegressionError, np.linalg.LinAlgError) as exc:
-                errors[l] = BackwardPassError(str(exc), layer=layer)
+    errors = [None] * len(targets)
+    for l in range(len(targets)):
+        try:
+            alphas[l] = solve_weighted_design(A[l], b[l], ridge)
+        except (SingularRegressionError, np.linalg.LinAlgError) as exc:
+            errors[l] = BackwardPassError(str(exc), layer=layer)
     # in place, as weights * resid**2 and weights**2 round (an array's ** 2 rounds as x * x),
     # and summed by np.add.reduce, which ndarray.sum calls
     resid = targets - _matvecs(phi, alphas)
@@ -346,10 +328,18 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     `lam` is one lambda, and then the result is one BackwardArtifacts (a
     failed fit raises BackwardPassError), or a sequence of lambdas, fit in
     lockstep: the result is then a list in the order given, holding per
-    lambda its BackwardArtifacts or the BackwardPassError that stopped it.
-    Each entry equals what a pass with that lambda alone gives.  A
-    ValueError (a bad lambda or ridge, non-finite scores or coefficients)
-    raises either way, the first in lambda order.
+    lambda its BackwardArtifacts or the first BackwardPassError of its
+    fits.  Each entry equals what a pass with that lambda alone gives.
+
+    A non-positive or NaN lambda, or a bad ridge, raises ValueError before
+    any fit; an infinite lambda weights uniformly.  The lambdas stay one
+    fixed (L, ...) stack to the root edges: a lambda whose fit fails rides
+    along on zero coefficients, whose heuristic is the finite run cost,
+    and the pass stops once every lambda has failed.  Non-finite heuristic
+    scores raise ValueError at the layer where they appear, and non-finite
+    coefficients of a finished fit raise it for the first such lambda in
+    lambda order; so when one lambda's coefficients come out non-finite
+    and a later lambda's scores do, the scores' error is the one raised.
     """
     single = np.ndim(lam) == 0
     problem, grid = tree.problem, tree.grid
@@ -358,6 +348,9 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         ridge = 1e-8 * tree.layer_size(N)
     check_ridge(ridge)
     lams = [float(value) for value in np.atleast_1d(lam)]
+    lam_col = np.array(lams)[:, None]
+    if not (lam_col > 0).all():  # also refuses NaN
+        raise ValueError("lambda must be positive")
     L = len(lams)
     box = FeatureBox(problem.roi_lower, problem.roi_upper)
     targets = _Targets(problem, grid.dt, box)
@@ -368,20 +361,17 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
     X = tree.layer_states(N)
     phi_next = box.features(X)
     y_N = np.asarray(problem.terminal_cost(X), dtype=float)
-    terminal = _weighted_fits(N, phi_next, y_N[None], np.ones((1, len(y_N))), [None], ridge)
+    terminal = _weighted_fits(N, phi_next, y_N[None], np.ones((1, len(y_N))), ridge)
     (alpha_N,), (residual_N,), (ess_N,), (error,) = terminal
     alphas[:, N - 1], residuals[:, N - 1], ess[:, N - 1], errors = alpha_N, residual_N, ess_N, [error] * L
-    # the live lambdas' rows of the stacks, and their (L, 1) lambda column
-    live = [] if error is not None else list(range(L))
-    rows, lam_col = slice(None), np.array(lams)[:, None]
 
     # layers N-1..1 fit alpha_i; the root edges (i = 0) give the layer-1
     # heuristic (for pruning) and the initial-value estimator
     for i in range(N - 1, -1, -1):
-        if not live:
+        if all(errors):
             break
         # every lambda holds the terminal fit at layer N-1: one row scores them all
-        A = alphas[:1, i] if i == N - 1 else alphas[rows, i]
+        A = alphas[:1, i] if i == N - 1 else alphas[:, i]
         X, parents, run_costs = _layer_edge_arrays(tree, i + 1)
         phi_rows = box.feature_rows(X)  # feature-major: rows 1..n are the box coordinates z
         # scoring only the distinct parents pays for finding them with two or
@@ -392,46 +382,47 @@ def backward_pass(tree: BranchTree, lam, ridge: Optional[float] = None):
         try:
             y_hats = targets(i, X[positions], z_prev, A, inverse)
         except BackwardPassError as exc:
-            errors = [exc if l in live else error for l, error in enumerate(errors)]
+            errors = [error or exc for error in errors]
             break
         y_nexts = _matvecs(phi_next, A)
-        if len(A) < len(live):
-            y_hats, y_nexts = y_hats[[0] * len(live)], y_nexts[[0] * len(live)]
-        rho_live = path_heuristic(run_costs, y_nexts)
+        if len(A) < L:
+            y_hats, y_nexts = y_hats[[0] * L], y_nexts[[0] * L]
+        rho_stack = path_heuristic(run_costs, y_nexts)
         # with several lambdas each keeps a copy of its row: a view would keep
         # the rows of every lambda alive along with the one the search keeps
-        for l, rho_l in zip(live, rho_live):
-            rho[l][i + 1] = rho_l if len(live) == 1 else rho_l.copy()
+        for l, rho_l in enumerate(rho_stack):
+            rho[l][i + 1] = rho_l if L == 1 else rho_l.copy()
         if i == 0:
-            for l, y_hat in zip(live, y_hats):
-                initial[l] = y_hat if len(live) == 1 else y_hat.copy()
+            for l, y_hat in enumerate(y_hats):
+                initial[l] = y_hat if L == 1 else y_hat.copy()
             break
         phi_next = phi_rows.T.copy()
-        weights, fit_errors = _stacked_softmin_weights(rho_live, lam_col)
-        fit = _weighted_fits(i, phi_next[parents], y_hats, weights, fit_errors, ridge)
-        alphas[rows, i - 1], residuals[rows, i - 1], ess[rows, i - 1], fit_errors = fit
-        if any(error is not None for error in fit_errors):
-            for l, error in zip(live, fit_errors):
-                errors[l] = error
-            live = [l for l in live if errors[l] is None]
-            rows, lam_col = live, lam_col[[error is None for error in fit_errors]]
+        fit = _weighted_fits(i, phi_next[parents], y_hats, softmin_weights(rho_stack, lam_col), ridge)
+        alphas[:, i - 1], residuals[:, i - 1], ess[:, i - 1], fit_errors = fit
+        errors = [error or fit_error for error, fit_error in zip(errors, fit_errors)]
+        if any(errors):  # a lambda keeps its first error and rides along on zero coefficients
+            alphas[[error is not None for error in errors], i - 1] = 0.0
 
-    results = list(errors)
-    for l in (l for l, error in enumerate(errors) if error is None):
-        try:
-            coeffs = ValueCoefficients(alphas=alphas[l], lower=box.lower, upper=box.upper)
-        except ValueError as exc:
-            results[l] = exc
-        else:
-            results[l] = BackwardArtifacts(coeffs, lams[l], rho[l], residuals[l], ess[l], initial[l])
-    raised = [r for r in results if isinstance(r, ValueError) or (single and isinstance(r, Exception))]
-    if raised:
-        raise raised[0]
+    if single and errors[0]:
+        raise errors[0]
+    # a lambda's non-finite coefficients raise ValueError, the first in lambda order
+    results = [
+        error
+        or BackwardArtifacts(
+            ValueCoefficients(alphas=alphas[l], lower=box.lower, upper=box.upper),
+            lams[l], rho[l], residuals[l], ess[l], initial[l],
+        )
+        for l, error in enumerate(errors)
+    ]
     return results[0] if single else results
 
 
-def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)) -> np.ndarray:
-    """Candidate lambdas scaled by the spread of terminal path scores.
+LAMBDA_MULTIPLIERS = (0.1, 0.3, 1.0, 3.0, 10.0)
+
+
+def default_lambda_grid(tree: BranchTree) -> np.ndarray:
+    """Candidate lambdas: `LAMBDA_MULTIPLIERS` scaled by the spread of
+    terminal path scores.
 
     Uses run_cost + g(x_N) as a value-free stand-in for the heuristic, whose
     interquartile range sets the problem-dependent scale.
@@ -443,7 +434,7 @@ def default_lambda_grid(tree: BranchTree, multipliers=(0.1, 0.3, 1.0, 3.0, 10.0)
     scale = q75 - q25
     if scale <= 0:
         scale = max(1.0, float(np.abs(proxy).mean()))
-    return np.asarray(multipliers) * scale
+    return np.asarray(LAMBDA_MULTIPLIERS) * scale
 
 
 @dataclass

@@ -115,6 +115,10 @@ def _cmd_compare(args) -> int:
     problem = config_a.build_problem()
     state_rng = np.random.default_rng(args.seed)
     states = problem.sample_roi(state_rng, size=args.states)
+    # one untimed solve of each config first: a fresh process's first solve
+    # pays one-off start-up costs, which would land in the first timed run
+    for cfg in (config_a, config_b):
+        fbrrt_solve(apply_overrides(cfg, ["iterations=1", "out_dir=none"]))
     runs_a: dict = {}
     runs_b: dict = {}
     for s_idx, x0 in enumerate(states):
@@ -161,8 +165,10 @@ def _cmd_oracle(args) -> int:
     def riccati_self_test():
         grid = TimeGrid(dt=1.0, steps=1)
         sol = riccati_oracle(A=np.zeros((1, 1)), B=np.eye(1), Qr=np.zeros((1, 1)), R=np.eye(1), Qf=np.eye(1), sigma=np.zeros((1, 1)), grid=grid)
-        assert abs(sol.P[0][0, 0] - 0.5) < 1e-12, sol.P[0]
-        assert np.all(sol.c == 0.0)
+        if not abs(sol.P[0][0, 0] - 0.5) < 1e-12:
+            raise AssertionError(f"P_0 must be 0.5, got {sol.P[0]}")
+        if not np.all(sol.c == 0.0):
+            raise AssertionError(f"c must be 0 without noise, got {sol.c}")
 
     check("riccati one-step, zero noise", riccati_self_test)
 
@@ -173,7 +179,8 @@ def _cmd_oracle(args) -> int:
         g = q * x_T**2
         mc, se = g.mean(), g.std() / np.sqrt(g.size)
         exact = heat_value_at([[q]], 0.0, [[sigma]], T, 0.0, [x0])
-        assert abs(mc - exact) < 3 * se, (mc, exact, se)
+        if not abs(mc - exact) < 3 * se:
+            raise AssertionError(f"Monte Carlo mean {mc} must lie within 3 SE ({se}) of the value {exact}")
 
     check("heat-semigroup value vs Monte Carlo", heat_mc_test)
     print("oracle checks " + ("FAILED" if failures else "passed"))

@@ -43,8 +43,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:  # also refuses NaN
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -54,10 +54,10 @@ class TimeGrid:
         steps * dt gives the horizon back within rounding (a relative 4 eps:
         the division and the product round once each), which also refuses a
         non-finite horizon."""
-        grid = cls(dt=horizon / steps, steps=steps)
-        if not abs(grid.horizon - horizon) <= 4 * np.finfo(float).eps * abs(horizon):
-            raise ValueError(f"{steps} steps of dt = {grid.dt} span {grid.horizon}, not the horizon {horizon}")
-        return grid
+        dt = horizon / steps
+        if not abs(dt * steps - horizon) <= 4 * np.finfo(float).eps * abs(horizon):
+            raise ValueError(f"{steps} steps of dt = {dt} span {dt * steps}, not the horizon {horizon}")
+        return cls(dt=dt, steps=steps)
 
     @property
     def horizon(self) -> float:
@@ -87,8 +87,8 @@ class ControlProblem:
     def __post_init__(self):
         if self.state_dim < 1 or self.control_dim < 1:
             raise ValueError("state_dim and control_dim must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:  # also refuses NaN
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         if self.sigma.shape != (self.state_dim, self.state_dim):
             raise ValueError("sigma must have shape (state_dim, state_dim)")
@@ -129,17 +129,22 @@ def validate_problem(problem: ControlProblem, rng: np.random.Generator, samples:
     """Spot-check problem invariants on random (t, x, u) samples from roi x [0,T],
     and that sigma is finite.
 
-    Raises AssertionError on violation; used by the test suite and the
-    `oracle` CLI subcommand.
+    Raises AssertionError, naming the invariant, on violation (raised, not
+    asserted, so that `python -O` keeps the checks); used by the test suite
+    and the `oracle` CLI subcommand.
     """
     ts = rng.uniform(0.0, problem.horizon, size=samples)
     xs = problem.sample_roi(rng, size=samples)
     cand_idx = rng.integers(0, len(problem.control_candidates), size=samples)
     us = problem.control_candidates[cand_idx]
     for t, x, u in zip(ts, xs, us):
-        assert problem.running_cost(t, x, u) >= 0.0
-    assert np.all(np.isfinite(problem.sigma))
-    assert np.all(problem.terminal_cost(xs) >= 0.0)
+        cost = problem.running_cost(t, x, u)
+        if not cost >= 0.0:
+            raise AssertionError(f"running cost must be nonnegative, got {cost} at t={t}, x={x}, u={u}")
+    if not np.all(np.isfinite(problem.sigma)):
+        raise AssertionError("sigma must be finite")
+    if not np.all(problem.terminal_cost(xs) >= 0.0):
+        raise AssertionError("terminal cost must be nonnegative")
 
 
 def _bang_controls() -> np.ndarray:

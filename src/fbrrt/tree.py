@@ -62,8 +62,6 @@ class _View(Sequence):
         return self._length()
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._item(j) for j in range(*k.indices(len(self)))]
         return self._item(k)
 
 
@@ -102,8 +100,9 @@ class BranchTree:
         """Node ids of every layer, in layer order; `layers[i]` is a list."""
         return _View(lambda: len(self._size), lambda i: self._id[i, : self._size[i]].tolist())
 
-    def add_root(self, x0=None) -> int:
-        return self.add_roots(np.asarray(self.problem.initial_state if x0 is None else x0, dtype=float)[None]).start
+    def add_root(self) -> int:
+        """Append a root at the problem's initial state; returns its id."""
+        return self.add_roots(np.asarray(self.problem.initial_state, dtype=float)[None]).start
 
     def add_roots(self, states) -> range:
         """Append one root per row of `states`; returns their ids."""
@@ -255,11 +254,8 @@ class BranchTree:
         tau += np.maximum.accumulate(magnitude @ squares).take(widths - 1)  # the largest |x_j|^2 in each prefix
         tau *= 4 * (n + 3) * _EPS
         gap = np.empty(len(widths))
-        if len(widths) <= 64:  # one chunk, bounded by the validation's extremes
-            chunks = [(0, widest, narrowest)]
-        else:
-            starts = range(0, len(widths), 64)  # (64, width) temporaries
-            chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
+        starts = range(0, len(widths), 64)  # (64, width) temporaries
+        chunks = zip(starts, np.maximum.reduceat(widths, starts).tolist(), np.minimum.reduceat(widths, starts).tolist())
         if narrowest < widest:
             # column indices and widths as int32: a broadcast int32 comparison takes half the time of an intp one
             columns, limits = np.arange(widest, dtype=np.int32), widths.astype(np.int32)

@@ -16,7 +16,6 @@ from fbrrt.backward import (
     _matvecs,
     _own_rows,
     _policy_scores,
-    _stacked_softmin_weights,
     _Targets,
     backward_pass,
     default_lambda_grid,
@@ -39,6 +38,7 @@ from fbrrt.forward import ForwardConfig, forward_expand, parallel_forward_baseli
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem, make_uncontrolled_heat
 from fbrrt.solver import rollout_policy
 from fbrrt.tree import BranchTree
+import fbrrt.backward
 
 from conftest import (
     best_candidates,
@@ -909,29 +909,51 @@ def test_lockstep_collapse_at_ridge_zero_leaves_the_other_lambdas_alone():
     assert sum(isinstance(r, BackwardArtifacts) for r in results) >= 3
 
 
-def test_stacked_softmin_weights_match_each_row():
-    # each row equals softmin_weights alone; a row that softmin_weights
-    # refuses carries that ValueError
-    rng = np.random.default_rng(17)
-    rho = rng.normal(size=(7, 40)) * 3.0
-    rho[3, 5] = np.inf
-    lams = [1.5, 1e-300, np.inf, 2.0, 0.0, -1.0, float("nan")]
-    weights, errors = _stacked_softmin_weights(rho, np.array(lams)[:, None])
-    refused = 0
-    for r, lam, w, error in zip(rho, lams, weights, errors, strict=True):
-        try:
-            want = softmin_weights(r, lam)
-        except ValueError as exc:
-            refused += 1
-            assert type(error) is ValueError and str(error) == str(exc)
-        else:
-            assert error is None and same_bits(w, want)
-    assert refused == 4
-    # with every row accepted the stack is weighted in one call, and still row by row
-    weights, errors = _stacked_softmin_weights(rho[:3], np.array(lams[:3])[:, None])
-    assert errors == [None] * 3
-    for r, lam, w in zip(rho[:3], lams[:3], weights, strict=True):
-        assert same_bits(w, softmin_weights(r, lam))
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_backward_pass_refuses_a_bad_lambda_before_any_fit(monkeypatch, bad):
+    # refused once, ahead of the terminal fit: even a one-step tree, whose
+    # pass weights no layer, refuses it
+    def no_fit(*args):
+        raise AssertionError("a fit ran before the lambdas were checked")
+
+    monkeypatch.setattr(fbrrt.backward, "solve_weighted_design", no_fit)
+    for steps in (1, 4):
+        tree = grown_tree(make_double_integrator_l1(), steps, 16, seed=13)
+        for lam in (bad, [1.0, bad]):
+            with pytest.raises(ValueError, match="^lambda must be positive$"):
+                backward_pass(tree, lam)
+
+
+def test_lockstep_infinite_lambda_weights_uniformly():
+    tree = grown_tree(make_double_integrator_l1(), 5, 24, seed=14)
+    lambdas = [np.inf, float(default_lambda_grid(tree)[2])]
+    results = backward_pass(tree, lambdas)
+    for got, lam in zip(results, lambdas, strict=True):
+        assert_same_artifacts(got, backward_pass_reference(tree, lam))
+    assert np.all(results[0].ess == 24.0)  # uniform weights: ESS is the layer width
+
+
+def test_lockstep_keeps_a_failed_lambda_on_zero_coefficients(monkeypatch):
+    # the stack keeps all L rows to the root edges: a failed lambda's rows
+    # are scored on zero coefficients, and the pass stops once all have failed
+    tree = grown_tree(make_double_integrator_l1(), 6, 32, seed=13)
+    lambdas = [float(default_lambda_grid(tree)[2]), 1e-300, 1e6]
+    scored = []
+    call = _Targets.__call__
+
+    def recording(self, i, X_prev, z_prev, alphas, inverse=None):
+        scored.append((i, alphas.copy()))
+        return call(self, i, X_prev, z_prev, alphas, inverse)
+
+    monkeypatch.setattr(_Targets, "__call__", recording)
+    results = backward_pass(tree, lambdas, ridge=0.0)
+    assert isinstance(results[1], BackwardPassError) and results[1].layer == 5
+    assert [i for i, _ in scored] == [5, 4, 3, 2, 1, 0]
+    for i, alphas in scored[1:]:
+        assert alphas.shape == (3, feature_count(2)) and not alphas[1].any()
+    scored.clear()
+    results = backward_pass(tree, [1e-300, 3e-300], ridge=0.0)
+    assert [r.layer for r in results] == [5, 5] and [i for i, _ in scored] == [5]
 
 
 def rollout_coefficients(problem, steps, kind, seed):

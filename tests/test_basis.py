@@ -212,6 +212,13 @@ def test_wls_rejects_bad_weights():
         weighted_least_squares(phi, np.ones(2), np.zeros(2), ridge=0.0)
 
 
+def test_wls_refuses_mismatched_row_counts():
+    phi = np.ones((3, 1))
+    for targets, weights in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+        with pytest.raises(ValueError, match="^row counts of features, targets, and weights must agree$"):
+            weighted_least_squares(phi, targets, weights, ridge=0.0)
+
+
 @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1e-12])
 def test_wls_rejects_a_ridge_outside_zero_to_inf(ridge):
     # a NaN ridge used to skip both the ridge rows and the ridge-0 rank check
@@ -295,6 +302,13 @@ def test_value_coefficients_rejects_nonfinite():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         ValueCoefficients(alphas=bad, lower=np.array([-1.0]), upper=np.array([1.0]))
+
+
+@pytest.mark.parametrize("alphas", [np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))])
+def test_value_coefficients_refuses_a_bad_shape(alphas):
+    # a one-dimensional box has p = 3 features
+    with pytest.raises(ValueError, match=r"^alphas must have shape \(N, p\) with p matching the box dimension$"):
+        ValueCoefficients(alphas=alphas, lower=np.array([-1.0]), upper=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,27 @@ def test_forward_expand_rejects_nonfinite_state():
     tree.add_root()
     with pytest.raises(ValueError, match="non-finite state in layer 1"):
         forward_expand(tree, None, ForwardConfig(target_width=4), np.random.default_rng(0))
+
+
+def test_forward_expand_refuses_a_tree_without_roots():
+    p = scalar_problem()
+    tree = BranchTree(p, TimeGrid.from_horizon(p.horizon, 2))
+    with pytest.raises(ValueError, match="^tree has no root layer$"):
+        forward_expand(tree, None, ForwardConfig(target_width=4), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(target_width=0), "target_width must be >= 1"),
+        (dict(target_width=4, eps_rrt=1.5), "mixing probabilities must lie in [0, 1]"),
+        (dict(target_width=4, eps_opt=-0.1), "mixing probabilities must lie in [0, 1]"),
+        (dict(target_width=4, eps_rrt=float("nan")), "mixing probabilities must lie in [0, 1]"),
+    ],
+)
+def test_forward_config_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ForwardConfig(**kwargs)
 
 
 def step_chain_by_chain(problem, grid, coeffs, config, rng):

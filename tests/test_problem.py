@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,31 @@ def test_time_grid_rejects_bad_args():
         TimeGrid(dt=-0.1, steps=10)
     with pytest.raises(ValueError):
         TimeGrid(dt=0.1, steps=0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+def test_time_grid_refuses_a_dt_outside_zero_to_inf(dt):
+    # NaN passed the old `dt <= 0` check, as every comparison lets it through
+    with pytest.raises(ValueError, match="^dt must be positive and finite, got"):
+        TimeGrid(dt=dt, steps=10)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(state_dim=0), "state_dim and control_dim must be positive"),
+        (dict(control_dim=0), "state_dim and control_dim must be positive"),
+        (dict(horizon=0.0), "horizon must be positive and finite, got 0.0"),
+        (dict(horizon=float("nan")), "horizon must be positive and finite, got nan"),
+        (dict(horizon=float("inf")), "horizon must be positive and finite, got inf"),
+        (dict(roi_lower=np.array([-3.0, -3.0])), "roi bounds must have shape (state_dim,)"),
+        (dict(roi_upper=np.array([-3.0])), "roi lower bounds must be strictly below upper bounds"),
+        (dict(initial_state=np.zeros(2)), "initial_state must have shape (state_dim,)"),
+    ],
+)
+def test_control_problem_refusals(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(make_uncontrolled_heat(), **change)
 
 
 def test_double_integrator_equilibrium_and_costs():
@@ -132,6 +162,29 @@ def test_lq_rejects_bad_shapes():
         make_lq_problem(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), -np.eye(1), np.eye(2), 0.1)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(A=np.zeros((2, 3))), "A must be square"),
+        (dict(B=np.zeros((3, 1))), "B must be (2, m)"),
+        (dict(Qr=np.eye(3)), "Qr and Qf must be n x n"),
+        (dict(Qf=np.eye(1)), "Qr and Qf must be n x n"),
+        (dict(R=np.eye(2)), "R must be m x m"),
+        (dict(R=-np.eye(1)), "R must be positive definite"),
+    ],
+)
+def test_lq_refusals_name_the_bad_matrix(change, message):
+    matrices = dict(A=np.zeros((2, 2)), B=np.zeros((2, 1)), Qr=np.eye(2), R=np.eye(1), Qf=np.eye(2), noise=0.1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_lq_problem(**{**matrices, **change})
+
+
+@pytest.mark.parametrize("kwargs", [dict(noise=0.0), dict(terminal_quadratic=-1.0)])
+def test_heat_refuses_a_nonpositive_parameter(kwargs):
+    with pytest.raises(ValueError, match="^noise and terminal_quadratic must be positive$"):
+        make_uncontrolled_heat(**kwargs)
+
+
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
 def test_packaged_problem_invariants(factory):
     problem = factory()
@@ -161,6 +214,45 @@ def test_validate_problem_checks_sigma():
     p = make_uncontrolled_heat()
     with pytest.raises(AssertionError):
         validate_problem(dataclasses.replace(p, sigma=np.array([[np.inf]])), np.random.default_rng(0), samples=10)
+
+
+def negative_cost_heat():
+    """The heat problem with a running cost of -1 everywhere."""
+    return dataclasses.replace(make_uncontrolled_heat(), running_cost=lambda t, x, u: -1.0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (negative_cost_heat, "running cost must be nonnegative, got -1.0 at t="),
+        (lambda: dataclasses.replace(make_uncontrolled_heat(), sigma=np.array([[np.inf]])), "sigma must be finite"),
+        (lambda: dataclasses.replace(make_uncontrolled_heat(), terminal_cost=lambda x: -x[..., 0] ** 2), "terminal cost must be nonnegative"),
+    ],
+)
+def test_validate_problem_names_the_broken_invariant(bad, message):
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}"):
+        validate_problem(bad(), np.random.default_rng(0), samples=10)
+
+
+def test_validate_problem_checks_under_python_optimize():
+    # raised, not asserted: `python -O` strips assert statements, and they
+    # accepted a negative running cost and an infinite sigma there
+    script = (
+        "import dataclasses, numpy as np\n"
+        "from fbrrt.problem import make_uncontrolled_heat, validate_problem\n"
+        "heat = make_uncontrolled_heat()\n"
+        "for bad in (dataclasses.replace(heat, running_cost=lambda t, x, u: -1.0),\n"
+        "            dataclasses.replace(heat, sigma=np.array([[np.inf]]))):\n"
+        "    try:\n"
+        "        validate_problem(bad, np.random.default_rng(0), samples=10)\n"
+        "    except AssertionError as exc:\n"
+        "        print('refused:', str(exc).split(',')[0])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["refused: running cost must be nonnegative", "refused: sigma must be finite"]
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])

@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -707,6 +710,19 @@ def test_apply_overrides():
         apply_overrides(cfg, ["nonsense=1"])
 
 
+def test_apply_overrides_refuses_an_item_without_equals():
+    with pytest.raises(ValueError, match="^override 'seed' is not key=value$"):
+        apply_overrides(SolverConfig(), ["seed"])
+
+
+def test_cli_run_solver_error_exits_1(capsys):
+    # lambda = 1e-300 puts all weight on one path, and without a ridge the
+    # first interior fit is singular
+    assert main(["run", "M=16", "steps=6", "iterations=1", "lam=1e-300", "ridge=0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "solver error: iteration 1: weighted design has rank 1 < 6 and ridge is zero (layer 5)\n"
+
+
 def test_cli_run_writes_report(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("problem = heat\nsteps = 4\nM = 12\niterations = 2\nrollout_count = 8\nrun_id = demo\n")
@@ -766,6 +782,15 @@ def test_cli_oracle_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_oracle_reports_a_broken_problem(monkeypatch, capsys):
+    broken = lambda: dataclasses.replace(make_uncontrolled_heat(), running_cost=lambda t, x, u: -1.0)
+    monkeypatch.setitem(fbrrt.solver.PROBLEM_FACTORIES, "broken", broken)
+    assert main(["oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL problem invariants: broken: running cost must be nonnegative, got -1.0" in out
+    assert out.count("FAIL ") == 1 and out.endswith("oracle checks FAILED\n")
+
+
 def test_cli_compare_small(tmp_path, capsys):
     cfg_text = "problem = heat\nsteps = 3\nM = 8\niterations = 2\nrollout_count = 8\n"
     a = tmp_path / "a.cfg"
@@ -799,14 +824,19 @@ def test_cli_compare_prints_medians_by_iteration(tmp_path, capsys):
             assert curve == sorted(curve, reverse=True)  # a median of running minima never rises
 
 
-def test_cli_compare_labels_same_mode_configs_apart(tmp_path, capsys):
-    # two tree configs of one mode that differ in M, in files of one name
+def same_mode_configs(tmp_path):
+    """Two tree configs of one mode that differ in M, in files of one name."""
     cfg_text = "problem = heat\nsteps = 3\niterations = 3\nrollout_count = 8\n"
     paths = []
     for folder, M in (("small", 8), ("large", 16)):
         (tmp_path / folder).mkdir()
         paths.append(tmp_path / folder / "heat.cfg")
         paths[-1].write_text(cfg_text + f"M = {M}\n")
+    return paths
+
+
+def test_cli_compare_labels_same_mode_configs_apart(tmp_path, capsys):
+    paths = same_mode_configs(tmp_path)
     out = tmp_path / "cmp.csv"
     argv = ["compare", *map(str, paths), "--states", "2", "--seeds", "2", "--out", str(out)]
     assert main(argv) == 0
@@ -817,6 +847,20 @@ def test_cli_compare_labels_same_mode_configs_apart(tmp_path, capsys):
     medians = [float(v.split("=")[-1]) for line in printed for v in line.split(":", 1)[1].split()]
     assert len(printed) == 2 * 3 and len(medians) == 2 * (2 + 2 * 3)
     assert all(np.isfinite(medians))
+
+
+def test_cli_compare_in_a_fresh_process_has_finite_medians(tmp_path):
+    # a fresh interpreter's first solve pays its start-up: timed, its first
+    # iteration outlasted the shortest run, whose total ends the last bucket
+    paths = same_mode_configs(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["compare", *map(str, paths), "--states", "2", "--seeds", "2", "--out", str(tmp_path / "cmp.csv")]
+    done = subprocess.run([sys.executable, "-m", "fbrrt.cli", *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    finals = [line for line in done.stdout.splitlines() if line.startswith(("state 0: heat", "state 1: heat"))]
+    medians = [float(v.split("=")[-1]) for line in finals for v in line.split(":", 1)[1].split()]
+    assert len(medians) == 2 * 2 and all(np.isfinite(medians))
 
 
 def test_compare_labels_are_config_stems():
