@@ -209,7 +209,8 @@ def _layer_edge_arrays(tree: BranchTree, i_next: int):
     states of layer i_next - 1 (M, n), and each edge's parent position in
     them and run cost through its child (M_next,); views of the tree's
     storage."""
-    return (tree.layer_states(i_next - 1), *tree.layer_edges(i_next))
+    layer = tree.layer(i_next)
+    return tree.layer_states(i_next - 1), layer.parents, layer.run_costs
 
 
 def _distinct_parents(parents: np.ndarray, width: int):
@@ -427,9 +428,8 @@ def default_lambda_grid(tree: BranchTree) -> np.ndarray:
     Uses run_cost + g(x_N) as a value-free stand-in for the heuristic, whose
     interquartile range sets the problem-dependent scale.
     """
-    N = tree.grid.steps
-    X_N = tree.layer_states(N)
-    proxy = tree.layer_edges(N)[1] + tree.problem.terminal_cost(X_N)
+    terminal = tree.layer(tree.grid.steps)
+    proxy = terminal.run_costs + tree.problem.terminal_cost(terminal.states)
     q75, q25 = np.percentile(proxy, [75, 25])
     scale = q75 - q25
     if scale <= 0:

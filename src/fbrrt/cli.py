@@ -3,7 +3,9 @@
 Config files are flat `key = value` text; '#' starts a comment.  Keys match
 SolverConfig fields; `problem.<name>` keys become problem factory overrides,
 e.g. `problem.fuel_weight = 0.25`.  Values are parsed as int, float, bool
-("true"/"false"), or left as strings.
+("true"/"false"), or left as strings; a `problem.<name>` value with a comma
+is a tuple of such items (`problem.initial_state = 1.0, 0.5`; `0.5,` is a
+one-item tuple).
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ def apply_overrides(config: SolverConfig, overrides: list[str]) -> SolverConfig:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
-        value = _coerce(raw)
         if key.startswith("problem."):
+            value = tuple(_coerce(v) for v in raw.split(",") if v.strip()) if "," in raw else _coerce(raw)
             fields["problem_overrides"][key[len("problem."):]] = value
         elif key in fields:
-            fields[key] = value
+            fields[key] = _coerce(raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
     return SolverConfig(**fields)

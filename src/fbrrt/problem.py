@@ -164,7 +164,7 @@ def _second_order_l1(
     """
     a, s = float(fuel_weight), float(noise)
     q = np.asarray(terminal_weight, dtype=float)
-    if a <= 0 or s <= 0 or np.any(q <= 0):
+    if not (0 < a < np.inf and 0 < s < np.inf and np.all((0 < q) & (q < np.inf))):  # also refuses NaN
         raise ValueError("fuel_weight, noise, and terminal_weight must be positive")
 
     def drift(t, x, u):
@@ -235,6 +235,8 @@ def make_pendulum_l1(
     is the unstable upright equilibrium and angle = pi hangs down.
     """
     grav, damp = float(gravity_ratio), float(damping)
+    if not (np.isfinite(grav) and np.isfinite(damp)):
+        raise ValueError("gravity_ratio and damping must be finite")
     return _second_order_l1(
         "pendulum_l1",
         lambda x, u: grav * np.sin(x[..., 0]) - damp * x[..., 1] + u[..., 0],
@@ -360,7 +362,7 @@ def make_uncontrolled_heat(
     """
     s = float(noise)
     q = float(terminal_quadratic)
-    if s <= 0 or q <= 0:
+    if not (0 < s < np.inf and 0 < q < np.inf):  # also refuses NaN
         raise ValueError("noise and terminal_quadratic must be positive")
 
     def drift(t, x, u):

@@ -523,8 +523,9 @@ class ComparisonReport:
     state, then mapped onto shared runtime buckets.  A run is credited at a
     bucket with the accumulated min of the iterations it finished by then;
     before its first iteration finishes it has no cost yet and its row
-    holds NaN.  The last bucket is the shortest run's total time, so a run
-    has a cost there unless its first iteration alone took longer.
+    holds NaN.  The last bucket is the shortest run's total time, or the
+    longest first iteration of any run where that ends later, so every run
+    has a cost there.
     rows: (state_index, method, run_index, bucket_time, normalized_acc_min).
     """
 
@@ -568,8 +569,9 @@ def comparison_report(runs_a: dict, runs_b: dict, label_a="fbrrt", label_b="base
     if not runs_a:
         raise ValueError("no runs supplied")
     all_runs = [r for runs in (*runs_a.values(), *runs_b.values()) for r in runs]
-    shared_total = min(r.cumulative_times()[-1] for r in all_runs)
-    bucket_times = np.linspace(shared_total / buckets, shared_total, buckets)
+    times = [r.cumulative_times() for r in all_runs]
+    last = max(min(t[-1] for t in times), max(t[0] for t in times))  # a bucket every run reaches
+    bucket_times = np.linspace(last / buckets, last, buckets)
     rows, iteration_medians = [], {}
     for state in sorted(runs_a):
         state_max = max(

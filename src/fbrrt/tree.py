@@ -180,12 +180,6 @@ class BranchTree:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
 
-    def layer_edges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """`layer(i)`'s parents and run costs alone (views), without the
-        other four fields."""
-        size = self._size[i]
-        return self._parent[i, :size], self._run_cost[i, :size]
-
     def _position(self, node_id) -> tuple[int, int]:
         if not -self._count <= node_id < self._count:
             raise IndexError(f"node {node_id} out of range")

@@ -134,6 +134,16 @@ def test_double_integrator_rejects_nonpositive():
         make_double_integrator_l1(noise=0.0)
     with pytest.raises(ValueError):
         make_double_integrator_l1(terminal_weight=(1.0, -2.0))
+    for bad in (np.nan, np.inf):
+        for kwargs in (dict(fuel_weight=bad), dict(noise=bad), dict(terminal_weight=(1.0, bad))):
+            with pytest.raises(ValueError, match="^fuel_weight, noise, and terminal_weight must be positive$"):
+                make_double_integrator_l1(**kwargs)
+
+
+def test_pendulum_refuses_a_nonfinite_parameter():
+    for kwargs in (dict(gravity_ratio=np.nan), dict(damping=-np.inf)):
+        with pytest.raises(ValueError, match="^gravity_ratio and damping must be finite$"):
+            make_pendulum_l1(**kwargs)
 
 
 def test_pendulum_equilibria():
@@ -179,7 +189,17 @@ def test_lq_refusals_name_the_bad_matrix(change, message):
         make_lq_problem(**{**matrices, **change})
 
 
-@pytest.mark.parametrize("kwargs", [dict(noise=0.0), dict(terminal_quadratic=-1.0)])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(noise=0.0),
+        dict(terminal_quadratic=-1.0),
+        dict(noise=np.nan),
+        dict(noise=np.inf),
+        dict(terminal_quadratic=np.nan),
+        dict(terminal_quadratic=np.inf),
+    ],
+)
 def test_heat_refuses_a_nonpositive_parameter(kwargs):
     with pytest.raises(ValueError, match="^noise and terminal_quadratic must be positive$"):
         make_uncontrolled_heat(**kwargs)

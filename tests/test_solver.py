@@ -639,6 +639,19 @@ def test_comparison_has_no_cost_before_the_first_iteration():
     assert cmp.final_bucket_medians() == {0: {"fbrrt": 1 / 3, "baseline": 1.0}}
 
 
+def test_comparison_last_bucket_waits_for_every_first_iteration():
+    # the fast run ends at 0.5 s, before the slow run's first iteration
+    # (0.8 s): the last bucket moves out to 0.8 s, so both have a cost there
+    fast = make_report([2.0, 1.0], wall_time=0.25)
+    slow = make_report([3.0, 3.0], wall_time=0.8, mode="parallel-baseline")
+    cmp = comparison_report({0: [fast]}, {0: [slow]}, buckets=4)
+    assert np.allclose(cmp.bucket_times, [0.2, 0.4, 0.6, 0.8])
+    curves = {m: [v for _, m2, _, _, v in cmp.rows if m2 == m] for m in ("fbrrt", "baseline")}
+    np.testing.assert_array_equal(curves["fbrrt"], [np.nan, 2 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_array_equal(curves["baseline"], [np.nan, np.nan, np.nan, 1.0])
+    assert cmp.final_bucket_medians() == {0: {"fbrrt": 1 / 3, "baseline": 1.0}}
+
+
 def test_comparison_iteration_medians():
     # per state and method, the median normalized acc-min after each
     # iteration, cut to the method's shortest run
@@ -681,6 +694,9 @@ def test_parse_config_text_types_and_overrides():
         lambda_search = true
         lam = none
         problem.noise = 2.0
+        problem.initial_state = 1.0, 0.5
+        problem.roi_lower = 0.5,
+        run_id = a,b
         """
     )
     assert cfg.problem == "heat"
@@ -688,7 +704,8 @@ def test_parse_config_text_types_and_overrides():
     assert cfg.eps_rrt == 0.5
     assert cfg.lambda_search is True
     assert cfg.lam is None
-    assert cfg.problem_overrides == {"noise": 2.0}
+    assert cfg.problem_overrides == {"noise": 2.0, "initial_state": (1.0, 0.5), "roi_lower": (0.5,)}
+    assert cfg.run_id == "a,b"
 
 
 def test_parse_config_rejects_bad_lines():
@@ -731,6 +748,14 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert (tmp_path / "out" / "demo" / "report.json").exists()
     out = capsys.readouterr().out
     assert "iter  1" in out and "iter  2" in out
+
+
+def test_cli_run_takes_an_initial_state_tuple(tmp_path, capsys):
+    argv = ["run", "problem=double_integrator", "problem.initial_state=1.0,0.5", "M=16", "steps=5", "iterations=1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "double_integrator-fbrrt-seed0" / "report.json").read_text())
+    assert report["config"]["problem_overrides"] == {"initial_state": [1.0, 0.5]}
+    assert report["initial_state"] == [1.0, 0.5]
 
 
 def test_cli_run_bad_config_exits_2(tmp_path, capsys):
