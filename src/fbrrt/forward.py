@@ -172,7 +172,7 @@ def parallel_forward_baseline(
     instead (`uniform`), then the noise (`normal`), and takes the RRT
     expansion's `sampling_step`, so both passes choose controls, record
     drifts and costs and add noise alike.  The chains are appended node by
-    node through `add_edge` (about 3 µs per node on a 2-vCPU x86-64 host),
+    node through `add_edge` (about 2.5 µs per node on a 2-vCPU x86-64 host),
     not a layer at a time: whole-layer appends make a chains solve faster
     than a tree solve, and the equal-runtime tree-vs-chains acceptance test
     then passes only now and then (README; ROADMAP item 5).  Raises
@@ -181,7 +181,7 @@ def parallel_forward_baseline(
     M = config.target_width
     tree = BranchTree(problem, grid)
     X = np.tile(problem.initial_state, (M, 1))
-    frontier = tree.add_roots(X)
+    tree.add_roots(X)
     sqrt_dt = np.sqrt(grid.dt)
     for i in range(grid.steps):
         pick = rng.integers(len(problem.random_controls), size=M)
@@ -190,6 +190,7 @@ def parallel_forward_baseline(
         W = rng.normal(size=(M, problem.state_dim)) * sqrt_dt
         U, K, ells, X_next = sampling_step(problem, grid, i, X, pick, coeffs, W)
         costs = (ells * grid.dt).tolist()
-        frontier = [tree.add_edge(frontier[j], U[j], K[j], X_next[j], cost_increment=costs[j]) for j in range(M)]
+        for j in range(M):  # chain j sits at position j of every layer
+            tree.add_edge(i, j, U[j], K[j], X_next[j], costs[j])
         X = X_next
     return tree

@@ -54,6 +54,8 @@ class TimeGrid:
         steps * dt gives the horizon back within rounding (a relative 4 eps:
         the division and the product round once each), which also refuses a
         non-finite horizon."""
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         dt = horizon / steps
         if not abs(dt * steps - horizon) <= 4 * np.finfo(float).eps * abs(horizon):
             raise ValueError(f"{steps} steps of dt = {dt} span {dt * steps}, not the horizon {horizon}")
@@ -104,6 +106,8 @@ class ControlProblem:
             object.__setattr__(self, field, controls)
         if np.asarray(self.initial_state).shape != (self.state_dim,):
             raise ValueError("initial_state must have shape (state_dim,)")
+        if not np.isfinite(self.initial_state).all():
+            raise ValueError("initial_state must be finite")
 
     def apply_diffusion(self, W: np.ndarray) -> np.ndarray:
         """sigma w for every row w of W (..., n), summed one state dimension
@@ -166,6 +170,8 @@ def _second_order_l1(
     q = np.asarray(terminal_weight, dtype=float)
     if not (0 < a < np.inf and 0 < s < np.inf and np.all((0 < q) & (q < np.inf))):  # also refuses NaN
         raise ValueError("fuel_weight, noise, and terminal_weight must be positive")
+    if q.shape != (2,):
+        raise ValueError("terminal_weight must have two entries")
 
     def drift(t, x, u):
         x = np.asarray(x, dtype=float)
@@ -290,6 +296,8 @@ def make_lq_problem(
         raise ValueError("R must be m x m")
     if np.any(np.linalg.eigvalsh(R) <= 0):
         raise ValueError("R must be positive definite")
+    if not np.isfinite(noise).all():
+        raise ValueError("noise must be finite")
     sigma = noise * np.eye(n) if np.isscalar(noise) else np.asarray(noise, dtype=float)
 
     # Products contract one index per einsum, which rounds every row the

@@ -6,16 +6,14 @@ layer i represents one sampled path of the discrete path measure at t_i with
 mass 1/M_i.
 
 Storage is struct-of-arrays: one array per field with one row per layer,
-layer i's nodes in positions 0..M_i-1 of row i.  Node ids count appends over
-the whole tree, so they increase along every layer.  `TreeNode` records are
-built on demand for callers that look at one node at a time.
+layer i's nodes in positions 0..M_i-1 of row i; a node is addressed by its
+layer and position.  Node ids count appends over the whole tree, so they
+increase along every layer; only the tree CSV prints them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -24,17 +22,6 @@ import numpy as np
 from .problem import ControlProblem, TimeGrid
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass
-class TreeNode:
-    id: int
-    time_index: int
-    state: np.ndarray  # (n,)
-    parent: Optional[int]  # node id; None for roots
-    control: Optional[np.ndarray]  # (m,) control on the incoming edge
-    drift: Optional[np.ndarray]  # (n,) drift sample on the incoming edge
-    run_cost: float
 
 
 class Layer(NamedTuple):
@@ -51,20 +38,6 @@ class Layer(NamedTuple):
     run_costs: np.ndarray  # (M_i,)
 
 
-class _View(Sequence):
-    """Read-only sequence whose items are built on demand: `tree.nodes`
-    (`TreeNode` records in id order) and `tree.layers` (node ids per layer)."""
-
-    def __init__(self, length, item):
-        self._length, self._item = length, item
-
-    def __len__(self) -> int:
-        return self._length()
-
-    def __getitem__(self, k):
-        return self._item(k)
-
-
 class BranchTree:
     """Layered tree over a time grid; single-writer during growth."""
 
@@ -77,62 +50,53 @@ class BranchTree:
         self._state, self._control, self._drift = (np.empty((layers, 0, d)) for d in (n, m, n))
         self._run_cost = np.empty((layers, 0))
         self._parent, self._id = np.empty((layers, 0), dtype=np.intp), np.empty((layers, 0), dtype=np.intp)
-        # layer and position by node id; every node fills a slot, so layers * width entries suffice
-        self._layer_of, self._pos_of = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         self._reserve(4)
 
     def _reserve(self, width: int):
         """Room for `width` nodes in every layer; nodes keep their positions and ids."""
         if width > self._width:
-            for name in self._FIELDS + ("_layer_of", "_pos_of"):
+            for name in self._FIELDS:
                 old = getattr(self, name)
-                shape = (len(self._size), width) + old.shape[2:] if old.ndim > 1 else (len(self._size) * width,)
-                setattr(self, name, np.empty(shape, dtype=old.dtype))
-                getattr(self, name)[tuple(slice(k) for k in old.shape)] = old
+                setattr(self, name, np.empty((len(self._size), width) + old.shape[2:], dtype=old.dtype))
+                getattr(self, name)[:, : self._width] = old
             self._width = width
 
     @property
-    def nodes(self) -> _View:
-        return _View(lambda: self._count, lambda node_id: self._node_at(*self._position(node_id)))
+    def nodes(self) -> range:
+        return range(self._count)
 
     @property
-    def layers(self) -> _View:
-        """Node ids of every layer, in layer order; `layers[i]` is a list."""
-        return _View(lambda: len(self._size), lambda i: self._id[i, : self._size[i]].tolist())
+    def layers(self) -> list[np.ndarray]:
+        """Node ids of every layer, in layer order (views)."""
+        return [self._id[i, :size] for i, size in enumerate(self._size)]
 
     def add_root(self) -> int:
-        """Append a root at the problem's initial state; returns its id."""
+        """Append a root at the problem's initial state; returns its position."""
         return self.add_roots(np.asarray(self.problem.initial_state, dtype=float)[None]).start
 
     def add_roots(self, states) -> range:
-        """Append one root per row of `states`; returns their ids."""
-        lo, ids = self._size[0], range(self._count, self._count + len(states))
-        hi = lo + len(ids)
+        """Append one root per row of `states`; returns their positions."""
+        lo, hi = self._size[0], self._size[0] + len(states)
         if hi > self._width:
             self._reserve(max(hi, 2 * self._width))
         self._state[0, lo:hi] = states
         self._control[0, lo:hi] = self._drift[0, lo:hi] = np.nan
-        self._run_cost[0, lo:hi], self._parent[0, lo:hi], self._id[0, lo:hi] = 0.0, -1, ids
-        self._layer_of[ids.start : ids.stop], self._pos_of[ids.start : ids.stop] = 0, range(lo, hi)
-        self._size[0], self._count = hi, ids.stop
-        return ids
+        self._run_cost[0, lo:hi], self._parent[0, lo:hi] = 0.0, -1
+        self._id[0, lo:hi] = range(self._count, self._count + hi - lo)
+        self._size[0], self._count = hi, self._count + hi - lo
+        return range(lo, hi)
 
-    def add_edge(self, parent_id: int, control, drift, child_state, cost_increment: float | None = None) -> int:
-        """Append a child under `parent_id`; returns the child id.
-
-        `cost_increment` is l(t_i, x_parent, u) * dt; computed from the
-        problem when not supplied.
-        """
-        i, j = self._position(parent_id)
+    def add_edge(self, i: int, j: int, control, drift, child_state, cost_increment: float) -> int:
+        """Append a child under position j of layer i, its running cost raised by
+        `cost_increment` = l(t_i, x_j, u) * dt; returns its position in layer i + 1."""
+        if not (0 <= i < len(self._size) and 0 <= j < self._size[i]):
+            raise IndexError(f"node {j} of layer {i} out of range")
         if i >= self.grid.steps:
             raise ValueError("cannot expand a node at the terminal layer")
         # math.isfinite on a list of floats costs a tenth of np.isfinite on one short row
         if not all(map(math.isfinite, drift.tolist() if isinstance(drift, np.ndarray) else drift)):
             raise ValueError("drift must be finite")
-        if cost_increment is None:
-            control = np.asarray(control, dtype=float)
-            cost_increment = float(self.problem.running_cost(i * self.grid.dt, self._state[i, j], control)) * self.grid.dt
-        c, pos, node_id = i + 1, self._size[i + 1], self._count
+        c, pos = i + 1, self._size[i + 1]
         if pos == self._width:
             self._reserve(2 * pos)
         self._state[c, pos] = child_state
@@ -140,10 +104,9 @@ class BranchTree:
         self._drift[c, pos] = drift
         self._run_cost[c, pos] = self._run_cost[i, j] + cost_increment
         self._parent[c, pos] = j
-        self._id[c, pos] = node_id
-        self._layer_of[node_id], self._pos_of[node_id] = c, pos
-        self._size[c], self._count = pos + 1, node_id + 1
-        return node_id
+        self._id[c, pos] = self._count
+        self._size[c], self._count = pos + 1, self._count + 1
+        return pos
 
     def append_layer(self, i: int, parents, controls, drifts, states, cost_increments, ids):
         """Unchecked append of children under positions `parents` of
@@ -155,14 +118,11 @@ class BranchTree:
         """
         c, lo = i + 1, self._size[i + 1]
         hi = lo + len(ids)
-        # room for the new nodes and an id slot up to the largest new id, the last
-        width = max(hi, (int(ids[-1]) + len(self._size)) // len(self._size))
-        if width > self._width:
-            self._reserve(max(width, 2 * self._width))
+        if hi > self._width:
+            self._reserve(max(hi, 2 * self._width))
         self._state[c, lo:hi], self._control[c, lo:hi], self._drift[c, lo:hi] = states, controls, drifts
         self._run_cost[c, lo:hi] = self._run_cost[i][parents] + cost_increments
         self._parent[c, lo:hi], self._id[c, lo:hi] = parents, ids
-        self._layer_of[ids], self._pos_of[ids] = c, np.arange(lo, hi)
         self._size[c], self._count = hi, self._count + len(ids)
 
     def layer_size(self, i: int) -> int:
@@ -179,23 +139,6 @@ class BranchTree:
     def layer_states(self, i: int) -> np.ndarray:
         """(M_i, n) states of layer i (a view)."""
         return self._state[i, : self._size[i]]
-
-    def _position(self, node_id) -> tuple[int, int]:
-        if not -self._count <= node_id < self._count:
-            raise IndexError(f"node {node_id} out of range")
-        return self._layer_of.item(node_id % self._count), self._pos_of.item(node_id % self._count)
-
-    def _node_at(self, i: int, j: int) -> TreeNode:
-        root = i == 0
-        return TreeNode(
-            id=int(self._id[i, j]),
-            time_index=i,
-            state=self._state[i, j].copy(),
-            parent=None if root else int(self._id[i - 1, self._parent[i, j]]),
-            control=None if root else self._control[i, j].copy(),
-            drift=None if root else self._drift[i, j].copy(),
-            run_cost=float(self._run_cost[i, j]),
-        )
 
     def nearest(self, i: int, queries, widths, metric_weights) -> np.ndarray:
         """For each row of `queries`, the position of the nearest node among
@@ -329,13 +272,12 @@ class BranchTree:
         out._parent = rank.take(above, mode="clip")
         out._parent[0] = -1
         # new ids count the kept nodes in old id order
-        slot = self._layer_of[: self._count] * width + self._pos_of[: self._count]
-        slot = slot[keep.take(slot)]
-        out._count = len(slot)
-        out._layer_of, out._pos_of = np.empty(layers * width, dtype=np.intp), np.empty(layers * width, dtype=np.intp)
-        out._layer_of[: out._count], out._pos_of[: out._count] = slot // width, rank.take(slot)
+        kept_ids = self._id[keep]
+        marked = np.zeros(self._count, dtype=bool)
+        marked[kept_ids] = True
+        out._count = len(kept_ids)
         out._id = np.empty((layers, width), dtype=np.intp)
-        np.put(out._id, out._layer_of[: out._count] * width + out._pos_of[: out._count], np.arange(out._count))
+        out._id[columns < kept[:, None]] = (np.cumsum(marked) - 1).take(kept_ids)
         return out
 
     def dump_csv(self, path, scores: list[Optional[np.ndarray]] | None = None):
@@ -346,7 +288,11 @@ class BranchTree:
         for i, layer_scores in enumerate((scores or [])[: len(self._size)]):
             if layer_scores is not None:
                 rho[i, : min(len(layer_scores), self._size[i])] = layer_scores[: self._size[i]]
-        layer, pos = self._layer_of[: self._count], self._pos_of[: self._count]
+        # each id's slot: the filled slots scattered by id
+        filled = np.arange(self._width) < np.array(self._size)[:, None]
+        slot = np.empty(self._count, dtype=np.intp)
+        slot[self._id[filled]] = np.flatnonzero(filled)
+        layer, pos = np.divmod(slot, self._width)
         parent = np.where(layer > 0, self._id[layer - 1, self._parent[layer, pos]], -1)
         columns = [self._state, self._drift, self._control, self._run_cost, rho]
         header = [f"{c}{k}" for c, d in (("x", n), ("k", n), ("u", m)) for k in range(d)]

@@ -175,7 +175,7 @@ def test_rollout(benchmark, case):
 
 
 @pytest.mark.benchmark(group="tree")
-def test_nearest_positions(benchmark):
+def test_nearest_full_layer(benchmark):
     X, _ = _inputs(DI)
     tree = BranchTree(DI, TimeGrid(dt=0.1, steps=1))
     tree.add_roots(X)
@@ -230,10 +230,10 @@ def test_chains_layer_add_edge(benchmark):
         return (tree, tree.add_roots(X)), {}
 
     def append(tree, roots):
-        return [tree.add_edge(roots[j], U[j], K[j], X_next[j], cost_increment=costs[j]) for j in range(CHAINS)]
+        return [tree.add_edge(0, j, U[j], K[j], X_next[j], costs[j]) for j in roots]
 
-    ids = benchmark.pedantic(append, setup=fresh_tree, rounds=100)
-    assert ids == list(range(CHAINS, 2 * CHAINS))
+    positions = benchmark.pedantic(append, setup=fresh_tree, rounds=100)
+    assert positions == list(range(CHAINS))
 
 
 def _chains_tree():
@@ -287,7 +287,7 @@ TREE, DRAW_SCHEDULES = _draw_schedules()
 
 @pytest.mark.benchmark(group="tree")
 @pytest.mark.parametrize("layers", ["fresh", "pruned", "ties"])
-def test_nearest_positions_on_prefixes(benchmark, layers):
+def test_nearest_on_prefixes(benchmark, layers):
     # the expansions of layer 15 in one iteration: a fresh tree's prefix
     # widths grow 1..B, a pruned tree's from the kept nodes up to B.  The
     # worst case, "ties", takes the fresh widths rounded up to even over

@@ -139,20 +139,23 @@ def reference_prune(tree, scores, keep_fraction):
     layer = np.repeat(np.arange(len(keep)), out._size)[order]
     position = np.concatenate([np.arange(size) for size in out._size])[order]
     out._count = len(order)
-    out._layer_of[: out._count], out._pos_of[: out._count] = layer, position
     out._id[layer, position] = np.arange(out._count)
     return out
 
 
 def same_tree(got, want) -> bool:
-    """Equal layer sizes, node count, every layer's fields bit for bit, and
-    the same layer and position for every node id."""
+    """Equal layer sizes, node count and every layer's fields bit for bit;
+    equal ids per layer put every node id at the same layer and position."""
     return (
         got.layer_sizes == want.layer_sizes
         and len(got.nodes) == len(want.nodes)
         and all(same_bits(a, b) for i in range(len(want.layer_sizes)) for a, b in zip(got.layer(i), want.layer(i)))
-        and all(
-            same_bits(getattr(got, name)[: len(got.nodes)], getattr(want, name)[: len(want.nodes)])
-            for name in ("_layer_of", "_pos_of")
-        )
     )
+
+
+def add_edge(tree, i, j, control, drift, child_state):
+    """`tree.add_edge` under position j of layer i, with the running cost
+    increment l(t_i, x_j, u) * dt of the tree's problem."""
+    control, dt = np.asarray(control, dtype=float), tree.grid.dt
+    cost = float(tree.problem.running_cost(i * dt, tree.layer_states(i)[j], control)) * dt
+    return tree.add_edge(i, j, control, drift, child_state, cost)

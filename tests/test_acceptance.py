@@ -249,12 +249,12 @@ def test_weighting_and_regression_property_suite():
     tree = grow_bang_tree(5)
     dt = tree.grid.dt
     for i in (1, 7, 20):
-        for node in [tree.nodes[k] for k in tree.layers[i]]:
-            parent = tree.nodes[node.parent]
+        layer, above = tree.layer(i), tree.layer(i - 1)
+        for j, parent in enumerate(layer.parents):
             step = float(
-                tree.problem.running_cost((i - 1) * dt, parent.state, node.control)
+                tree.problem.running_cost((i - 1) * dt, above.states[parent], layer.controls[j])
             ) * dt
-            assert abs(node.run_cost - (parent.run_cost + step)) < 1e-10
+            assert abs(layer.run_costs[j] - (above.run_costs[parent] + step)) < 1e-10
 
     # nearest neighbour equals the brute-force scan
     for _ in range(100):

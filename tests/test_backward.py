@@ -41,6 +41,7 @@ from fbrrt.tree import BranchTree
 import fbrrt.backward
 
 from conftest import (
+    add_edge,
     best_candidates,
     nan_under_plus_one,
     policy_grid,
@@ -525,12 +526,12 @@ def test_backward_pass_single_on_policy_chain():
     tree = BranchTree(p, grid)
     tree.add_root()
     rng = np.random.default_rng(4)
-    node = 0
+    j = 0
     for i in range(5):
-        x = tree.nodes[node].state
+        x = tree.layer_states(i)[j]
         w = rng.normal(size=1) * np.sqrt(grid.dt)
-        node = tree.add_edge(node, np.array([0.0]), np.zeros(1), x + p.sigma @ w)
-    g = float(p.terminal_cost(tree.nodes[node].state))
+        j = add_edge(tree, i, j, np.array([0.0]), np.zeros(1), x + p.sigma @ w)
+    g = float(p.terminal_cost(tree.layer_states(5)[j]))
     artifacts = backward_pass(tree, lam=1.0)
     for i in range(1, 6):
         x_i = tree.layer_states(i)[0]
@@ -575,9 +576,9 @@ def test_backward_pass_singular_fit_reports_layer():
     grid = TimeGrid.from_horizon(p.horizon, 3)
     tree = BranchTree(p, grid)
     tree.add_root()
-    node = 0
-    for _ in range(3):
-        node = tree.add_edge(node, np.array([0.0]), np.zeros(1), tree.nodes[node].state + 0.1)
+    j = 0
+    for i in range(3):
+        j = add_edge(tree, i, j, np.array([0.0]), np.zeros(1), tree.layer_states(i)[j] + 0.1)
     with pytest.raises(BackwardPassError) as err:
         backward_pass(tree, lam=1.0, ridge=0.0)  # one sample cannot determine 3 coefficients
     assert err.value.layer == 3
@@ -1031,7 +1032,7 @@ def test_candidate_scores_do_not_share_a_row_of_another_zero_sign():
         assert same_bits(got, want)
 
 
-def nan_at_positions_problem(drift_at, cost_at):
+def nan_at_problem(drift_at, cost_at):
     """The double integrator with a NaN drift where the position is
     `drift_at` and a NaN running cost where it is `cost_at`."""
     p = make_double_integrator_l1()
@@ -1048,7 +1049,7 @@ def test_shared_grid_refuses_a_drift_before_a_cost(shared_nan, own_nan):
     # row 0 is shared by both blocks, row 1 of block 1 is an own row: the
     # drift is refused first wherever it sits, as on the full grid
     nan_at = {shared_nan: 7.0, own_nan: 5.0}
-    p = nan_at_positions_problem(drift_at=nan_at["drift"], cost_at=nan_at["cost"])
+    p = nan_at_problem(drift_at=nan_at["drift"], cost_at=nan_at["cost"])
     X = np.array([[7.0, 0.0], [1.0, 0.0], [2.0, 0.0], [7.0, 0.0], [5.0, 0.0], [2.0, 0.0]])
     grad = np.ones_like(X)
     assert same_bits(_own_rows(X, 2), np.array([4]))
@@ -1056,7 +1057,7 @@ def test_shared_grid_refuses_a_drift_before_a_cost(shared_nan, own_nan):
         with pytest.raises(ValueError, match="^drift must be finite$"):
             _candidate_scores(p, 0.0, X, p.control_candidates, grad, blocks)
     # with the drift mended, the running cost is refused
-    mended = nan_at_positions_problem(drift_at=np.inf, cost_at=nan_at["cost"])
+    mended = nan_at_problem(drift_at=np.inf, cost_at=nan_at["cost"])
     for blocks in (2, 1):
         with pytest.raises(ValueError, match="^running cost must be finite$"):
             _candidate_scores(mended, 0.0, X, mended.control_candidates, grad, blocks)

@@ -17,12 +17,14 @@ from fbrrt.problem import (
 from fbrrt.tree import BranchTree, default_metric_weights
 
 from conftest import (
+    add_edge,
     correlated_noise_lq_problem,
     nan_exploration_cost_problem,
     nan_under_plus_one,
     policy_grid,
     policy_problems,
     same_bits,
+    same_tree,
     scalar_problem,
 )
 
@@ -73,11 +75,11 @@ def test_forward_expand_widths_and_telescoping():
     tree.add_root()
     forward_expand(tree, None, ForwardConfig(target_width=64), np.random.default_rng(7))
     assert tree.layer_sizes == [1] + [64] * 10
-    for node in tree.nodes:
-        if node.parent is not None:
-            parent = tree.nodes[node.parent]
-            inc = float(p.running_cost(parent.time_index * grid.dt, parent.state, node.control)) * grid.dt
-            assert abs(node.run_cost - parent.run_cost - inc) < 1e-10
+    for i in range(1, grid.steps + 1):
+        layer, above = tree.layer(i), tree.layer(i - 1)
+        for j, parent in enumerate(layer.parents):
+            inc = float(p.running_cost((i - 1) * grid.dt, above.states[parent], layer.controls[j])) * grid.dt
+            assert abs(layer.run_costs[j] - above.run_costs[parent] - inc) < 1e-10
 
 
 def test_forward_expand_resumes_partial_tree():
@@ -99,11 +101,7 @@ def test_forward_expand_deterministic():
         tree.add_root()
         forward_expand(tree, None, ForwardConfig(target_width=32), np.random.default_rng(10))
         trees.append(tree)
-    assert len(trees[0].nodes) == len(trees[1].nodes)
-    for a, b in zip(trees[0].nodes, trees[1].nodes):
-        assert np.array_equal(a.state, b.state)
-        assert a.parent == b.parent
-        assert a.run_cost == b.run_cost
+    assert same_tree(*trees)
 
 
 def grow_node_by_node(tree, coeffs, config, rng):
@@ -136,17 +134,16 @@ def grow_node_by_node(tree, coeffs, config, rng):
     for e, (i, _) in enumerate(turns):
         t = i * grid.dt
         if rrt[e]:
-            width = [tree.layer_size(i)]
-            node_id = tree.layers[i][tree.nearest(i, target[e][None], width, default_metric_weights(problem))[0]]
+            j = tree.nearest(i, target[e][None], [tree.layer_size(i)], default_metric_weights(problem))[0]
         else:
-            node_id = tree.layers[i][pos[e]]
-        x = tree.nodes[node_id].state
+            j = pos[e]
+        x = tree.layer_states(i)[j]
         if exploit[e]:
             u = policy_control(problem, t, x, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
         else:
             u = explore[pick[e]]
         k = problem.drift(t, x, u)
-        tree.add_edge(node_id, u, k, euler_maruyama_step(problem, grid.dt, t, x, k, W[e]))
+        add_edge(tree, i, j, u, k, euler_maruyama_step(problem, grid.dt, t, x, k, W[e]))
     return tree
 
 
@@ -163,15 +160,6 @@ def small_lq_problem():
         np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([[0.1], [1.0]]), 0.1 * np.eye(2), np.eye(1), np.eye(2),
         noise=0.3, grid_points=5,
     )
-
-
-def assert_same_tree(fast, slow):
-    assert list(fast.layers) == list(slow.layers)
-    for a, b in zip(fast.nodes, slow.nodes):
-        assert a.parent == b.parent and a.run_cost == b.run_cost
-        assert np.array_equal(a.state, b.state)
-        if a.parent is not None:
-            assert np.array_equal(a.control, b.control) and np.array_equal(a.drift, b.drift)
 
 
 # drifts that could round differently for a batch of rows than for one row
@@ -206,8 +194,8 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
             trees.append(tree)
             rng_states.append(rng.bit_generator.state)
         fast, slow = trees
-        assert list(fast.layers) == list(slow.layers) and fast.layer_sizes == [roots] + [40] * 8
-        assert_same_tree(fast, slow)
+        assert fast.layer_sizes == [roots] + [40] * 8
+        assert same_tree(fast, slow)
         assert rng_states[0] == rng_states[1]
 
         # regrow pruned trees of unequal widths whose widest layers are
@@ -222,7 +210,7 @@ def test_forward_expand_matches_node_by_node_growth(make_problem, with_coeffs):
             trees.append(tree)
             rng_states.append(rng.bit_generator.state)
         assert trees[0].layer_sizes == [roots] + [M] * 8
-        assert_same_tree(*trees)
+        assert same_tree(*trees)
         assert rng_states[0] == rng_states[1]
 
 
@@ -240,7 +228,7 @@ def test_forward_expand_grows_from_any_bit_generator():
         trees.append(grow(tree, coeffs, ForwardConfig(target_width=24, eps_rrt=0.5, eps_opt=0.6), rng))
         after.append(rng.random(4))
     assert trees[0].layer_sizes == [1] + [24] * 6
-    assert_same_tree(*trees)
+    assert same_tree(*trees)
     assert np.array_equal(*after)
 
 
@@ -293,7 +281,7 @@ def step_chain_by_chain(problem, grid, coeffs, config, rng):
     euler_maruyama_step."""
     M = config.target_width
     tree = BranchTree(problem, grid)
-    ids = list(tree.add_roots(np.tile(problem.initial_state, (M, 1))))
+    pos = list(tree.add_roots(np.tile(problem.initial_state, (M, 1))))
     explore = np.asarray(problem.random_controls, dtype=float)
     for i in range(grid.steps):
         t = i * grid.dt
@@ -303,7 +291,7 @@ def step_chain_by_chain(problem, grid, coeffs, config, rng):
             exploit = config.eps_opt > rng.uniform(size=M)
         W = rng.normal(size=(M, problem.state_dim)) * np.sqrt(grid.dt)
         for j in range(M):
-            x = tree.nodes[ids[j]].state
+            x = tree.layer_states(i)[pos[j]]
             if exploit[j]:
                 u = policy_control(problem, t, x, coeffs.alpha(i + 1), coeffs.lower, coeffs.upper)
             else:
@@ -311,7 +299,7 @@ def step_chain_by_chain(problem, grid, coeffs, config, rng):
             k = problem.drift(t, x, u)
             cost = float(problem.running_cost(t, x, u)) * grid.dt
             x_next = euler_maruyama_step(problem, grid.dt, t, x, k, W[j])
-            ids[j] = tree.add_edge(ids[j], u, k, x_next, cost_increment=cost)
+            pos[j] = tree.add_edge(i, pos[j], u, k, x_next, cost)
     return tree
 
 
@@ -330,7 +318,7 @@ def test_baseline_matches_chain_by_chain_stepping(make_problem, with_coeffs):
         trees.append(run(p, grid, coeffs, config, rng))
         rng_states.append(rng.bit_generator.state)
     assert trees[0].layer_sizes == [24] * 9
-    assert_same_tree(*trees)
+    assert same_tree(*trees)
     assert rng_states[0] == rng_states[1]
 
 
@@ -357,13 +345,9 @@ def test_baseline_paths_disjoint():
     grid = TimeGrid.from_horizon(p.horizon, 5)
     tree = parallel_forward_baseline(p, grid, None, ForwardConfig(target_width=64), np.random.default_rng(11))
     assert tree.layer_sizes == [64] * 6
-    children = {}
-    for node in tree.nodes:
-        if node.parent is not None:
-            children[node.parent] = children.get(node.parent, 0) + 1
     # every non-terminal node has exactly one child
-    assert all(count == 1 for count in children.values())
-    assert len(children) == 64 * 5
+    for i in range(1, 6):
+        assert np.array_equal(np.bincount(tree.layer(i).parents, minlength=64), np.ones(64))
 
 
 def test_baseline_zero_noise_matches_deterministic_rollout():

@@ -51,6 +51,10 @@ def test_time_grid_rejects_bad_args():
         TimeGrid(dt=-0.1, steps=10)
     with pytest.raises(ValueError):
         TimeGrid(dt=0.1, steps=0)
+    # refused before the horizon is divided by them
+    for steps in (0, -2):
+        with pytest.raises(ValueError, match=f"^steps must be >= 1, got {steps}$"):
+            TimeGrid.from_horizon(1.0, steps)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
@@ -71,6 +75,8 @@ def test_time_grid_refuses_a_dt_outside_zero_to_inf(dt):
         (dict(roi_lower=np.array([-3.0, -3.0])), "roi bounds must have shape (state_dim,)"),
         (dict(roi_upper=np.array([-3.0])), "roi lower bounds must be strictly below upper bounds"),
         (dict(initial_state=np.zeros(2)), "initial_state must have shape (state_dim,)"),
+        (dict(initial_state=np.array([np.nan])), "initial_state must be finite"),
+        (dict(initial_state=np.array([-np.inf])), "initial_state must be finite"),
     ],
 )
 def test_control_problem_refusals(change, message):
@@ -138,6 +144,11 @@ def test_double_integrator_rejects_nonpositive():
         for kwargs in (dict(fuel_weight=bad), dict(noise=bad), dict(terminal_weight=(1.0, bad))):
             with pytest.raises(ValueError, match="^fuel_weight, noise, and terminal_weight must be positive$"):
                 make_double_integrator_l1(**kwargs)
+    # a scalar or a one-entry weight failed inside the solve with a bare
+    # IndexError, and a third entry was ignored
+    for weight in (4.0, (4.0,), (4.0, 1.0, 9.0)):
+        with pytest.raises(ValueError, match="^terminal_weight must have two entries$"):
+            make_double_integrator_l1(terminal_weight=weight)
 
 
 def test_pendulum_refuses_a_nonfinite_parameter():
@@ -181,6 +192,9 @@ def test_lq_rejects_bad_shapes():
         (dict(Qf=np.eye(1)), "Qr and Qf must be n x n"),
         (dict(R=np.eye(2)), "R must be m x m"),
         (dict(R=-np.eye(1)), "R must be positive definite"),
+        (dict(noise=np.nan), "noise must be finite"),
+        (dict(noise=np.inf), "noise must be finite"),
+        (dict(noise=np.array([[0.1, 0.0], [np.nan, 0.1]])), "noise must be finite"),
     ],
 )
 def test_lq_refusals_name_the_bad_matrix(change, message):

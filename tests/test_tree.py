@@ -7,7 +7,7 @@ from fbrrt.forward import ForwardConfig, parallel_forward_baseline
 from fbrrt.problem import TimeGrid, make_double_integrator_l1, make_lq_problem
 from fbrrt.tree import BranchTree, default_metric_weights
 
-from conftest import reference_prune, same_bits, same_tree
+from conftest import add_edge, reference_prune, same_bits, same_tree
 
 
 @pytest.fixture
@@ -26,68 +26,90 @@ def make_tree(problem, grid):
     return tree
 
 
-def nearest_id(tree, i, query, weights):
-    """Id of the node of layer i nearest to one query, over the whole layer."""
-    return tree.layers[i][tree.nearest(i, np.asarray(query, dtype=float)[None], [tree.layer_size(i)], weights)[0]]
+def nearest_in_layer(tree, i, query, weights):
+    """Position of the node of layer i nearest to one query, over the whole layer."""
+    return tree.nearest(i, np.asarray(query, dtype=float)[None], [tree.layer_size(i)], weights)[0]
 
 
 def test_root_layer(problem, grid):
     tree = make_tree(problem, grid)
-    root = tree.nodes[0]
-    assert root.time_index == 0
-    assert root.run_cost == 0.0
-    assert np.allclose(root.state, problem.initial_state)
+    root = tree.layer(0)
+    assert tree.layer_sizes == [1] + [0] * grid.steps
+    assert root.run_costs[0] == 0.0 and root.parents[0] == -1
+    assert np.allclose(root.states[0], problem.initial_state)
 
 
 def test_add_edge_run_cost(problem, grid):
+    # a child's run cost is its parent's plus the increment
     tree = make_tree(problem, grid)
     u = np.array([1.0])
-    child = tree.add_edge(0, u, problem.drift(0.0, tree.nodes[0].state, u), np.array([1.0, 0.5]))
-    expected = float(problem.running_cost(0.0, tree.nodes[0].state, u)) * grid.dt
-    assert tree.nodes[child].run_cost == pytest.approx(expected)
+    x0 = tree.layer_states(0)[0]
+    child = add_edge(tree, 0, 0, u, problem.drift(0.0, x0, u), np.array([1.0, 0.5]))
+    expected = float(problem.running_cost(0.0, x0, u)) * grid.dt
+    assert child == 0 and tree.layer(1).run_costs[child] == pytest.approx(expected)
     assert tree.layer_size(1) == 1
+    assert tree.add_edge(1, child, u, np.zeros(2), np.zeros(2), 0.25) == 0
+    assert tree.layer(2).run_costs[0] == tree.layer(1).run_costs[child] + 0.25
 
 
 def test_branching_shares_parent(problem, grid):
     tree = make_tree(problem, grid)
     u = np.array([0.0])
-    k = problem.drift(0.0, tree.nodes[0].state, u)
-    a = tree.add_edge(0, u, k, np.array([0.1, 0.0]))
-    b = tree.add_edge(0, u, k, np.array([-0.1, 0.0]))
-    assert tree.layer_size(1) == 2
-    assert tree.nodes[a].parent == tree.nodes[b].parent == 0
+    k = problem.drift(0.0, tree.layer_states(0)[0], u)
+    a = add_edge(tree, 0, 0, u, k, np.array([0.1, 0.0]))
+    b = add_edge(tree, 0, 0, u, k, np.array([-0.1, 0.0]))
+    assert tree.layer_size(1) == 2 and (a, b) == (0, 1)
+    assert tree.layer(1).parents.tolist() == [0, 0]
     # L1 cost with u=0 accrues nothing
-    assert tree.nodes[a].run_cost == 0.0
+    assert tree.layer(1).run_costs[a] == 0.0
 
 
 def test_terminal_layer_expansion_rejected(problem):
     grid = TimeGrid.from_horizon(problem.horizon, 1)
     tree = make_tree(problem, grid)
-    child = tree.add_edge(0, np.array([0.0]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        tree.add_edge(child, np.array([0.0]), np.zeros(2), np.zeros(2))
+    child = add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="^cannot expand a node at the terminal layer$"):
+        add_edge(tree, 1, child, np.array([0.0]), np.zeros(2), np.zeros(2))
 
 
 def test_nonfinite_drift_rejected(problem, grid):
     tree = make_tree(problem, grid)
-    child = tree.add_edge(0, np.array([0.0]), np.zeros(2), np.zeros(2))
+    child = add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), np.zeros(2))
     for bad in (np.nan, np.inf, -np.inf):
         for drift in ([bad, 0.0], [0.0, bad]):
             for given in (np.array, list):
                 with pytest.raises(ValueError, match="drift must be finite"):
-                    tree.add_edge(child, [0.0], given(drift), np.zeros(2))
+                    add_edge(tree, 1, child, [0.0], given(drift), np.zeros(2))
                 # rejected before anything is stored
                 assert tree.layer_sizes[:3] == [1, 1, 0] and len(tree.nodes) == 2
-    assert tree.add_edge(child, [0.0], [0.0, 1.0], np.zeros(2)) == 2
+    assert add_edge(tree, 1, child, [0.0], [0.0, 1.0], np.zeros(2)) == 0
+    assert tree.layer(2).ids.tolist() == [2]
+
+
+def test_add_edge_refuses_an_address_outside_the_tree(problem):
+    # the address is checked before the terminal layer, and that before the
+    # drift; a negative layer or position is refused, not wrapped around,
+    # and a refused edge stores nothing
+    grid = TimeGrid.from_horizon(problem.horizon, 2)
+    tree = make_tree(problem, grid)
+    tree.add_edge(0, 0, [0.0], np.zeros(2), np.ones(2), 0.5)
+    tree.add_edge(1, 0, [0.0], np.zeros(2), np.ones(2), 0.5)
+    before = [[a.copy() for a in tree.layer(i)] for i in range(3)]
+    nan_drift = [np.nan, 0.0]
+    for i, j in [(-1, 0), (-3, 0), (0, -1), (1, -1), (0, 1), (1, 1), (2, 1), (3, 0)]:
+        with pytest.raises(IndexError, match=f"^node {j} of layer {i} out of range$"):
+            tree.add_edge(i, j, [0.0], nan_drift, np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="^cannot expand a node at the terminal layer$"):
+        tree.add_edge(2, 0, [0.0], nan_drift, np.zeros(2), 0.0)
+    assert tree.layer_sizes == [1, 1, 1] and len(tree.nodes) == 3
+    assert all(same_bits(a, b) for i in range(3) for a, b in zip(tree.layer(i), before[i]))
 
 
 def chain(tree, length, u=np.array([1.0])):
-    node = 0
     for i in range(length):
-        x = tree.nodes[node].state
+        x = tree.layer_states(i)[0]
         k = tree.problem.drift(i * tree.grid.dt, x, u)
-        node = tree.add_edge(node, u, k, x + k * tree.grid.dt)
-    return node
+        add_edge(tree, i, 0, u, k, x + k * tree.grid.dt)
 
 
 def root_path(tree, i, j):
@@ -112,14 +134,14 @@ def test_path_replay_identity(problem, grid):
     # recorded (k, u) replayed through the euler update reproduce the states
     rng = np.random.default_rng(0)
     tree = make_tree(problem, grid)
-    node = 0
+    j = 0
     for i in range(5):
-        x = tree.nodes[node].state
+        x = tree.layer_states(i)[j]
         u = np.asarray(problem.random_controls)[rng.integers(3)]
         k = problem.drift(i * grid.dt, x, u)
         w = rng.normal(size=2) * np.sqrt(grid.dt)
         x_next = x + k * grid.dt + problem.sigma @ w
-        node = tree.add_edge(node, u, k, x_next)
+        j = add_edge(tree, i, j, u, k, x_next)
     path = root_path(tree, 5, 0)
     for i in range(1, len(path)):
         layer = tree.layer(i)
@@ -137,32 +159,28 @@ def test_run_cost_telescoping(problem, grid):
     tree = make_tree(problem, grid)
     for _ in range(50):
         i = rng.integers(0, grid.steps)
-        layer = tree.layers[i]
-        if not layer:
+        if not tree.layer_size(i):
             continue
-        parent = int(rng.choice(layer))
+        j = int(rng.choice(tree.layer_size(i)))
         u = np.asarray(problem.random_controls)[rng.integers(3)]
-        x = tree.nodes[parent].state
+        x = tree.layer_states(i)[j]
         k = problem.drift(i * grid.dt, x, u)
-        tree.add_edge(parent, u, k, x + rng.normal(size=2))
-    for node in tree.nodes:
-        if node.parent is None:
-            assert node.run_cost == 0.0
-        else:
-            parent = tree.nodes[node.parent]
-            inc = float(problem.running_cost(parent.time_index * grid.dt, parent.state, node.control)) * grid.dt
-            assert abs(node.run_cost - (parent.run_cost + inc)) < 1e-12
+        add_edge(tree, i, j, u, k, x + rng.normal(size=2))
+    assert np.all(tree.layer(0).run_costs == 0.0)
+    for i in range(1, grid.steps + 1):
+        layer, above = tree.layer(i), tree.layer(i - 1)
+        for j, p in enumerate(layer.parents):
+            inc = float(problem.running_cost((i - 1) * grid.dt, above.states[p], layer.controls[j])) * grid.dt
+            assert abs(layer.run_costs[j] - (above.run_costs[p] + inc)) < 1e-12
 
 
 def test_nearest_singleton_and_simple(problem, grid):
     tree = make_tree(problem, grid)
     w = np.ones(2)
-    node = tree.nodes[nearest_id(tree, 0, np.array([5.0, 5.0]), w)]
-    assert np.allclose(node.state, problem.initial_state)
-    tree.add_edge(0, np.array([0.0]), np.zeros(2), np.array([0.0, 0.0]))
-    tree.add_edge(0, np.array([0.0]), np.zeros(2), np.array([1.0, 0.0]))
-    node = tree.nodes[nearest_id(tree, 1, np.array([0.4, 0.0]), w)]
-    assert np.allclose(node.state, [0.0, 0.0])
+    assert np.allclose(tree.layer_states(0)[nearest_in_layer(tree, 0, np.array([5.0, 5.0]), w)], problem.initial_state)
+    add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), np.array([0.0, 0.0]))
+    add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), np.array([1.0, 0.0]))
+    assert np.allclose(tree.layer_states(1)[nearest_in_layer(tree, 1, np.array([0.4, 0.0]), w)], [0.0, 0.0])
 
 
 def test_nearest_matches_brute_force(problem, grid):
@@ -170,12 +188,12 @@ def test_nearest_matches_brute_force(problem, grid):
     tree = make_tree(problem, grid)
     states = rng.uniform(-3, 3, size=(100, 2))
     for s in states:
-        tree.add_edge(0, np.array([0.0]), np.zeros(2), s)
+        add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), s)
     weights = default_metric_weights(problem)
     for _ in range(100):
         q = rng.uniform(-3, 3, size=2)
-        got = nearest_id(tree, 1, q, weights)
-        dists = [(np.sum(weights * (tree.nodes[j].state - q) ** 2), j) for j in tree.layers[1]]
+        got = nearest_in_layer(tree, 1, q, weights)
+        dists = [(np.sum(weights * (x - q) ** 2), j) for j, x in enumerate(tree.layer_states(1))]
         want = min(dists)[1]
         assert got == want
 
@@ -183,11 +201,11 @@ def test_nearest_matches_brute_force(problem, grid):
 def layer_tree(problem, grid, states):
     tree = make_tree(problem, grid)
     for s in states:
-        tree.add_edge(0, np.array([0.0]), np.zeros(2), s)
+        add_edge(tree, 0, 0, np.array([0.0]), np.zeros(2), s)
     return tree
 
 
-def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
+def test_nearest_matches_the_nearest_node_of_each_prefix(problem, grid):
     # each query of a batch sees only a prefix of the layer and must pick
     # what a scan of the layer grown to that width picks; copies of earlier
     # states pin the tie-break to the lowest position
@@ -201,13 +219,13 @@ def test_nearest_positions_match_nearest_position_on_prefixes(problem, grid):
     tree = layer_tree(problem, grid, states)
     got = tree.nearest(1, queries, widths, weights)
     for q, width, pos in zip(queries, widths, got):
-        assert tree.layer(1).ids[pos] == nearest_id(layer_tree(problem, grid, states[:width]), 1, q, weights)
+        assert pos == nearest_in_layer(layer_tree(problem, grid, states[:width]), 1, q, weights)
         on_node = np.flatnonzero((states[:width] == q).all(axis=1))
         if len(on_node):
             assert pos == on_node[0]
 
 
-def nearest_positions_reference(states, queries, widths, weights):
+def nearest_reference(states, queries, widths, weights):
     """`BranchTree.nearest` on a zero-started distance with every column past
     a query's width masked."""
     out = np.empty(len(widths), dtype=np.intp)
@@ -233,7 +251,7 @@ def nearest_positions_reference(states, queries, widths, weights):
     equal_widths=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_nearest_positions_match_the_fully_masked_scan(n, size, count, equal_widths, seed):
+def test_nearest_matches_the_fully_masked_scan(n, size, count, equal_widths, seed):
     # integer states and queries make exact distance ties; a chunk of 32
     # queries sees one width or several
     rng = np.random.default_rng(seed)
@@ -247,7 +265,7 @@ def test_nearest_positions_match_the_fully_masked_scan(n, size, count, equal_wid
     tree = BranchTree(p, TimeGrid(dt=0.1, steps=1))
     tree.add_roots(states)
     got = tree.nearest(0, queries, widths, weights)
-    assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
+    assert same_bits(got, nearest_reference(states, queries, widths, weights))
 
 
 def test_nearest_matches_brute_force_across_chunks(problem, grid):
@@ -304,7 +322,7 @@ def test_nearest_near_ties_match_the_exact_scan(problem, grid, offset):
     widths[55:75] = 120
     weights = default_metric_weights(problem)
     got = layer_tree(problem, grid, states).nearest(1, queries, widths, weights)
-    assert same_bits(got, nearest_positions_reference(states, queries, widths, weights))
+    assert same_bits(got, nearest_reference(states, queries, widths, weights))
 
 
 def test_nearest_screen_rechecks_ties_and_overflow_only(problem, grid, monkeypatch):
@@ -330,7 +348,7 @@ def test_nearest_screen_rechecks_ties_and_overflow_only(problem, grid, monkeypat
     weights = default_metric_weights(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         got = layer_tree(problem, grid, states).nearest(1, queries, widths, weights)
-        want = nearest_positions_reference(states, queries, widths, weights)
+        want = nearest_reference(states, queries, widths, weights)
     assert same_bits(got, want) and got[0] == 0
     assert np.array_equal(rechecked, np.concatenate([queries[:2], tied]), equal_nan=True)
 
@@ -341,7 +359,7 @@ def test_nearest_without_queries(problem, grid):
     assert same_bits(out, np.empty(0, dtype=np.intp))
 
 
-def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
+def test_nearest_rejects_widths_beyond_the_layer(problem, grid):
     tree = layer_tree(problem, grid, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         tree.nearest(1, np.zeros((1, 2)), [4], np.ones(2))
@@ -352,7 +370,7 @@ def test_nearest_positions_reject_widths_beyond_the_layer(problem, grid):
 def test_nearest_empty_layer_raises(problem, grid):
     tree = make_tree(problem, grid)
     with pytest.raises(ValueError):
-        nearest_id(tree, 1, np.zeros(2), np.ones(2))
+        nearest_in_layer(tree, 1, np.zeros(2), np.ones(2))
 
 
 def grow_random(problem, grid, M, seed=3):
@@ -365,9 +383,7 @@ def grow_random(problem, grid, M, seed=3):
 
 
 def run_cost_scores(tree):
-    return [None] + [
-        np.array([tree.nodes[j].run_cost for j in tree.layers[i]]) for i in range(1, tree.grid.steps + 1)
-    ]
+    return [None] + [tree.layer(i).run_costs.copy() for i in range(1, tree.grid.steps + 1)]
 
 
 def test_prune_keep_all_is_identity(problem):
@@ -375,9 +391,11 @@ def test_prune_keep_all_is_identity(problem):
     tree = grow_random(problem, grid, 16)
     pruned = tree.prune(run_cost_scores(tree), keep_fraction=1.0)
     assert pruned.layer_sizes == tree.layer_sizes
-    for a, b in zip(tree.nodes, pruned.nodes):
-        assert np.allclose(a.state, b.state)
-        assert a.run_cost == b.run_cost
+    for i in range(grid.steps + 1):
+        a, b = tree.layer(i), pruned.layer(i)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.allclose(a.states, b.states)
+        assert np.array_equal(a.run_costs, b.run_costs)
 
 
 def test_prune_keeps_lowest_scores_with_ancestry():
@@ -387,33 +405,33 @@ def test_prune_keeps_lowest_scores_with_ancestry():
     tree.add_root()
     # two chains: controls (1,1) and (0,0); run costs favor the zero chain
     u1, u0 = np.array([1.0]), np.array([0.0])
-    a = tree.add_edge(0, u1, problem.drift(0, tree.nodes[0].state, u1), np.array([1.0, 1.0]))
-    b = tree.add_edge(0, u0, problem.drift(0, tree.nodes[0].state, u0), np.array([2.0, 0.0]))
-    a2 = tree.add_edge(a, u1, problem.drift(0, tree.nodes[a].state, u1), np.array([1.0, 2.0]))
-    b2 = tree.add_edge(b, u0, problem.drift(0, tree.nodes[b].state, u0), np.array([2.0, 0.0]))
+    x0 = tree.layer_states(0)[0]
+    a = add_edge(tree, 0, 0, u1, problem.drift(0, x0, u1), np.array([1.0, 1.0]))
+    b = add_edge(tree, 0, 0, u0, problem.drift(0, x0, u0), np.array([2.0, 0.0]))
+    add_edge(tree, 1, a, u1, problem.drift(0, tree.layer_states(1)[a], u1), np.array([1.0, 2.0]))
+    add_edge(tree, 1, b, u0, problem.drift(0, tree.layer_states(1)[b], u0), np.array([2.0, 0.0]))
     scores = run_cost_scores(tree)
     pruned = tree.prune(scores, keep_fraction=0.5)
     # the cheap chain survives in full
     assert pruned.layer_sizes == [1, 1, 1]
-    assert all(pruned.nodes[pruned.layers[i][0]].run_cost == 0.0 for i in range(3))
+    assert all(pruned.layer(i).run_costs[0] == 0.0 for i in range(3))
 
 
 def test_prune_preserves_parent_invariant(problem):
     grid = TimeGrid.from_horizon(problem.horizon, 6)
     tree = grow_random(problem, grid, 32, seed=4)
     pruned = tree.prune(run_cost_scores(tree), keep_fraction=0.25)
+    assert np.all(pruned.layer(0).parents == -1)
     for i in range(1, grid.steps + 1):
         assert pruned.layer_size(i) >= int(np.ceil(0.25 * 32))
-        for j in pruned.layers[i]:
-            node = pruned.nodes[j]
-            assert node.parent is not None
-            assert pruned.nodes[node.parent].time_index == i - 1
+        # every parent is a node of layer i - 1, appended before its child
+        parents = pruned.layer(i).parents
+        assert np.all((0 <= parents) & (parents < pruned.layer_size(i - 1)))
+        assert np.all(pruned.layer(i - 1).ids[parents] < pruned.layer(i).ids)
     # every node traces to a root
-    for node in pruned.nodes:
-        cur = node
-        while cur.parent is not None:
-            cur = pruned.nodes[cur.parent]
-        assert cur.time_index == 0
+    for i in range(grid.steps + 1):
+        for j in range(pruned.layer_size(i)):
+            assert pruned.layer(0).parents[root_path(pruned, i, j)[0]] == -1
 
 
 def test_prune_missing_scores_rejected(problem):
@@ -444,8 +462,7 @@ def prune_cases(problem):
     ragged = make_tree(problem, grid)
     for i in range(grid.steps):
         for _ in range(rng.integers(1, 30)):
-            parent = ragged.layers[i][rng.integers(ragged.layer_size(i))]
-            ragged.add_edge(parent, np.array([1.0]), np.zeros(2), rng.normal(size=2))
+            add_edge(ragged, i, rng.integers(ragged.layer_size(i)), np.array([1.0]), np.zeros(2), rng.normal(size=2))
     return {"grown": grown, "pruned": pruned, "regrown": regrown, "chains": chains, "ragged": ragged}
 
 
